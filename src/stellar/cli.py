@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations
 
 import numpy as np
 
@@ -327,6 +328,14 @@ def _cmd_constellation(args) -> int:
     return EXIT_OK
 
 
+def _route_agreement(results: dict) -> float:
+    """Largest projective distance between two routes' polynomials."""
+    return max(
+        projective_distance(results[a].polynomial, results[b].polynomial)
+        for a, b in combinations(sorted(results), 2)
+    )
+
+
 def _principal_doc_for(path: str, route: str) -> tuple[dict, int]:
     frame = _load_plane(path)
     doc = {
@@ -339,16 +348,7 @@ def _principal_doc_for(path: str, route: str) -> tuple[dict, int]:
     code = EXIT_OK
     if route == "all":
         results = principal_all(frame)
-        dists = []
-        names = sorted(results)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                dists.append(
-                    projective_distance(
-                        results[a].polynomial, results[b].polynomial
-                    )
-                )
-        agreement = max(dists)
+        agreement = _route_agreement(results)
         doc["route_agreement"] = _clean_float(agreement)
         if agreement > 1e-6:
             code = EXIT_NUMERIC
@@ -482,15 +482,7 @@ def _cmd_verify(args) -> int:
         )
 
     results = principal_all(frame)
-    names = sorted(results)
-    worst = 0.0
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            worst = max(
-                worst,
-                projective_distance(results[a].polynomial, results[b].polynomial),
-            )
-    check("route-agreement", worst, 1e-7)
+    check("route-agreement", _route_agreement(results), 1e-7)
 
     plane = standard_form(frame)
     check("plucker-residual", plucker_residual(plucker(plane.frame)), 1e-10)

@@ -12,24 +12,16 @@ j-sectors.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh, null_space
 
-from .grassmann import KFrame, KPlane, multi_indices, plucker
+from .grassmann import RANK_TOL, frame_of, multi_indices, null_space, plucker
 from .spin_rep import RotationSpec, SpinLabel, SpinState, wigner_d
-
-#: Singular values below this (relative) are treated as zero.
-RANK_TOL = 1e-10
 
 #: Eigenvalue clusters tighter than this count as ties during refinement.
 DEGENERACY_TOL = 1e-9
-
-#: Wedge dimension above which block-diagonalizing bases are not cached.
-BD_CACHE_DIM_LIMIT = 120
 
 
 def two_s_max(s: SpinLabel, k: int) -> int:
@@ -39,17 +31,6 @@ def two_s_max(s: SpinLabel, k: int) -> int:
 
 # ---------------------------------------------------------------------------
 # wedge-space generators
-
-
-@dataclass(frozen=True)
-class WedgeGenerators:
-    """Spin generators acting on the k-th wedge power (dense matrices)."""
-
-    s: SpinLabel
-    k: int
-    Sz: np.ndarray
-    Splus: np.ndarray
-    Sminus: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -83,88 +64,12 @@ def _wedge_two_m(two_s: int, k: int) -> np.ndarray:
     return np.array([sum(two_s - 2 * i for i in I) for I in idxs])
 
 
-def wedge_generators(s: SpinLabel, k: int) -> WedgeGenerators:
-    dst, src, cf = _wedge_lowering_terms(s.two_s, k)
-    dim = math.comb(s.dim, k)
-    Sminus = np.zeros((dim, dim), dtype=complex)
-    if len(dst):
-        np.add.at(Sminus, (dst, src), cf)
-    Splus = Sminus.conj().T.copy()
-    Sz = np.diag(_wedge_two_m(s.two_s, k) / 2).astype(complex)
-    for M in (Sz, Splus, Sminus):
-        M.setflags(write=False)
-    return WedgeGenerators(s, k, Sz, Splus, Sminus)
-
-
 def wedge_rep(s: SpinLabel, k: int, r: RotationSpec) -> np.ndarray:
     """The rotation on the wedge space: the k-th compound of wigner_d."""
     D = wigner_d(s, r)
     sel = np.array(multi_indices(s.dim, k))
     sub = D[sel[:, None, :, None], sel[None, :, None, :]]
     return np.linalg.det(sub)
-
-
-# ---------------------------------------------------------------------------
-# characters
-
-
-def char_spin(two_j: int, alpha: float) -> float:
-    """Character of the spin-j irrep at rotation angle alpha.
-
-    Computed as the cosine sum over the weights, which is exact at angles
-    where the sin((j+1/2)a)/sin(a/2) form loses all its digits.
-    """
-    return float(sum(math.cos(tm * alpha / 2) for tm in range(-two_j, two_j + 1, 2)))
-
-
-@lru_cache(maxsize=None)
-def partition_multiplicities(k: int) -> tuple[tuple[int, ...], ...]:
-    """All (m_1, ..., m_k) with sum(r * m_r) = k, lexicographic order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(r: int, remaining: int, cur: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(cur + [0] * (k - len(cur))))
-            return
-        if r > k:
-            return
-        for c in range(remaining // r + 1):
-            rec(r + 1, remaining - c * r, cur + [c])
-
-    rec(1, k, [])
-    return tuple(out)
-
-
-def char_sk(s: SpinLabel, k: int, alpha: float, method: str = "recursion") -> float:
-    """Character of the wedge-power representation at angle alpha."""
-    if not 0 <= k <= s.dim:
-        raise ValueError("k out of range")
-    if method == "recursion":
-        memo: dict[int, float] = {0: 1.0}
-
-        def rec(kk: int) -> float:
-            if kk in memo:
-                return memo[kk]
-            acc = 0.0
-            for m in range(1, kk + 1):
-                acc += (-1) ** (m - 1) * char_spin(s.two_s, m * alpha) * rec(kk - m)
-            memo[kk] = acc / kk
-            return memo[kk]
-
-        return rec(k)
-    if method == "newton":
-        total = 0.0
-        for M in partition_multiplicities(k):
-            weight = sum(M)
-            z = 1.0
-            prod = 1.0
-            for r, mr in enumerate(M, start=1):
-                if mr:
-                    z *= math.factorial(mr) * r**mr
-                    prod *= char_spin(s.two_s, r * alpha) ** mr
-            total += (-1) ** (k - weight) * prod / z
-        return total
-    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +220,7 @@ def multiplicities_char(s: SpinLabel, k: int) -> MultiplicityTable:
 
 def multiplicities_from_basis(s: SpinLabel, k: int) -> MultiplicityTable:
     """Multiplicities counted off the explicit highest-weight construction."""
-    basis = bd_basis(s, k)
-    mmap: dict[int, int] = {}
-    for mult in basis.layout:
-        mmap[mult.two_j] = mmap.get(mult.two_j, 0) + 1
-    return _table_from_map(s, k, mmap)
+    return bd_basis(s, k).multiplicity_table()
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +309,7 @@ def canonical_degenerate_basis(
             for n_pow in range(2, max_power + 1):
                 A = cand.conj().T @ (diags[n_pow][:, None] * cand)
                 A = (A + A.conj().T) / 2
-                evals, evecs = eigh(A)
+                evals, evecs = np.linalg.eigh(A)
                 top = evals[-1]
                 tol = DEGENERACY_TOL * max(1.0, abs(top))
                 sel = evals >= top - tol
@@ -441,25 +342,9 @@ def canonical_degenerate_basis(
     return out, flagged
 
 
-_BD_CACHE: dict = {}
-_BD_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=32)
 def bd_basis(s: SpinLabel, k: int) -> BDBasis:
-    """Block-diagonalizing basis, cached for small wedge dimensions."""
-    key = (s.two_s, k)
-    with _BD_LOCK:
-        hit = _BD_CACHE.get(key)
-    if hit is not None:
-        return hit
-    basis = _build_bd(s, k)
-    if math.comb(s.dim, k) <= BD_CACHE_DIM_LIMIT:
-        with _BD_LOCK:
-            _BD_CACHE[key] = basis
-    return basis
-
-
-def _build_bd(s: SpinLabel, k: int) -> BDBasis:
+    """Block-diagonalizing basis of the (s, k) wedge space (cached)."""
     if not 1 <= k <= s.dim:
         raise ValueError("k out of range")
     n = s.dim
@@ -564,9 +449,7 @@ def decompose_plane(plane) -> list[ComponentState]:
     phase fix the (gauge-dependent) phases of the components, so rotating
     the rows coherently transforms every block by its spin-j rotation.
     """
-    frame = plane.frame if isinstance(plane, KPlane) else plane
-    if not isinstance(frame, KFrame):
-        raise TypeError("expected a KPlane or KFrame")
+    frame = frame_of(plane)
     basis = bd_basis(frame.s, frame.k)
     P = plucker(frame).comps
     P = P / np.linalg.norm(P)

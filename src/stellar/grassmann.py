@@ -15,7 +15,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .spin_rep import (
     RotationSpec,
@@ -78,6 +77,28 @@ class KPlane:
 
     frame: KFrame
     pivot_columns: tuple[int, ...]
+
+
+def frame_of(plane) -> KFrame:
+    """The frame of a KPlane, or a bare KFrame itself."""
+    if isinstance(plane, KPlane):
+        return plane.frame
+    if isinstance(plane, KFrame):
+        return plane
+    raise TypeError("expected a KPlane or KFrame")
+
+
+def null_space(A: np.ndarray, rcond: float | None = None) -> np.ndarray:
+    """Orthonormal columns spanning the null space of A, by SVD.
+
+    Singular values at most rcond times the largest count as zero; the
+    default rcond is max(A.shape) * eps.
+    """
+    _, sv, vh = np.linalg.svd(A, full_matrices=True)
+    if rcond is None:
+        rcond = max(A.shape) * np.finfo(float).eps
+    rank = int(np.count_nonzero(sv > rcond * sv.max()))
+    return vh[rank:].conj().T
 
 
 @dataclass(frozen=True)
@@ -183,25 +204,11 @@ def plucker_residual(P: PluckerVector) -> float:
 
 def sev(plane: KPlane) -> np.ndarray:
     """Total spin expectation sum_i <v_i|S|v_i> over an orthonormal basis."""
-    rows = _orthonormalized(plane.frame.rows)
+    Q, _ = np.linalg.qr(plane.frame.rows.T)
     ops = build_generators(plane.frame.s)
-    out = np.empty(3)
-    for a, S in enumerate((ops.Sx, ops.Sy, ops.Sz)):
-        out[a] = sum((r.conj() @ S @ r).real for r in rows)
-    return out
-
-
-def _orthonormalized(rows: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt on the rows."""
-    q = np.array(rows, dtype=complex)
-    for i in range(q.shape[0]):
-        for j in range(i):
-            q[i] -= (q[j].conj() @ q[i]) * q[j]
-        nrm = np.linalg.norm(q[i])
-        if nrm <= 1e-14:
-            raise ValueError("rows are numerically dependent")
-        q[i] /= nrm
-    return q
+    return np.array(
+        [np.trace(Q.conj().T @ S @ Q).real for S in (ops.Sx, ops.Sy, ops.Sz)]
+    )
 
 
 def coherent_plane(s: SpinLabel, k: int, n) -> KPlane:

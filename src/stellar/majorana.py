@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .spin_rep import INF, RotationSpec, SpinState, so3_matrix
 
@@ -100,9 +99,15 @@ class Star:
             raise ValueError("multiplicity must be positive")
 
     def angles(self) -> tuple[float, float]:
-        """(theta, phi) with theta in [0, pi], phi in [0, 2*pi)."""
+        """(theta, phi) with theta in [0, pi], phi in [0, 2*pi).
+
+        phi is 0 within CLUSTER_TOL of a pole, where atan2 would only read
+        the rounding noise of x and y.
+        """
         x, y, z = self.direction
         theta = math.acos(min(1.0, max(-1.0, z)))
+        if math.hypot(x, y) <= CLUSTER_TOL:
+            return theta, 0.0
         phi = math.atan2(y, x) % (2 * math.pi)
         return theta, phi
 
@@ -268,7 +273,13 @@ def antipodal_constellation(c: Constellation) -> Constellation:
 
 
 def constellation_match_angle(a: Constellation, b: Constellation) -> float:
-    """Largest angular mismatch (radians) under the best star pairing."""
+    """Largest angle (radians) between paired stars.
+
+    Stars, expanded by multiplicity, are paired so that the total angle is
+    least; the largest single angle of that pairing is returned.
+    """
+    from scipy.optimize import linear_sum_assignment
+
     if a.total != b.total:
         raise ValueError("constellations have different sizes")
     if a.total == 0:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .decomp import decompose_plane
-from .grassmann import KFrame, KPlane
+from .grassmann import frame_of
 from .majorana import Constellation, constellation_of_state
 from .spin_rep import (
     SpinLabel,
@@ -301,9 +301,7 @@ def multiconstellation(plane) -> Multiconstellation:
     of the gauge, so rotating the rows coherently rotates every piece of the
     answer without re-fixing phases.
     """
-    frame = plane.frame if isinstance(plane, KPlane) else plane
-    if not isinstance(frame, KFrame):
-        raise TypeError("expected a KPlane or KFrame")
+    frame = frame_of(plane)
     comps = decompose_plane(frame)
     reports = []
     z_ok = True

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import decompose_plane, two_s_max
-from .grassmann import KFrame, KPlane, standard_form
+from .grassmann import KFrame, KPlane, frame_of, standard_form
 from .majorana import (
     ComplexPolynomial,
     Constellation,
@@ -37,14 +37,6 @@ class PrincipalResult:
     route: str
     polynomial: ComplexPolynomial
     constellation: Constellation
-
-
-def _frame_of(plane) -> KFrame:
-    if isinstance(plane, KPlane):
-        return plane.frame
-    if isinstance(plane, KFrame):
-        return plane
-    raise TypeError("expected a KPlane or KFrame")
 
 
 def _poly_derivative(c: np.ndarray) -> np.ndarray:
@@ -95,7 +87,7 @@ def principal_wronskian(plane) -> PrincipalResult:
     coefficients above the nominal degree cancel identically and are
     truncated after a cancellation check.
     """
-    frame = _frame_of(plane)
+    frame = frame_of(plane)
     k = frame.k
     d_nom = two_s_max(frame.s, k)
     polys = []
@@ -122,7 +114,7 @@ def principal_wronskian(plane) -> PrincipalResult:
 
 def principal_top_component(plane) -> PrincipalResult:
     """Majorana polynomial of the plane's highest-spin block."""
-    frame = _frame_of(plane)
+    frame = frame_of(plane)
     comps = decompose_plane(frame)
     top = comps[0]
     if top.two_j != two_s_max(frame.s, frame.k):
@@ -158,7 +150,7 @@ def principal_sampled(plane) -> PrincipalResult:
     the nominal degree; sample it at scaled roots of unity and solve the
     Vandermonde system.
     """
-    frame = _frame_of(plane)
+    frame = frame_of(plane)
     s, k = frame.s, frame.k
     d_nom = two_s_max(s, k)
     W = frame.rows

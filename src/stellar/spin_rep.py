@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class _Infinity:
@@ -187,13 +186,60 @@ def build_generators(s: SpinLabel) -> SpinOperators:
     return _generators_cached(s.two_s)
 
 
+@lru_cache(maxsize=64)
+def _sy_eigenbasis(two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """2m = 2s, 2s - 2, ..., -2s, and V, V^dagger with S_y = V diag(m) V^dagger.
+
+    V = P d(pi/2): P = e^{-i pi S_z / 2} turns S_x into S_y and the
+    y-rotation d(pi/2) turns S_z into S_x.  Entry (i', i) of d(pi/2) is
+    2^{-s} (-1)^i sqrt(C(2s, i) / C(2s, i')) times the x^{i'} coefficient of
+    (1 + x)^{2s-i} (1 - x)^i, an integer, so V is exact to a few roundings
+    where an eigensolver would leave errors of order s * eps.
+    """
+    n = two_s
+    i = np.arange(n + 1)
+    poly = [math.comb(n, t) for t in i]  # (1 + x)^n
+    K = np.empty((n + 1, n + 1))
+    for col in i:
+        K[:, col] = np.array(poly, dtype=float) * (-1) ** col
+        # multiply by (1 - x), then divide by (1 + x): exact on integers
+        poly = [poly[0]] + [poly[t] - poly[t - 1] for t in range(1, n + 1)]
+        for t in range(1, n + 1):
+            poly[t] -= poly[t - 1]
+    comb = K[:, 0]
+    P = np.exp(-0.25j * math.pi * ((n - 2 * i) % 8))
+    V = P[:, None] * np.sqrt(comb[None, :] / comb[:, None]) * 2.0 ** (-n / 2) * K
+    out = (n - 2 * i, V, V.conj().T)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def wigner_d(s: SpinLabel, r: RotationSpec) -> np.ndarray:
-    """Spin-s rotation matrix expm(-i * angle * (axis . S))."""
+    """Spin-s rotation matrix expm(-i * angle * (axis . S)).
+
+    Evaluated in z-y-z Euler form, D = e^{-i alpha S_z} e^{-i beta S_y}
+    e^{-i gamma S_z}, from the SU(2) element [[a, -conj(b)], [b, conj(a)]]
+    of the rotation, with e^{-i beta S_y} = V diag(e^{-i beta m}) V^dagger.
+    Working from the SU(2) element keeps the sign of a 2*pi rotation on
+    half-integer spins.  Each phase e^{-i angle m} is an integer power of a
+    unit complex number, taken in extended precision where the platform has
+    it: a power 2s of a double would multiply its rounding error by 2s.
+    """
     if r.angle == 0.0:
         return np.eye(s.dim, dtype=complex)
-    ops = build_generators(s)
-    H = r.axis[0] * ops.Sx + r.axis[1] * ops.Sy + r.axis[2] * ops.Sz
-    return expm(-1j * r.angle * H)
+    w, x, y, z = r._quaternion()
+    a, b = np.clongdouble(complex(w, -z)), np.clongdouble(complex(y, -x))
+    u = a / abs(a) if a else 1  # e^{-i (alpha + gamma) / 2}
+    v = b.conjugate() / abs(b) if b else 1  # e^{-i (alpha - gamma) / 2}
+    p = np.sqrt(u * v)  # e^{-i alpha / 2}, either sign
+    c = abs(a) - 1j * abs(b)  # e^{-i beta / 2}
+    # e^{-i alpha m} = p^{2m}, e^{-i beta m} = c^{2m} and e^{-i gamma m} =
+    # q^{2m} with q = u / p: p q = u fixes the SU(2) sign
+    two_m, V, VH = _sy_eigenbasis(s.two_s)
+    bases = np.array([p, c / abs(c), u * p.conjugate()])
+    ph_alpha, ph_beta, ph_gamma = (bases[:, None] ** two_m).astype(complex)
+    return (ph_alpha[:, None] * V * ph_beta) @ (VH * ph_gamma)
 
 
 def coherent_state(s: SpinLabel, zeta) -> SpinState:

@@ -50,6 +50,29 @@ def test_constellation_of_tetrahedral_state():
     assert all(st["multiplicity"] == 1 for st in doc["stars"])
 
 
+def test_import_loads_no_scipy():
+    code = "import stellar.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_principal_routes_report_identical_angles():
+    # the tetrahedral plane has a star at the north pole, whose phi used to
+    # be the angle of each route's rounding noise
+    proc, doc = _run_json("principal", str(FIXTURES / "wtetra_32.json"), "--route", "all")
+    assert proc.returncode == 0
+    angles = {
+        name: [(st["theta"], st["phi"]) for st in route["constellation"]["stars"]]
+        for name, route in doc["routes"].items()
+    }
+    ref = angles["wronskian"]
+    for name, got in angles.items():
+        assert len(got) == len(ref) == 4
+        for theta, phi in ref:
+            assert any(abs(theta - t) < 1e-9 and abs(phi - p) < 1e-9 for t, p in got), name
+
+
 def test_output_is_deterministic():
     a = _run("constellation", str(FIXTURES / "tetra_s2.json"))
     b = _run("constellation", str(FIXTURES / "tetra_s2.json"))

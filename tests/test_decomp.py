@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,19 +9,20 @@ from stellar import (
     KFrame,
     SpinLabel,
     bd_basis,
-    char_sk,
-    char_spin,
     decompose_plane,
     multiplicities_char,
     multiplicities_from_basis,
     multiplicities_genfun,
     plucker,
     two_s_max,
-    wedge_generators,
     wedge_rep,
     wigner_d,
 )
-from stellar.decomp import canonical_degenerate_basis, partition_multiplicities
+from stellar.decomp import (
+    _wedge_lowering_terms,
+    _wedge_two_m,
+    canonical_degenerate_basis,
+)
 
 from conftest import random_frame, random_rotation
 
@@ -46,9 +48,29 @@ def test_two_s_max():
     assert two_s_max(SpinLabel(7), 4) == 16
 
 
+@dataclass(frozen=True)
+class WedgeGenerators:
+    """Dense spin generators on the k-th wedge power."""
+
+    Sz: np.ndarray
+    Splus: np.ndarray
+    Sminus: np.ndarray
+
+
+def wedge_generators(two_s: int, k: int) -> WedgeGenerators:
+    """Oracle assembled from the lowering terms that bd_basis ladders with."""
+    dst, src, cf = _wedge_lowering_terms(two_s, k)
+    dim = math.comb(two_s + 1, k)
+    Sminus = np.zeros((dim, dim), dtype=complex)
+    if len(dst):
+        np.add.at(Sminus, (dst, src), cf)
+    Sz = np.diag(_wedge_two_m(two_s, k) / 2).astype(complex)
+    return WedgeGenerators(Sz, Sminus.conj().T, Sminus)
+
+
 def test_wedge_generator_commutators_and_sz():
     for two_s, k in ((3, 2), (4, 2), (4, 3), (5, 3)):
-        g = wedge_generators(SpinLabel(two_s), k)
+        g = wedge_generators(two_s, k)
         comm = g.Sz @ g.Splus - g.Splus @ g.Sz
         assert np.abs(comm - g.Splus).max() < 1e-10
         comm2 = g.Splus @ g.Sminus - g.Sminus @ g.Splus
@@ -74,42 +96,6 @@ def test_wedge_rep_is_minor_lift_of_wigner_d():
     lhs = wedge_rep(s, k, r.compose(r2))
     rhs = wedge_rep(s, k, r) @ wedge_rep(s, k, r2)
     assert np.abs(lhs - rhs).max() < 1e-9
-
-
-def test_char_spin_matches_sine_ratio():
-    rng = np.random.default_rng(42)
-    for two_j in (1, 2, 5, 8):
-        for _ in range(5):
-            a = float(rng.uniform(0.1, 2.0 * math.pi - 0.1))
-            want = math.sin((two_j + 1) * a / 2.0) / math.sin(a / 2.0)
-            assert char_spin(two_j, a) == pytest.approx(want, abs=1e-10)
-
-
-def test_char_spin_at_zero_angle():
-    assert char_spin(5, 0.0) == pytest.approx(6.0)
-
-
-def test_partition_multiplicities():
-    # partitions of 4 as multiplicity vectors over part sizes 1..4
-    parts = set(partition_multiplicities(4))
-    assert (4, 0, 0, 0) in parts  # 1+1+1+1
-    assert (0, 2, 0, 0) in parts  # 2+2
-    assert (0, 0, 0, 1) in parts  # 4
-    assert len(parts) == 5
-
-
-def test_char_sk_methods_agree():
-    rng = np.random.default_rng(43)
-    for two_s, k in ((3, 2), (4, 3), (7, 4)):
-        for _ in range(5):
-            a = float(rng.uniform(0.1, 2.0 * math.pi - 0.1))
-            x = char_sk(SpinLabel(two_s), k, a, method="recursion")
-            y = char_sk(SpinLabel(two_s), k, a, method="newton")
-            assert x == pytest.approx(y, abs=1e-8)
-
-
-def test_char_sk_at_zero_is_dimension():
-    assert char_sk(SpinLabel(7), 4, 0.0) == pytest.approx(math.comb(8, 4))
 
 
 def test_multiplicity_tables_match_reference():

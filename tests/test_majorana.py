@@ -197,6 +197,18 @@ def test_star_angles_ranges():
         assert 0.0 <= phi < 2.0 * math.pi
 
 
+def test_stars_at_the_poles_report_zero_phi():
+    # roots near 0 and near infinity: one star within ~1e-9 of each pole
+    c = constellation_of_state(
+        SpinState(SpinLabel(2), np.array([1e-9 * np.exp(0.7j), 1.0, 1e-9 * np.exp(-1.9j)]))
+    )
+    assert len(c.stars) == 2
+    for star in c.stars:
+        theta, phi = star.angles()
+        assert min(theta, math.pi - theta) < 1e-8
+        assert phi == 0.0
+
+
 def test_constellation_from_roots_total_override():
     c = constellation_from_roots([0.0, INF], total=2)
     assert c.total == 2

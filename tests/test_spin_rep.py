@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -127,6 +128,55 @@ def test_wigner_d_unitary():
         s = SpinLabel(two_s)
         D = wigner_d(s, random_rotation(rng))
         assert np.abs(D @ D.conj().T - np.eye(s.dim)).max() < 1e-12
+
+
+def _wigner_d_oracle(two_s: int, r: RotationSpec) -> np.ndarray:
+    """Spin-s rotation matrix at 40 digits as a symmetric power of SU(2).
+
+    With U = [[a, -conj(b)], [b, conj(a)]] acting on x, y by (x, y) -> (x, y) U,
+    D[i', i] is the x^(n-i') y^(i') coefficient of x'^(n-i) y'^i, rescaled to
+    the orthonormal basis x^(n-i) y^i / sqrt((n-i)! i!), n = 2s.
+    """
+    with mpmath.workdps(40):
+        axis = [mpmath.mpf(float(t)) for t in r.axis]
+        scale = mpmath.sin(mpmath.mpf(r.angle) / 2) / mpmath.sqrt(sum(t * t for t in axis))
+        x, y, z = (scale * t for t in axis)
+        w = mpmath.cos(mpmath.mpf(r.angle) / 2)
+        u00, u01 = mpmath.mpc(w, -z), mpmath.mpc(-y, -x)
+        u10, u11 = mpmath.mpc(y, -x), mpmath.mpc(w, z)
+        n = two_s
+
+        def expand(c0, c1):
+            # row e: coefficients of x^p in (c0 x + c1 y)^e
+            return [[math.comb(e, p) * c0**p * c1 ** (e - p) for p in range(e + 1)] for e in range(n + 1)]
+
+        X, Y = expand(u00, u10), expand(u01, u11)
+        fact = [math.factorial(t) for t in range(n + 1)]
+        D = np.empty((n + 1, n + 1), dtype=complex)
+        for ip in range(n + 1):
+            for i in range(n + 1):
+                lo, hi = max(0, n - ip - i), min(n - i, n - ip)
+                acc = mpmath.fsum(X[n - i][p] * Y[i][n - ip - p] for p in range(lo, hi + 1))
+                norm = mpmath.sqrt(mpmath.mpf(fact[n - ip] * fact[ip]) / (fact[n - i] * fact[i]))
+                D[ip, i] = complex(acc * norm)
+    return D
+
+
+def test_wigner_d_matches_mpmath_oracle():
+    rng = np.random.default_rng(1909)
+    for two_s in range(1, 31):
+        s = SpinLabel(two_s)
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        r = RotationSpec(axis, float(rng.uniform(0.0, 4.0 * np.pi)))
+        assert np.abs(wigner_d(s, r) - _wigner_d_oracle(two_s, r)).max() <= 1e-14
+        # a 2*pi rotation is -1 on half-integer spins
+        full = wigner_d(s, RotationSpec(axis, 2.0 * np.pi))
+        sign = -1.0 if two_s % 2 else 1.0
+        assert np.abs(full - sign * np.eye(s.dim)).max() <= 1e-14
+        r2 = random_rotation(rng)
+        lhs = wigner_d(s, r.compose(r2))
+        assert np.abs(lhs - wigner_d(s, r) @ wigner_d(s, r2)).max() <= 5e-14
 
 
 def test_generators_commutators():
