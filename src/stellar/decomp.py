@@ -33,7 +33,6 @@ def two_s_max(s: SpinLabel, k: int) -> int:
 # wedge-space generators
 
 
-@lru_cache(maxsize=None)
 def _wedge_lowering_terms(two_s: int, k: int):
     """(dst, src, coeff) triples of the lowering operator on wedge indices.
 
@@ -173,12 +172,33 @@ def multiplicities_genfun(s: SpinLabel, k: int) -> MultiplicityTable:
     return _table_from_map(s, k, mmap)
 
 
+def _wedge_character(two_s: int, k: int, reach: int) -> np.ndarray:
+    """Coefficients of e_k(q^{2m}) at exponents -reach..reach, modulo 2^64.
+
+    The dynamic program only adds, so int64 wraparound leaves every entry
+    right modulo 2^64.  The row is returned as a copy, so that an error
+    raised over it does not keep the whole (k + 1)-row table alive.
+    """
+    width = 2 * reach + 1
+    E = np.zeros((k + 1, width), dtype=np.int64)
+    E[0, reach] = 1
+    for i in range(two_s + 1):
+        tm = two_s - 2 * i
+        for j in range(min(k, i + 1), 0, -1):
+            if tm >= 0:
+                E[j, tm:] += E[j - 1, : width - tm]
+            else:
+                E[j, :tm] += E[j - 1, -tm:]
+    return E[k].copy()
+
+
 def multiplicities_char(s: SpinLabel, k: int) -> MultiplicityTable:
     """Multiplicities from exact character inner products.
 
     The wedge character is the elementary symmetric polynomial e_k of the
     weights q^{2m}, built by an integer dynamic program; pairing with the
     spin-j character reduces to two window sums over its coefficients.
+    Raises ArithmeticError where a coefficient exceeds the int64 range.
     """
     if not 1 <= k <= s.dim:
         raise ValueError("k out of range")
@@ -188,17 +208,14 @@ def multiplicities_char(s: SpinLabel, k: int) -> MultiplicityTable:
     j_star = min(k, n // 2)
     j_star2 = min(k, (n + 1) // 2)
     reach = max(j_star * (n - j_star), j_star2 * (n - j_star2))
-    width = 2 * reach + 1
-    E = np.zeros((k + 1, width), dtype=np.int64)
-    E[0, reach] = 1
-    for i in range(n):
-        tm = two_s - 2 * i
-        for j in range(min(k, i + 1), 0, -1):
-            if tm >= 0:
-                E[j, tm:] += E[j - 1, : width - tm]
-            else:
-                E[j, :tm] += E[j - 1, -tm:]
-    chi = E[k]
+    chi = _wedge_character(two_s, k, reach)
+    # chi is right modulo 2^64; its true entries are non-negative and sum to
+    # C(n, k), which the stored ones reach only if none of them wrapped.
+    if sum(chi.tolist()) != math.comb(n, k):
+        raise ArithmeticError(
+            f"multiplicities_char: the (n, k) = ({n}, {k}) wedge character "
+            "overflows int64"
+        )
     tsm = two_s_max(s, k)
 
     def window(lo: int, hi: int, parity: int) -> int:
@@ -260,15 +277,13 @@ class BDBasis:
         return _table_from_map(self.s, self.k, mmap)
 
 
-@lru_cache(maxsize=None)
 def _qpower_diagonals(two_s: int, k: int, max_power: int) -> np.ndarray:
     """Diagonals of sum_r (S_z of slot r)^n in the wedge basis, n = 2..max."""
-    idxs = multi_indices(two_s + 1, k)
-    out = np.zeros((max_power + 1, len(idxs)))
-    for p, I in enumerate(idxs):
-        ms = [(two_s - 2 * i) / 2 for i in I]
-        for n_pow in range(2, max_power + 1):
-            out[n_pow, p] = sum(m**n_pow for m in ms)
+    ms = (two_s - 2 * np.array(multi_indices(two_s + 1, k))) / 2
+    out = np.zeros((max_power + 1, len(ms)))
+    for n_pow in range(2, max_power + 1):
+        for col in ms.T:
+            out[n_pow] += col**n_pow
     return out
 
 

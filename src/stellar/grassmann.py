@@ -1,5 +1,5 @@
 """k-frames and k-planes in spin-s space: Pluecker embedding, inner products,
-spin expectation values, coherent planes.
+coherent planes.
 
 A k-frame is a k x (2s+1) matrix of row spin states spanning a k-plane.  The
 Pluecker vector collects the k x k minors over lexicographically ordered
@@ -19,8 +19,6 @@ import numpy as np
 from .spin_rep import (
     RotationSpec,
     SpinLabel,
-    SpinState,
-    build_generators,
     geodesic_rotation,
     wigner_d,
 )
@@ -29,13 +27,13 @@ from .spin_rep import (
 RANK_TOL = 1e-10
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def multi_indices(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All size-k subsets of range(n) in lexicographic order."""
     return tuple(combinations(range(n), k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def multi_index_positions(n: int, k: int) -> dict:
     """Map from multi-index tuple to its lexicographic position."""
     return {I: p for p, I in enumerate(multi_indices(n, k))}
@@ -64,11 +62,6 @@ class KFrame:
             raise ValueError("rows are rank deficient: not a k-frame")
         r.setflags(write=False)
         object.__setattr__(self, "rows", r)
-
-    @property
-    def k_perp(self) -> int:
-        """Codimension 2s + 1 - k."""
-        return self.s.dim - self.k
 
 
 @dataclass(frozen=True)
@@ -116,9 +109,6 @@ class PluckerVector:
             raise ValueError(f"expected {want} components, got {c.shape}")
         c.setflags(write=False)
         object.__setattr__(self, "comps", c)
-
-    def index_map(self) -> tuple[tuple[int, ...], ...]:
-        return multi_indices(self.s.dim, self.k)
 
     @property
     def is_degenerate(self) -> bool:
@@ -202,15 +192,6 @@ def plucker_residual(P: PluckerVector) -> float:
     return worst
 
 
-def sev(plane: KPlane) -> np.ndarray:
-    """Total spin expectation sum_i <v_i|S|v_i> over an orthonormal basis."""
-    Q, _ = np.linalg.qr(plane.frame.rows.T)
-    ops = build_generators(plane.frame.s)
-    return np.array(
-        [np.trace(Q.conj().T @ S @ Q).real for S in (ops.Sx, ops.Sy, ops.Sz)]
-    )
-
-
 def coherent_plane(s: SpinLabel, k: int, n) -> KPlane:
     """Span of the k highest-weight states along the direction n.
 
@@ -237,7 +218,3 @@ def orthogonal_complement(plane: KPlane) -> KPlane:
     rows = plane.frame.rows
     comp = null_space(rows.conj()).T
     return standard_form(KFrame(plane.frame.s, rows.shape[1] - rows.shape[0], comp))
-
-
-def row_states(frame: KFrame) -> list[SpinState]:
-    return [SpinState(frame.s, r) for r in frame.rows]

@@ -227,6 +227,16 @@ def antipode(zeta):
     return -1.0 / z.conjugate()
 
 
+def _star_order(st: Star) -> tuple:
+    """Sort key (theta, phi) with theta on a CLUSTER_TOL grid.
+
+    Polar angles equal in exact arithmetic differ in their last bits, and
+    must not decide the order of stars that share a circle of latitude.
+    """
+    theta, phi = st.angles()
+    return round(theta / CLUSTER_TOL), phi
+
+
 def constellation_from_roots(roots, total: int | None = None) -> Constellation:
     """Cluster projected roots into stars (chordal tolerance CLUSTER_TOL)."""
     pts = [stereo_to_sphere(r) for r in roots]
@@ -246,7 +256,7 @@ def constellation_from_roots(roots, total: int | None = None) -> Constellation:
                 used[j] = True
         mean = np.mean([pts[m] for m in members], axis=0)
         stars.append(Star(mean, len(members)))
-    stars.sort(key=lambda st: st.angles())
+    stars.sort(key=_star_order)
     return Constellation(tuple(stars), total)
 
 
@@ -262,13 +272,13 @@ def constellation_of_polynomial(p: ComplexPolynomial) -> Constellation:
 def rotate_constellation(c: Constellation, r: RotationSpec) -> Constellation:
     R = so3_matrix(r)
     stars = tuple(Star(R @ st.direction, st.multiplicity) for st in c.stars)
-    stars = tuple(sorted(stars, key=lambda st: st.angles()))
+    stars = tuple(sorted(stars, key=_star_order))
     return Constellation(stars, c.total)
 
 
 def antipodal_constellation(c: Constellation) -> Constellation:
     stars = tuple(Star(-st.direction, st.multiplicity) for st in c.stars)
-    stars = tuple(sorted(stars, key=lambda st: st.angles()))
+    stars = tuple(sorted(stars, key=_star_order))
     return Constellation(stars, c.total)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -32,84 +31,33 @@ from .spin_rep import (
 GAUGE_TOL = 1e-9
 
 
-def _twice(x, name: str) -> int:
-    t = 2 * x
-    r = round(t)
-    if abs(t - r) > 1e-9:
-        raise ValueError(f"{name} must be integer or half-integer, got {x}")
-    return int(r)
+@lru_cache(maxsize=64)
+def _polarization_diagonals(two_j: int) -> tuple:
+    """Polarization operators T_{lm}, m >= 0, of the spin-j space.
 
-
-def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
-    """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention (exact sum).
-
-    Returns 0.0 whenever a selection rule fails (M != m1 + m2, triangle
-    inequality, out-of-range m, or parity mismatch).
+    T_{lm} (unit Frobenius norm, Condon-Shortley phases) is nonzero only on
+    the diagonal at offset m.  On that diagonal the Casimir superoperator
+    X -> sum_a [S_a, [S_a, X]] is a real symmetric tridiagonal matrix with
+    eigenvalues l(l+1), l = m..2j, so entry m of the result holds those
+    diagonals as the columns of its ascending `eigh` eigenvectors (column
+    l - m), each signed so that its first entry <j, j-m; l m | j j> has the
+    sign (-1)^m.  T_{l,-m} = (-1)^m T_{lm}^T.
     """
-    tj1, tm1 = _twice(j1, "j1"), _twice(m1, "m1")
-    tj2, tm2 = _twice(j2, "j2"), _twice(m2, "m2")
-    tJ, tM = _twice(J, "J"), _twice(M, "M")
-    if tm1 + tm2 != tM:
-        return 0.0
-    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:
-        return 0.0
-    if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tJ + tM) % 2:
-        return 0.0
-    if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2 or (tj1 + tj2 + tJ) % 2:
-        return 0.0
-
-    def f(two_x: int) -> int:
-        if two_x % 2:
-            raise ValueError("internal parity error in factorial argument")
-        return math.factorial(two_x // 2)
-
-    norm = Fraction(tJ + 1)
-    norm *= Fraction(
-        f(tj1 + tj2 - tJ) * f(tj1 - tj2 + tJ) * f(-tj1 + tj2 + tJ),
-        f(tj1 + tj2 + tJ + 2),
-    )
-    norm *= Fraction(
-        f(tJ + tM) * f(tJ - tM) * f(tj1 - tm1) * f(tj1 + tm1)
-        * f(tj2 - tm2) * f(tj2 + tm2)
-    )
-    t_lo = max(0, (tj2 - tJ - tm1) // 2, (tj1 + tm2 - tJ) // 2)
-    t_hi = min(
-        (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
-    )
-    total = Fraction(0)
-    for t in range(t_lo, t_hi + 1):
-        den = (
-            math.factorial(t)
-            * f(tj1 + tj2 - tJ - 2 * t)
-            * f(tj1 - tm1 - 2 * t)
-            * f(tj2 + tm2 - 2 * t)
-            * f(tJ - tj2 + tm1 + 2 * t)
-            * f(tJ - tj1 - tm2 + 2 * t)
-        )
-        total += Fraction((-1) ** t, den)
-    return float(total) * math.sqrt(norm)
-
-
-@lru_cache(maxsize=None)
-def _tensor_op(two_j: int, ell: int, m: int) -> np.ndarray:
-    """Polarization operator T_{lm} on the spin-j space (unit Frobenius norm).
-
-    T_{lm} = sqrt((2l+1)/(2j+1)) sum_m' <j m'; l m | j m' + m>-type matrix
-    elements, so Tr(T_{lm} T_{l'm'}^dagger) = delta delta.
-    """
-    dim = two_j + 1
     j = two_j / 2
-    T = np.zeros((dim, dim), dtype=complex)
-    factor = math.sqrt((2 * ell + 1) / dim)
-    for col in range(dim):
-        mm = j - col  # S_z eigenvalue of the column state
-        mp = mm + m
-        if abs(mp) > j + 1e-9:
-            continue
-        row = round(j - mp)
-        T[row, col] = factor * clebsch_gordan(j, mm, ell, m, j, mp)
-    T.setflags(write=False)
-    return T
+    mz = j - np.arange(two_j + 1)
+    # ladder[i] = <i|S_+|i+1> in the S_z eigenbasis m = j, ..., -j
+    ladder = np.sqrt(j * (j + 1) - mz[1:] * (mz[1:] + 1))
+    out = []
+    for m in range(two_j + 1):
+        # entry p of the diagonal sits at (p, p + m): m_r = mz[p], m_c = mz[p + m]
+        C = np.diag(2 * j * (j + 1) - 2 * mz[: two_j + 1 - m] * mz[m:])
+        off = -ladder[: two_j - m] * ladder[m:]
+        C += np.diag(off, 1) + np.diag(off, -1)
+        W = np.linalg.eigh(C)[1]
+        W *= (-1.0) ** m * np.sign(W[0])
+        W.setflags(write=False)
+        out.append(W)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -131,11 +79,15 @@ def polarization_components(rho: np.ndarray, s: SpinLabel) -> PolarizationCompon
     r = np.asarray(rho, dtype=complex)
     if r.shape != (s.dim, s.dim):
         raise ValueError(f"rho must be {s.dim} x {s.dim}")
-    vals = []
-    for ell in range(0, s.two_s + 1):
-        for m in range(ell, -ell - 1, -1):
-            T = _tensor_op(s.two_s, ell, m)
-            vals.append((ell, m, complex(np.vdot(T, r))))
+    diags = _polarization_diagonals(s.two_s)
+    # rho_{lm} = Tr(rho T_{lm}^dagger), one product per diagonal of rho
+    up = [W.T @ np.diagonal(r, m) for m, W in enumerate(diags)]
+    down = [(-1) ** m * W.T @ np.diagonal(r, -m) for m, W in enumerate(diags)]
+    vals = [
+        (ell, m, complex(up[m][ell - m] if m >= 0 else down[-m][ell + m]))
+        for ell in range(s.two_s + 1)
+        for m in range(ell, -ell - 1, -1)
+    ]
     return PolarizationComponents(s.two_s, tuple(vals))
 
 

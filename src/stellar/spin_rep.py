@@ -164,7 +164,7 @@ class SpinOperators:
     Sy: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _generators_cached(two_s: int) -> SpinOperators:
     s = two_s / 2
     m = (two_s - 2 * np.arange(two_s + 1)) / 2

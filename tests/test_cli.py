@@ -68,9 +68,11 @@ def test_principal_routes_report_identical_angles():
     }
     ref = angles["wronskian"]
     for name, got in angles.items():
+        # same stars in the same order: the three stars at theta = 1.9106
+        # differ in their polar angles only by rounding
         assert len(got) == len(ref) == 4
-        for theta, phi in ref:
-            assert any(abs(theta - t) < 1e-9 and abs(phi - p) < 1e-9 for t, p in got), name
+        for (theta, phi), (t, p) in zip(ref, got):
+            assert abs(theta - t) < 1e-9 and abs(phi - p) < 1e-9, name
 
 
 def test_output_is_deterministic():
@@ -190,6 +192,13 @@ def test_multiplicities_all_methods_agree():
         assert doc["nonzero"] == expected, method
         assert doc["total_dimension"] == 70
         assert doc["wedge_dimension"] == 70
+
+
+def test_multiplicities_char_overflow_exits_3():
+    proc, doc = _run_json("multiplicities", "74", "37", "--method", "char")
+    assert proc.returncode == 3
+    assert doc["kind"] == "error"
+    assert "(75, 37)" in doc["message"]
 
 
 def test_schubert_prints_plain_integer():

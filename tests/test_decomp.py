@@ -119,11 +119,18 @@ def test_multiplicity_structural_invariants():
 
 
 def test_multiplicities_genfun_matches_char_on_larger_cases():
-    for two_s, k in ((9, 4), (11, 3), (12, 5)):
+    # (73, 37): n = 74, the largest middle shape whose character fits int64
+    for two_s, k in ((9, 4), (11, 3), (12, 5), (73, 37)):
         s = SpinLabel(two_s)
         a = multiplicities_genfun(s, k).nonzero()
         b = multiplicities_char(s, k).nonzero()
         assert a == b
+
+
+def test_multiplicities_char_raises_beyond_int64():
+    for n in (75, 76, 78, 80):
+        with pytest.raises(ArithmeticError, match=f"\\({n}, {n // 2}\\)"):
+            multiplicities_char(SpinLabel(n - 1), n // 2)
 
 
 def test_multiplicities_large_case_is_fast():

@@ -16,11 +16,9 @@ from stellar import (
     plucker_residual,
     rotate_frame,
     rotate_plane,
-    sev,
-    so3_matrix,
     standard_form,
 )
-from stellar.grassmann import multi_indices, row_states
+from stellar.grassmann import multi_indices
 from stellar.majorana import stereo_from_sphere
 
 from conftest import random_frame, random_rotation
@@ -40,8 +38,6 @@ def test_kframe_validation():
         KFrame(s, 2, np.ones((2, 4)))  # rank 1
     with pytest.raises(ValueError):
         KFrame(s, 2, np.array([[1, 0, 0, np.inf], [0, 1, 0, 0]], dtype=complex))
-    f = KFrame(s, 2, np.eye(2, 4))
-    assert f.k_perp == 2
 
 
 def test_kframe_accepts_noncontiguous_rows():
@@ -161,35 +157,6 @@ def test_plane_inner_range_and_extremes():
     assert plane_inner(V, V) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sev_worked_example():
-    plane = standard_form(
-        KFrame(
-            SpinLabel(4), 2,
-            np.array([[1, 0, 1, 0, 0], [0, 1, 0, 0, 1]], dtype=complex),
-        )
-    )
-    assert np.abs(sev(plane) - np.array([0.0, 0.0, 0.5])).max() < 1e-12
-
-
-def test_sev_rotation_covariance():
-    rng = np.random.default_rng(36)
-    f = random_frame(rng, 4, 2)
-    plane = standard_form(f)
-    r = random_rotation(rng)
-    rotated = rotate_plane(plane, r)
-    assert np.abs(sev(rotated) - so3_matrix(r) @ sev(plane)).max() < 1e-9
-
-
-def test_sev_of_coherent_plane_points_along_n():
-    rng = np.random.default_rng(37)
-    n = rng.standard_normal(3)
-    n /= np.linalg.norm(n)
-    pl = coherent_plane(SpinLabel(5), 2, n)
-    v = sev(pl)
-    v /= np.linalg.norm(v)
-    assert np.abs(v - n).max() < 1e-9
-
-
 def test_rotate_frame_keeps_row_span_transformation():
     rng = np.random.default_rng(38)
     f = random_frame(rng, 3, 2)
@@ -211,11 +178,3 @@ def test_orthogonal_complement():
     assert np.abs(gram).max() < 1e-10
     back = orthogonal_complement(comp)
     assert plane_inner(back, plane) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_row_states():
-    f = KFrame(SpinLabel(3), 2, np.eye(2, 4))
-    states = row_states(f)
-    assert len(states) == 2
-    assert states[0].s.two_s == 3
-    assert np.allclose(states[0].coeffs, [1, 0, 0, 0])

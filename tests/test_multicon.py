@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from stellar import (
     KFrame,
     SpinLabel,
     SpinState,
-    clebsch_gordan,
+    build_generators,
     constellation_match_angle,
     gauge_fix_component,
     multiconstellation,
@@ -17,9 +18,89 @@ from stellar import (
     spectator_constellation,
     standard_form,
 )
-from stellar.multicon import _tensor_op
+from stellar.multicon import _polarization_diagonals
 
 from conftest import random_frame, random_rotation
+
+
+def _twice(x, name: str) -> int:
+    t = 2 * x
+    r = round(t)
+    if abs(t - r) > 1e-9:
+        raise ValueError(f"{name} must be integer or half-integer, got {x}")
+    return int(r)
+
+
+def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
+    """<j1 m1; j2 m2 | J M> in the Condon-Shortley convention (exact sum):
+    the oracle the polarization operators are checked against.
+
+    Returns 0.0 whenever a selection rule fails (M != m1 + m2, triangle
+    inequality, out-of-range m, or parity mismatch).
+    """
+    tj1, tm1 = _twice(j1, "j1"), _twice(m1, "m1")
+    tj2, tm2 = _twice(j2, "j2"), _twice(m2, "m2")
+    tJ, tM = _twice(J, "J"), _twice(M, "M")
+    if tm1 + tm2 != tM:
+        return 0.0
+    if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:
+        return 0.0
+    if (tj1 + tm1) % 2 or (tj2 + tm2) % 2 or (tJ + tM) % 2:
+        return 0.0
+    if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2 or (tj1 + tj2 + tJ) % 2:
+        return 0.0
+
+    def f(two_x: int) -> int:
+        if two_x % 2:
+            raise ValueError("internal parity error in factorial argument")
+        return math.factorial(two_x // 2)
+
+    norm = Fraction(tJ + 1)
+    norm *= Fraction(
+        f(tj1 + tj2 - tJ) * f(tj1 - tj2 + tJ) * f(-tj1 + tj2 + tJ),
+        f(tj1 + tj2 + tJ + 2),
+    )
+    norm *= Fraction(
+        f(tJ + tM) * f(tJ - tM) * f(tj1 - tm1) * f(tj1 + tm1)
+        * f(tj2 - tm2) * f(tj2 + tm2)
+    )
+    t_lo = max(0, (tj2 - tJ - tm1) // 2, (tj1 + tm2 - tJ) // 2)
+    t_hi = min(
+        (tj1 + tj2 - tJ) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2
+    )
+    total = Fraction(0)
+    for t in range(t_lo, t_hi + 1):
+        den = (
+            math.factorial(t)
+            * f(tj1 + tj2 - tJ - 2 * t)
+            * f(tj1 - tm1 - 2 * t)
+            * f(tj2 + tm2 - 2 * t)
+            * f(tJ - tj2 + tm1 + 2 * t)
+            * f(tJ - tj1 - tm2 + 2 * t)
+        )
+        total += Fraction((-1) ** t, den)
+    return float(total) * math.sqrt(norm)
+
+
+def exact_tensor_op(two_j: int, ell: int, m: int) -> np.ndarray:
+    """T_{lm} with entries sqrt((2l+1)/(2j+1)) <j m'; l m | j m'+m>."""
+    dim = two_j + 1
+    j = two_j / 2
+    T = np.zeros((dim, dim))
+    for col in range(dim):
+        mm = j - col
+        if abs(mm + m) <= j:
+            T[col - m, col] = math.sqrt((2 * ell + 1) / dim) * clebsch_gordan(
+                j, mm, ell, m, j, mm + m
+            )
+    return T
+
+
+def tensor_op(two_j: int, ell: int, m: int) -> np.ndarray:
+    """T_{lm} as a dense matrix, from the library's diagonals."""
+    W = _polarization_diagonals(two_j)[abs(m)]
+    T = np.diag(W[:, ell - abs(m)], abs(m))
+    return T if m >= 0 else (-1) ** m * T.T
 
 
 def vw_frame() -> KFrame:
@@ -60,29 +141,59 @@ def test_clebsch_gordan_orthogonality():
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def all_tensor_ops(two_j: int):
+    """Keys (l, m), l ascending and m descending, and the stacked T_{lm}."""
+    keys = [(ell, m) for ell in range(two_j + 1) for m in range(ell, -ell - 1, -1)]
+    return keys, np.array([tensor_op(two_j, ell, m) for ell, m in keys])
+
+
 def test_tensor_operators_orthonormal():
-    two_j = 4
-    dim = two_j + 1
-    ops = {}
-    for ell in range(0, two_j + 1):
-        for m in range(-ell, ell + 1):
-            ops[(ell, m)] = _tensor_op(two_j, ell, m)
-    keys = list(ops)
-    for i, a in enumerate(keys):
-        for b in keys[i:]:
-            val = complex(np.trace(ops[a].conj().T @ ops[b]))
-            want = 1.0 if a == b else 0.0
-            assert abs(val - want) < 1e-12
-    assert np.abs(ops[(0, 0)] - np.eye(dim) / math.sqrt(dim)).max() < 1e-12
+    for two_j in range(0, 41):
+        dim = two_j + 1
+        keys, ops = all_tensor_ops(two_j)
+        flat = ops.reshape(len(keys), -1)
+        assert np.abs(flat.conj() @ flat.T - np.eye(len(keys))).max() < 1e-12
+        assert np.abs(ops[0] - np.eye(dim) / math.sqrt(dim)).max() < 1e-12
 
 
 def test_tensor_operator_adjoint_symmetry():
-    two_j = 3
-    for ell in range(0, two_j + 1):
-        for m in range(-ell, ell + 1):
-            lhs = _tensor_op(two_j, ell, m).conj().T
-            rhs = (-1.0) ** m * _tensor_op(two_j, ell, -m)
-            assert np.abs(lhs - rhs).max() < 1e-12
+    # the library builds T_{l,-m} from T_{lm} by this identity; check it on
+    # the exact operators, and the library's against them
+    for two_j in range(0, 9):
+        for ell in range(0, two_j + 1):
+            for m in range(-ell, ell + 1):
+                lhs = exact_tensor_op(two_j, ell, m).conj().T
+                rhs = (-1.0) ** m * exact_tensor_op(two_j, ell, -m)
+                assert np.abs(lhs - rhs).max() < 1e-12
+                assert np.abs(tensor_op(two_j, ell, m) - exact_tensor_op(two_j, ell, m)).max() < 1e-13
+
+
+def test_tensor_operators_are_spherical_tensors():
+    # [S_z, T_lm] = m T_lm and [S_+, T_lm] = sqrt(l(l+1) - m(m+1)) T_{l,m+1}
+    for two_j in range(0, 41):
+        gens = build_generators(SpinLabel(two_j))
+        keys, ops = all_tensor_ops(two_j)
+        m = np.array([mm for _, mm in keys], dtype=float)[:, None, None]
+        l = np.array([ell for ell, _ in keys], dtype=float)[:, None, None]
+        z = gens.Sz @ ops - ops @ gens.Sz
+        assert np.abs(z - m * ops).max() < 1e-12
+        # with m descending, T_{l,m+1} sits one place before T_lm; T_{l,l+1} = 0
+        raised = np.concatenate([np.zeros_like(ops[:1]), ops[:-1]])
+        raised[[i for i, (ell, mm) in enumerate(keys) if mm == ell]] = 0.0
+        up = gens.Splus @ ops - ops @ gens.Splus
+        assert np.abs(up - np.sqrt(l * (l + 1) - m * (m + 1)) * raised).max() < 1e-12
+
+
+def test_polarization_components_match_exact_oracle():
+    rng = np.random.default_rng(68)
+    for two_j in range(0, 17):
+        dim = two_j + 1
+        A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = A @ A.conj().T
+        pol = polarization_components(rho, SpinLabel(two_j))
+        for ell, m, v in pol.values:
+            want = np.vdot(exact_tensor_op(two_j, ell, m), rho)
+            assert abs(v - want) < 1e-13 * max(1.0, np.abs(rho).max())
 
 
 def test_polarization_hermitian_symmetry():
