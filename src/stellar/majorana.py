@@ -19,8 +19,12 @@ import numpy as np
 
 from .spin_rep import INF, RotationSpec, SpinState, so3_matrix
 
-#: Relative magnitude below which a coefficient counts as zero.
+#: Relative magnitude, after binomial weighting, below which a coefficient
+#: counts as zero (see ComplexPolynomial.degree).
 COEFF_TOL = 1e-12
+
+#: Largest normwise backward error |P(w)| / sum |a_j| a root may have.
+ROOT_TOL = 1e-10
 
 #: Chordal distance below which numerically split roots merge into one star.
 CLUSTER_TOL = 1e-6
@@ -47,15 +51,17 @@ class ComplexPolynomial:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    def __call__(self, zeta: complex) -> complex:
-        out = 0j
-        for c in self.coeffs[::-1]:
-            out = out * zeta + c
-        return out
-
     def degree(self) -> int:
-        """Actual degree, treating relatively tiny leading coefficients as 0."""
-        mags = np.abs(self.coeffs)
+        """Actual degree, treating relatively tiny leading coefficients as 0.
+
+        Each |a_j| is divided by sqrt(C(d_nom, j)) before the COEFF_TOL cut,
+        so a Majorana polynomial is judged by the state's own coefficients,
+        a rotation-invariant comparison.  Unweighted, the binomial factors
+        alone span sqrt(C(80, 40)) ~ 1e11.5 at 2s = 80.
+        """
+        n = self.d_nom
+        weights = np.array([math.sqrt(math.comb(n, j)) for j in range(n + 1)])
+        mags = np.abs(self.coeffs) / weights
         top = mags.max()
         if top == 0.0:
             raise ValueError("zero polynomial has no degree")
@@ -145,53 +151,34 @@ def majorana_polynomial(psi: SpinState) -> ComplexPolynomial:
     return ComplexPolynomial(out, n)
 
 
-def _horner_many(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
-    for ck in c[::-1]:
-        out = out * z + ck
-    return out
-
-
-def _aberth(c: np.ndarray) -> np.ndarray:
-    """All roots of the ascending-coefficient polynomial c (c[-1] != 0)."""
-    d = len(c) - 1
-    lead = c[-1]
-    radius = 1.0 + float(np.max(np.abs(c[:-1] / lead))) if d > 0 else 1.0
-    rng = np.random.default_rng(0)
-    k = np.arange(d)
-    ang = 2 * np.pi * k / d + 0.4 + 0.01 * rng.standard_normal(d)
-    z = radius * (1 + 0.01 * rng.standard_normal(d)) * np.exp(1j * ang)
-    dc = c[1:] * np.arange(1, d + 1)
-    for _ in range(200):
-        pv = _horner_many(c, z)
-        dv = _horner_many(dc, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        ratio = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        diff[diff == 0] = 1e-300
-        S = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - ratio * S
-        denom = np.where(denom == 0, 1e-300, denom)
-        step = ratio / denom
-        z = z - step
-        if np.max(np.abs(step)) <= 1e-12 * (1.0 + np.max(np.abs(z))):
-            break
-    return z
-
-
 def poly_roots(p: ComplexPolynomial) -> list:
-    """All d_nom roots; degree deficits come back as the tagged INF value."""
-    c = p.coeffs
-    top = float(np.max(np.abs(c)))
-    if top == 0.0:
-        raise ValueError("zero polynomial has no roots")
-    nz = np.nonzero(np.abs(c) > COEFF_TOL * top)[0]
-    deg = int(nz[-1])
-    n_inf = p.d_nom - deg
-    roots: list = [INF] * n_inf
-    if deg > 0:
-        roots.extend(complex(z) for z in _aberth(c[: deg + 1]))
+    """All d_nom roots; degree deficits come back as the tagged INF value.
+
+    The finite roots are the eigenvalues of the companion matrix, which
+    LAPACK balances before its QR iteration (backward stable: Edelman and
+    Murakami, Math. Comp. 64 (1995)).  Each root z is then checked on the
+    disc: w = z, or w = 1/z on the reversed coefficients when |z| > 1, must
+    give |P(w)| <= ROOT_TOL * sum |a_j|, or ArithmeticError is raised.
+    """
+    deg = p.degree()
+    roots: list = [INF] * (p.d_nom - deg)
+    if deg == 0:
+        return roots
+    c = p.coeffs[: deg + 1]
+    companion = np.eye(deg, k=-1, dtype=complex)
+    companion[:, -1] = -c[:-1] / c[-1]
+    z = np.linalg.eigvals(companion)
+    inside = np.abs(z) <= 1.0
+    w = np.divide(1.0, z, out=z.copy(), where=~inside)
+    powers = np.vander(w, deg + 1, increasing=True)
+    residual = np.abs(np.where(inside, powers @ c, powers @ c[::-1]))
+    err = residual / np.abs(c).sum()
+    worst = float(err.max())  # NaN if any root is NaN
+    if not worst <= ROOT_TOL:
+        raise ArithmeticError(
+            f"root backward error {worst:.3g} exceeds ROOT_TOL = {ROOT_TOL:g}"
+        )
+    roots.extend(z.tolist())
     return roots
 
 
@@ -296,7 +283,9 @@ def constellation_match_angle(a: Constellation, b: Constellation) -> float:
         return 0.0
     va = a.directions()
     vb = b.directions()
-    dots = np.clip(va @ vb.T, -1.0, 1.0)
-    cost = np.arccos(dots)
+    # 2 arcsin(chord / 2) resolves small angles, which arccos of a dot
+    # product cannot: it reads 2^-26 for identical directions
+    chord = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2)
+    cost = 2.0 * np.arcsin(np.minimum(chord / 2.0, 1.0))
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import stellar
 
 FIXTURES = Path(stellar.__file__).parent / "fixtures"
@@ -251,6 +253,30 @@ def test_zero_state_exits_3(tmp_path):
     proc = _run("constellation", path)
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["error"] == "zero-state"
+
+
+def test_state_whose_roots_fail_the_backward_error_check_exits_3(tmp_path):
+    # coefficients spread over 24 decades: the eigenvalue roots of its
+    # Majorana polynomial miss ROOT_TOL by more than two orders of magnitude
+    rng = np.random.default_rng(111)
+    c = (rng.standard_normal(21) + 1j * rng.standard_normal(21)) * 10.0 ** rng.uniform(
+        -12, 12, 21
+    )
+    path = _write(
+        tmp_path,
+        "spread.json",
+        {
+            "schema": "stellar/1",
+            "kind": "state",
+            "two_s": 20,
+            "coeffs": [[z.real, z.imag] for z in c],
+        },
+    )
+    proc = _run("constellation", path)
+    assert proc.returncode == 3
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "numeric"
+    assert "backward error" in doc["message"]
 
 
 def test_rank_deficient_plane_exits_3(tmp_path):

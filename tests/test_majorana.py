@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stellar import (
     INF,
     ComplexPolynomial,
+    RotationSpec,
     SpinLabel,
     SpinState,
     antipodal_constellation,
@@ -214,3 +217,78 @@ def test_constellation_from_roots_total_override():
     assert c.total == 2
     zs = sorted(s.direction[2] for s in c.stars)
     assert zs == pytest.approx([-1.0, 1.0])
+
+
+def _mp_backward_error(coeffs, direction) -> float:
+    """|P(w)| / sum |a_j| |w|^j of the exact binomial Majorana polynomial.
+
+    Evaluated in 40-digit mpmath at the star's chart point: w = zeta on the
+    northern hemisphere, else w = 1/zeta on the reversed polynomial.
+    """
+    n = len(coeffs) - 1
+    with mpmath.workdps(40):
+        a = [mpmath.mpc(0)] * (n + 1)
+        for i, c in enumerate(coeffs):
+            c = complex(c)
+            a[n - i] = (-1) ** i * mpmath.sqrt(math.comb(n, i)) * mpmath.mpc(c.real, c.imag)
+        x, y, z = (float(t) for t in direction)
+        if z >= 0:
+            w = complex(x, y) / (1.0 + z)
+        else:
+            w, a = complex(x, -y) / (1.0 - z), a[::-1]
+        w = mpmath.mpc(w.real, w.imag)
+        val = mpmath.mpc(0)
+        scale = mpmath.mpf(0)
+        for c in reversed(a):
+            val = val * w + c
+            scale = scale * abs(w) + abs(c)
+        return float(abs(val) / scale)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(two_s=st.integers(2, 120), seed=st.integers(0, 2**32 - 1))
+@example(two_s=36, seed=0)
+@example(two_s=120, seed=0)
+def test_random_state_stars_pass_the_mpmath_oracle(two_s, seed):
+    psi = random_state(np.random.default_rng(seed), two_s)
+    c = constellation_of_state(psi)
+    assert c.total == two_s
+    for star in c.stars:
+        assert np.all(np.isfinite(star.direction))
+        assert abs(np.linalg.norm(star.direction) - 1.0) < 1e-12
+        assert _mp_backward_error(psi.coeffs, star.direction) <= 1e-8
+
+
+def test_poly_roots_raises_when_a_root_fails_the_backward_error_check():
+    # coefficients spread over 20 decades: the eigenvalue roots of this
+    # polynomial miss ROOT_TOL by about two orders of magnitude
+    rng = np.random.default_rng(61)
+    c = (rng.standard_normal(41) + 1j * rng.standard_normal(41)) * 10.0 ** rng.uniform(
+        -10, 10, 41
+    )
+    with pytest.raises(ArithmeticError, match="backward error"):
+        poly_roots(ComplexPolynomial(c, 40))
+
+
+def test_degree_compares_binomially_weighted_coefficients():
+    # a_j = sqrt(C(n, j)) is the Majorana polynomial of a state with equal
+    # coefficients up to signs: its ends are 1e-14.5 of its middle, yet count
+    n = 100
+    a = np.array([math.sqrt(math.comb(n, j)) for j in range(n + 1)])
+    assert ComplexPolynomial(a, n).degree() == n
+    a[-1] = 1e-13
+    assert ComplexPolynomial(a, n).degree() == n - 1
+
+
+def test_constellation_match_angle_resolves_small_angles():
+    rng = np.random.default_rng(31)
+    delta = 1e-9
+    for two_s in (3, 6, 9):
+        c = constellation_of_state(random_state(rng, two_s))
+        assert constellation_match_angle(c, c) < 1e-14
+        # an axis perpendicular to the first star moves it by exactly delta
+        # and every other star by at most delta
+        axis = np.cross(c.stars[0].direction, rng.standard_normal(3))
+        axis /= np.linalg.norm(axis)
+        moved = rotate_constellation(c, RotationSpec(axis, delta))
+        assert constellation_match_angle(c, moved) == pytest.approx(delta, rel=1e-3)
