@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -362,8 +361,8 @@ def _principal_doc_for(path: str, route: str) -> tuple[dict, int]:
     return doc, code
 
 
-def _run_batch(paths, jobs, one):
-    """Run `one(path) -> (doc, code)` over paths, preserving determinism."""
+def _run_batch(paths, one):
+    """Run `one(path) -> (doc, code)` over paths in order."""
 
     def safe(path):
         try:
@@ -373,12 +372,7 @@ def _run_batch(paths, jobs, one):
         except ArithmeticError as e:
             return _error_doc(EXIT_NUMERIC, "numeric", str(e)), EXIT_NUMERIC
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(safe, paths))
-    else:
-        results = [safe(p) for p in paths]
-    return results
+    return [safe(p) for p in paths]
 
 
 def _cmd_principal(args) -> int:
@@ -387,7 +381,7 @@ def _cmd_principal(args) -> int:
         _emit(doc, args.out)
         return code
     results = _run_batch(
-        args.plane_files, args.jobs, lambda p: _principal_doc_for(p, args.route)
+        args.plane_files, lambda p: _principal_doc_for(p, args.route)
     )
     batch = {
         "schema": SCHEMA,
@@ -555,7 +549,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["wronskian", "sampled", "top", "all"],
         default="wronskian",
     )
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility: planes run one after another and "
+        "results do not depend on it (a value other than 1 still asks for a "
+        "batch document, even for one file)",
+    )
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_principal)
 

@@ -141,14 +141,16 @@ def multiplicities_genfun(s: SpinLabel, k: int) -> MultiplicityTable:
 
     read off at exponents j = s_max, ..., 0.  Everything is carried out in
     y = x^{1/2} with exact integer coefficients, so half-integer spins and
-    arbitrary sizes need no floating point at all.
+    arbitrary sizes need no floating point at all.  The product runs to
+    min(k, 2s+1-k), since the k-th and (2s+1-k)-th wedge powers are
+    equivalent representations.
     """
     if not 1 <= k <= s.dim:
         raise ValueError("k out of range")
     two_s = s.two_s
     num_off, num = 0, [1]
     den = [1]
-    for r in range(1, k + 1):
+    for r in range(1, min(k, s.dim - k) + 1):
         e1 = two_s + 2
         e2 = 2 * r - two_s - 2
         lo, hi = min(e1, e2), max(e1, e2)
@@ -195,20 +197,19 @@ def _wedge_character(two_s: int, k: int, reach: int) -> np.ndarray:
 def multiplicities_char(s: SpinLabel, k: int) -> MultiplicityTable:
     """Multiplicities from exact character inner products.
 
-    The wedge character is the elementary symmetric polynomial e_k of the
-    weights q^{2m}, built by an integer dynamic program; pairing with the
-    spin-j character reduces to two window sums over its coefficients.
-    Raises ArithmeticError where a coefficient exceeds the int64 range.
+    The wedge character chi is the elementary symmetric polynomial e_k of
+    the weights q^{2m}, built by an integer dynamic program at
+    min(k, 2s+1-k) (the two wedge powers are equivalent representations).
+    Pairing with the spin-j character telescopes to m_j = chi(2j) - chi(2j+2),
+    with chi(e) the coefficient of q^e.  Raises ArithmeticError where a
+    coefficient exceeds the int64 range.
     """
     if not 1 <= k <= s.dim:
         raise ValueError("k out of range")
-    two_s = s.two_s
     n = s.dim
-    # intermediate e_j can reach exponents beyond the final +-two_s_max grid
-    j_star = min(k, n // 2)
-    j_star2 = min(k, (n + 1) // 2)
-    reach = max(j_star * (n - j_star), j_star2 * (n - j_star2))
-    chi = _wedge_character(two_s, k, reach)
+    tsm = two_s_max(s, k)
+    # at min(k, n - k) <= n/2 no intermediate e_j reaches past +-tsm
+    chi = _wedge_character(s.two_s, min(k, n - k), tsm)
     # chi is right modulo 2^64; its true entries are non-negative and sum to
     # C(n, k), which the stored ones reach only if none of them wrapped.
     if sum(chi.tolist()) != math.comb(n, k):
@@ -216,22 +217,8 @@ def multiplicities_char(s: SpinLabel, k: int) -> MultiplicityTable:
             f"multiplicities_char: the (n, k) = ({n}, {k}) wedge character "
             "overflows int64"
         )
-    tsm = two_s_max(s, k)
-
-    def window(lo: int, hi: int, parity: int) -> int:
-        lo = max(lo, -reach)
-        hi = min(hi, reach)
-        total = 0
-        for e in range(lo, hi + 1):
-            if (e - parity) % 2 == 0:
-                total += int(chi[e + reach])
-        return total
-
-    mmap = {}
-    for tj in range(tsm, -1, -1):
-        c0 = window(-tj, tj, tj % 2)
-        c2 = window(2 - tj, 2 + tj, tj % 2)
-        mmap[tj] = c0 - c2
+    up = chi[tsm:].tolist() + [0, 0]  # chi(0), ..., chi(tsm), then zeros
+    mmap = {tj: up[tj] - up[tj + 2] for tj in range(tsm + 1)}
     return _table_from_map(s, k, mmap)
 
 

@@ -160,11 +160,24 @@ def plane_inner(p1: KPlane, p2: KPlane) -> float:
     return float(min(1.0, max(0.0, val)))
 
 
+def _deletion_positions(n: int, m: int) -> np.ndarray:
+    """Row S, column t: the position of S minus its t-th element among the
+    (m-1)-subsets, for every m-subset S in lexicographic order."""
+    pos = multi_index_positions(n, m - 1)
+    subsets = multi_indices(n, m)
+    out = [pos[S[:t] + S[t + 1 :]] for S in subsets for t in range(m)]
+    return np.array(out, dtype=np.intp).reshape(len(subsets), m)
+
+
 def plucker_residual(P: PluckerVector) -> float:
     """Largest normalized violation of the quadratic Pluecker relations.
 
-    Zero (to tolerance) iff P is a wedge of k vectors; the zero vector
-    returns 0.0 and is reported through P.is_degenerate instead.
+    Relation (I, J), for I a (k-1)-subset and J a (k+1)-subset, is
+    sum_t (-1)^t c_{I+J_t} c_{J-J_t}; as a sum over the column j = J_t it is
+    the (I, J) entry of A B^T, with A[I, j] = c_{I+j} (signed by where j
+    sorts into I) and B[J, J_t] = (-1)^t c_{J-J_t}.  Zero (to tolerance)
+    iff P is a wedge of k vectors; the zero vector returns 0.0 and is
+    reported through P.is_degenerate instead.
     """
     c = P.comps
     norm2 = float(np.vdot(c, c).real)
@@ -172,24 +185,16 @@ def plucker_residual(P: PluckerVector) -> float:
         return 0.0
     n = P.s.dim
     k = P.k
-    pos_k = multi_index_positions(n, k)
-    worst = 0.0
-    for I in multi_indices(n, k - 1):
-        in_I = set(I)
-        for J in multi_indices(n, k + 1):
-            acc = 0j
-            for t, j in enumerate(J):
-                if j in in_I:
-                    continue
-                # insert j into sorted I; moving it from the end costs a sign
-                insert_at = sum(1 for i in I if i < j)
-                sign_ins = (-1) ** (k - 1 - insert_at)
-                sign_rem = (-1) ** t
-                left = pos_k[tuple(sorted(I + (j,)))]
-                right = pos_k[J[:t] + J[t + 1 :]]
-                acc += sign_ins * sign_rem * c[left] * c[right]
-            worst = max(worst, abs(acc) / norm2)
-    return worst
+    # K = I + j with j = K_p: moving j from the end of I to slot p costs k-1-p
+    K = np.array(multi_indices(n, k), dtype=np.intp)
+    A = np.zeros((math.comb(n, k - 1), n), dtype=complex)
+    A[_deletion_positions(n, k), K] = c[:, None] * (-1.0) ** (k - 1 - np.arange(k))
+    J = np.array(multi_indices(n, k + 1), dtype=np.intp).reshape(-1, k + 1)
+    B = np.zeros((len(J), n), dtype=complex)
+    B[np.arange(len(J))[:, None], J] = c[_deletion_positions(n, k + 1)] * (
+        (-1.0) ** np.arange(k + 1)
+    )
+    return float(np.max(np.abs(A @ B.T), initial=0.0)) / norm2
 
 
 def coherent_plane(s: SpinLabel, k: int, n) -> KPlane:

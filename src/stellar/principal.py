@@ -2,10 +2,12 @@
 
 Three independent routes compute the same degree-k(2s+1-k) polynomial (up to
 scale): the Wronskian determinant of the row polynomials, coherent-state
-overlap sampling with interpolation, and the Majorana polynomial of the
-plane's top spin block.  Its roots projected to the sphere are the plane's
-principal constellation: exactly the directions n whose antipodal coherent
-plane fails to be transversal.
+overlap sampling, and the Majorana polynomial of the plane's top spin block.
+Its roots projected to the sphere are the plane's principal constellation:
+exactly the directions n whose antipodal coherent plane fails to be
+transversal.  The first two routes share only their interpolation: values at
+unit-circle nodes (`_circle_nodes`) go to coefficients by one scaled DFT
+(`_circle_coeffs`), whose condition number is 1 at every degree.
 """
 
 from __future__ import annotations
@@ -39,76 +41,46 @@ class PrincipalResult:
     constellation: Constellation
 
 
-def _poly_derivative(c: np.ndarray) -> np.ndarray:
-    if len(c) == 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, len(c))
+def _circle_nodes(n: int, offset: float) -> np.ndarray:
+    """The n unit-circle points exp(2 pi i (a + offset) / n), a = 0..n-1."""
+    return np.exp(2j * np.pi * (np.arange(n) + offset) / n)
 
 
-def _det_poly(entries: list) -> np.ndarray:
-    """Determinant of a k x k matrix of coefficient arrays.
-
-    Laplace expansion over column subsets with memoization: exact in the
-    coefficients, no polynomial division needed.
-    """
-    k = len(entries)
-    memo: dict = {}
-
-    def minor(cols: tuple) -> np.ndarray:
-        if not cols:
-            return np.ones(1, dtype=complex)
-        if cols in memo:
-            return memo[cols]
-        row = k - len(cols)
-        acc = None
-        for t, ccol in enumerate(cols):
-            term = np.convolve(entries[row][ccol], minor(cols[:t] + cols[t + 1 :]))
-            if t % 2:
-                term = -term
-            acc = term if acc is None else _padded_add(acc, term)
-        memo[cols] = acc
-        return acc
-
-    return minor(tuple(range(k)))
-
-
-def _padded_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[: len(b)] += b
-    return out
+def _circle_coeffs(vals: np.ndarray, offset: float) -> np.ndarray:
+    """Coefficients of the degree < n polynomial taking vals at
+    _circle_nodes(n, offset): a scaled DFT, condition number 1."""
+    n = len(vals)
+    return np.fft.fft(vals) / n * np.exp(-2j * np.pi * offset * np.arange(n) / n)
 
 
 def principal_wronskian(plane) -> PrincipalResult:
     """Principal polynomial as the Wronskian of the row polynomials.
 
-    W(zeta) = det [ d^r P_i / d zeta^r ], rows i = 1..k, columns r = 0..k-1;
-    coefficients above the nominal degree cancel identically and are
-    truncated after a cancellation check.
+    W(zeta) = det [ d^r P_i / d zeta^r ], rows i = 1..k, columns r = 0..k-1,
+    evaluated at enough unit-circle nodes to hold its raw degree
+    2s k - k(k-1)/2 and interpolated by one DFT; coefficients above the
+    nominal degree cancel identically and are truncated after a
+    cancellation check.
     """
     frame = frame_of(plane)
-    k = frame.k
+    k, dim = frame.k, frame.s.dim
     d_nom = two_s_max(frame.s, k)
-    polys = []
-    for r in frame.rows:
-        base = majorana_polynomial(SpinState(frame.s, r)).coeffs
-        derivs = [np.array(base)]
-        for _ in range(k - 1):
-            derivs.append(_poly_derivative(derivs[-1]))
-        polys.append(derivs)
-    det = _det_poly(polys)
+    derivs = np.zeros((k, k, dim), dtype=complex)
+    for i, r in enumerate(frame.rows):
+        derivs[i, 0] = majorana_polynomial(SpinState(frame.s, r)).coeffs
+    for r in range(1, k):
+        derivs[:, r, :-1] = derivs[:, r - 1, 1:] * np.arange(1, dim)
+    n_nodes = (dim - 1) * k - k * (k - 1) // 2 + 1
+    powers = _circle_nodes(n_nodes, 0.0)[:, None] ** np.arange(dim)
+    vals = np.linalg.det(np.einsum("irj,aj->air", derivs, powers))
+    det = _circle_coeffs(vals, 0.0)
     top = float(np.max(np.abs(det)))
-    if len(det) > d_nom + 1:
-        tail = float(np.max(np.abs(det[d_nom + 1 :])))
-        if tail > TRUNCATION_TOL * top:
-            raise ArithmeticError(
-                "Wronskian coefficients above the nominal degree failed to cancel"
-            )
-        det = det[: d_nom + 1]
-    if len(det) < d_nom + 1:
-        det = np.concatenate([det, np.zeros(d_nom + 1 - len(det), dtype=complex)])
-    poly = ComplexPolynomial(det, d_nom)
+    tail = float(np.max(np.abs(det[d_nom + 1 :]), initial=0.0))
+    if tail > TRUNCATION_TOL * top:
+        raise ArithmeticError(
+            "Wronskian coefficients above the nominal degree failed to cancel"
+        )
+    poly = ComplexPolynomial(det[: d_nom + 1], d_nom)
     return PrincipalResult("wronskian", poly, constellation_of_polynomial(poly))
 
 
@@ -147,20 +119,18 @@ def principal_sampled(plane) -> PrincipalResult:
 
     zeta^{k k'} det( conj(V_{-n(zeta)}) W^T ), with V_{-n} the first-columns
     chart representative of the antipodal coherent plane, is a polynomial of
-    the nominal degree; sample it at scaled roots of unity and solve the
-    Vandermonde system.
+    the nominal degree; sample it at d_nom + 1 unit-circle nodes offset by
+    half a step and interpolate by one DFT.  A node where the chart is
+    singular rotates the nodes and starts over.
     """
     frame = frame_of(plane)
     s, k = frame.s, frame.k
     d_nom = two_s_max(s, k)
     W = frame.rows
     n_nodes = d_nom + 1
-    radius = 1.3
-    offset = 0.0
-    for attempt in range(8):
-        nodes = radius * np.exp(
-            2j * np.pi * (np.arange(n_nodes) + offset) / n_nodes
-        )
+    offset = 0.5
+    for _ in range(8):
+        nodes = _circle_nodes(n_nodes, offset)
         vals = np.empty(n_nodes, dtype=complex)
         try:
             for a, zeta in enumerate(nodes):
@@ -168,12 +138,9 @@ def principal_sampled(plane) -> PrincipalResult:
                 V = _coherent_chart_rows(s, k, minus_n)
                 vals[a] = zeta**d_nom * np.linalg.det(V.conj() @ W.T)
         except _ChartSingular:
-            radius *= 1.07
             offset += 0.37
             continue
-        vander = nodes[:, None] ** np.arange(n_nodes)[None, :]
-        coeffs = np.linalg.solve(vander, vals)
-        poly = ComplexPolynomial(coeffs, d_nom)
+        poly = ComplexPolynomial(_circle_coeffs(vals, offset), d_nom)
         return PrincipalResult("sampled", poly, constellation_of_polynomial(poly))
     raise ArithmeticError("could not find nonsingular sampling nodes")
 

@@ -131,6 +131,9 @@ def test_multiplicities_char_raises_beyond_int64():
     for n in (75, 76, 78, 80):
         with pytest.raises(ArithmeticError, match=f"\\({n}, {n // 2}\\)"):
             multiplicities_char(SpinLabel(n - 1), n // 2)
+    # the table is computed at min(k, n - k), but the message names k
+    with pytest.raises(ArithmeticError, match=r"\(75, 38\)"):
+        multiplicities_char(SpinLabel(74), 38)
 
 
 def test_multiplicities_large_case_is_fast():
@@ -280,3 +283,17 @@ def test_canonical_degenerate_basis_deterministic():
         phase = np.vdot(got, want)
         assert abs(abs(phase) - 1.0) < 1e-9
         assert np.abs(got * (phase / abs(phase)) - want).max() < 1e-8
+
+
+def test_complement_tables_match_basis_built_at_k():
+    # genfun and char work at min(k, n - k); the basis is built at k itself
+    for n in range(1, 41):
+        s = SpinLabel(n - 1)
+        for k in range(n // 2 + 1, n + 1):
+            if math.comb(n, k) > 200:
+                continue
+            want = multiplicities_from_basis(s, k)
+            for fn in (multiplicities_genfun, multiplicities_char):
+                got = fn(s, k)
+                assert got.k == k
+                assert got.entries == want.entries, (fn.__name__, n, k)

@@ -132,6 +132,41 @@ def test_plucker_residual_positive_on_nonfactorizable():
     assert plucker_residual(P) == pytest.approx(0.5, abs=1e-12)
 
 
+def _plucker_residual_loop(P: PluckerVector) -> float:
+    """The quadratic Pluecker relations one (I, J) pair at a time (oracle)."""
+    c = P.comps
+    norm2 = float(np.vdot(c, c).real)
+    if norm2 == 0.0:
+        return 0.0
+    n, k = P.s.dim, P.k
+    pos_k = {I: p for p, I in enumerate(multi_indices(n, k))}
+    worst = 0.0
+    for I in multi_indices(n, k - 1):
+        for J in multi_indices(n, k + 1):
+            acc = 0j
+            for t, j in enumerate(J):
+                if j in I:
+                    continue
+                insert_at = sum(1 for i in I if i < j)
+                sign = (-1) ** (k - 1 - insert_at) * (-1) ** t
+                acc += sign * c[pos_k[tuple(sorted(I + (j,)))]] * c[pos_k[J[:t] + J[t + 1 :]]]
+            worst = max(worst, abs(acc) / norm2)
+    return worst
+
+
+@pytest.mark.parametrize("two_s, k", [(3, 2), (4, 2), (7, 4), (9, 4)])
+def test_plucker_residual_matches_relation_loop(two_s, k):
+    rng = np.random.default_rng(two_s * 10 + k)
+    size = math.comb(two_s + 1, k)
+    factorizable = plucker(random_frame(rng, two_s, k)).comps
+    noise = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    for comps in (noise, factorizable + 1e-3 * noise):
+        P = PluckerVector(SpinLabel(two_s), k, comps)
+        want = _plucker_residual_loop(P)
+        assert want > 1e-6
+        assert plucker_residual(P) == pytest.approx(want, rel=1e-12)
+
+
 def test_plucker_residual_zero_vector_flags_degenerate():
     Z = PluckerVector(SpinLabel(3), 2, np.zeros(6, dtype=complex))
     assert Z.is_degenerate

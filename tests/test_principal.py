@@ -19,7 +19,10 @@ from stellar import (
     standard_form,
 )
 from stellar.majorana import stereo_to_sphere
+from stellar.spin_rep import geodesic_rotation, wigner_d
 from stellar.principal import (
+    _circle_coeffs,
+    _circle_nodes,
     principal_sampled,
     principal_top_component,
     principal_wronskian,
@@ -192,3 +195,35 @@ def test_wronskian_matches_plucker_top_block():
     a = majorana_polynomial(comp)
     b = principal_wronskian(frame).polynomial
     assert projective_distance(a, b) < 1e-9
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5, 0.87])
+def test_circle_coeffs_round_trip(offset):
+    rng = np.random.default_rng(59)
+    for n in (1, 2, 7, 64):
+        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        nodes = _circle_nodes(n, offset)
+        assert np.abs(np.abs(nodes) - 1.0).max() < 1e-15
+        vals = np.array([np.polynomial.polynomial.polyval(z, coeffs) for z in nodes])
+        got = _circle_coeffs(vals, offset)
+        assert np.abs(got - coeffs).max() < 1e-13 * np.abs(coeffs).max()
+
+
+def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
+    q, _ = np.linalg.qr(np.asarray(rows).T)
+    return q.T
+
+
+@pytest.mark.parametrize("seed", [1909, 1])
+def test_interpolating_routes_fail_transversality_at_their_stars(seed):
+    # every principal star n makes the coherent plane at -n meet the plane;
+    # at (2s, k) = (12, 6) the polynomial has degree 42
+    rng = np.random.default_rng(seed)
+    frame = random_frame(rng, 12, 6)
+    W = _orthonormal_rows(frame.rows)
+    for route in (principal_wronskian, principal_sampled):
+        for star in route(frame).constellation.stars:
+            # the k highest-weight states along -n span the coherent plane
+            D = wigner_d(frame.s, geodesic_rotation(-star.direction))
+            V = _orthonormal_rows(D[:, :6].T)
+            assert abs(np.linalg.det(V.conj() @ W.T)) <= 2e-8, route.__name__
