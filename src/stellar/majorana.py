@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,14 @@ ROOT_TOL = 1e-10
 
 #: Chordal distance below which numerically split roots merge into one star.
 CLUSTER_TOL = 1e-6
+
+
+@lru_cache(maxsize=64)
+def _sqrt_binomials(n: int) -> np.ndarray:
+    """The read-only row sqrt(C(n, j)), j = 0, ..., n."""
+    row = np.array([math.sqrt(math.comb(n, j)) for j in range(n + 1)])
+    row.setflags(write=False)
+    return row
 
 
 @dataclass(frozen=True)
@@ -59,9 +68,7 @@ class ComplexPolynomial:
         a rotation-invariant comparison.  Unweighted, the binomial factors
         alone span sqrt(C(80, 40)) ~ 1e11.5 at 2s = 80.
         """
-        n = self.d_nom
-        weights = np.array([math.sqrt(math.comb(n, j)) for j in range(n + 1)])
-        mags = np.abs(self.coeffs) / weights
+        mags = np.abs(self.coeffs) / _sqrt_binomials(self.d_nom)
         top = mags.max()
         if top == 0.0:
             raise ValueError("zero polynomial has no degree")
@@ -95,10 +102,13 @@ class Star:
     multiplicity: int
 
     def __post_init__(self) -> None:
-        v = np.array(self.direction, dtype=float)
+        v = np.asarray(self.direction, dtype=float)
         if v.shape != (3,):
             raise ValueError("direction must be a 3-vector")
-        v /= np.linalg.norm(v)
+        norm = math.sqrt(v.dot(v))
+        if not 0.0 < norm < math.inf:
+            raise ValueError("direction must be finite and nonzero")
+        v = v / norm
         v.setflags(write=False)
         object.__setattr__(self, "direction", v)
         if self.multiplicity < 1:
@@ -144,11 +154,9 @@ def majorana_polynomial(psi: SpinState) -> ComplexPolynomial:
     if not np.any(c):
         raise ValueError("zero state has no Majorana polynomial")
     n = psi.s.two_s
-    out = np.zeros(n + 1, dtype=complex)
-    for i in range(n + 1):
-        # coefficient index i runs over m = s - i; degree is n - i
-        out[n - i] = (-1) ** i * math.sqrt(math.comb(n, i)) * c[i]
-    return ComplexPolynomial(out, n)
+    # coefficient index i runs over m = s - i; degree is n - i
+    signs = (-1.0) ** np.arange(n + 1)
+    return ComplexPolynomial((signs * _sqrt_binomials(n) * c)[::-1], n)
 
 
 def poly_roots(p: ComplexPolynomial) -> list:
@@ -183,15 +191,23 @@ def poly_roots(p: ComplexPolynomial) -> list:
 
 
 def stereo_to_sphere(zeta) -> np.ndarray:
-    """Inverse stereographic projection; zeta = 0 -> north pole, INF -> south."""
-    if zeta is INF:
-        return np.array([0.0, 0.0, -1.0])
-    z = complex(zeta)
-    a = abs(z)
-    if a > 1e150:  # numerically indistinguishable from the south pole
-        return np.array([0.0, 0.0, -1.0])
-    d = 1.0 + a * a
-    return np.array([2 * z.real / d, 2 * z.imag / d, (1.0 - a * a) / d])
+    """Inverse stereographic projection; zeta = 0 -> north pole, INF -> south.
+
+    A scalar gives a 3-vector, a sequence of roots an (n, 3) array.
+    """
+    if zeta is INF or np.ndim(zeta) == 0:
+        return stereo_to_sphere([zeta])[0]
+    z = np.array([math.inf if r is INF else r for r in zeta], dtype=complex)
+    # hypot, as Python's abs(complex); np.abs can differ in the last bit
+    a = np.hypot(z.real, z.imag)
+    south = a > 1e150  # numerically indistinguishable from the south pole
+    z[south] = 0.0
+    a[south] = 0.0
+    a2 = a * a
+    d = 1.0 + a2
+    pts = np.stack([2 * z.real / d, 2 * z.imag / d, (1.0 - a2) / d], axis=-1)
+    pts[south] = (0.0, 0.0, -1.0)
+    return pts
 
 
 def stereo_from_sphere(n):
@@ -214,37 +230,64 @@ def antipode(zeta):
     return -1.0 / z.conjugate()
 
 
-def _star_order(st: Star) -> tuple:
-    """Sort key (theta, phi) with theta on a CLUSTER_TOL grid.
+def _in_star_order(stars) -> tuple[Star, ...]:
+    """Stars sorted by (theta on a CLUSTER_TOL grid, phi).
 
     Polar angles equal in exact arithmetic differ in their last bits, and
     must not decide the order of stars that share a circle of latitude.
     """
-    theta, phi = st.angles()
-    return round(theta / CLUSTER_TOL), phi
+    stars = list(stars)
+    if not stars:
+        return ()
+    # Star.angles over all stars at once
+    x, y, z = np.array([st.direction for st in stars]).T
+    theta = np.arccos(np.clip(z, -1.0, 1.0))
+    phi = np.arctan2(y, x) % (2 * math.pi)
+    phi[np.hypot(x, y) <= CLUSTER_TOL] = 0.0
+    order = np.lexsort((phi, np.round(theta / CLUSTER_TOL)))
+    return tuple(stars[i] for i in order)
+
+
+def _cluster_labels(pts: np.ndarray) -> np.ndarray:
+    """Greedy chordal clustering: the index of each point's star.
+
+    In point order, the first point not yet taken opens the next star and
+    takes every later free point within CLUSTER_TOL of it.
+    """
+    n = len(pts)
+    d2 = np.zeros((n, n))
+    for x in pts.T:  # n x n temporaries, no n x n x 3 difference tensor
+        d2 += (x[:, None] - x[None, :]) ** 2
+    close = np.sqrt(d2) <= CLUSTER_TOL
+    labels = np.arange(n)
+    shared = np.flatnonzero(close.sum(axis=1) > 1)
+    if not len(shared):
+        return labels
+    for i in shared:
+        if labels[i] == i:
+            later = i + 1 + np.flatnonzero(close[i, i + 1 :])
+            free = later[labels[later] == later]
+            labels[free] = i
+    opens = labels == np.arange(n)
+    return (np.cumsum(opens) - 1)[labels]
 
 
 def constellation_from_roots(roots, total: int | None = None) -> Constellation:
-    """Cluster projected roots into stars (chordal tolerance CLUSTER_TOL)."""
-    pts = [stereo_to_sphere(r) for r in roots]
+    """Cluster projected roots into stars (chordal tolerance CLUSTER_TOL).
+
+    The clustering is greedy in root order (see _cluster_labels); a star
+    sits at the normalized mean direction of its roots.
+    """
+    pts = stereo_to_sphere(list(roots))
     if total is None:
         total = len(pts)
-    used = [False] * len(pts)
-    stars = []
-    # deterministic O(n^2) greedy clustering; n = 2s stays small
-    for i in range(len(pts)):
-        if used[i]:
-            continue
-        members = [i]
-        used[i] = True
-        for j in range(i + 1, len(pts)):
-            if not used[j] and np.linalg.norm(pts[i] - pts[j]) <= CLUSTER_TOL:
-                members.append(j)
-                used[j] = True
-        mean = np.mean([pts[m] for m in members], axis=0)
-        stars.append(Star(mean, len(members)))
-    stars.sort(key=_star_order)
-    return Constellation(tuple(stars), total)
+    labels = _cluster_labels(pts)
+    counts = np.bincount(labels)
+    sums = np.zeros((len(counts), 3))
+    np.add.at(sums, labels, pts)
+    means = sums / counts[:, None]
+    stars = (Star(v, m) for v, m in zip(means, counts.tolist()))
+    return Constellation(_in_star_order(stars), total)
 
 
 def constellation_of_state(psi: SpinState) -> Constellation:
@@ -258,15 +301,13 @@ def constellation_of_polynomial(p: ComplexPolynomial) -> Constellation:
 
 def rotate_constellation(c: Constellation, r: RotationSpec) -> Constellation:
     R = so3_matrix(r)
-    stars = tuple(Star(R @ st.direction, st.multiplicity) for st in c.stars)
-    stars = tuple(sorted(stars, key=_star_order))
-    return Constellation(stars, c.total)
+    stars = (Star(R @ st.direction, st.multiplicity) for st in c.stars)
+    return Constellation(_in_star_order(stars), c.total)
 
 
 def antipodal_constellation(c: Constellation) -> Constellation:
-    stars = tuple(Star(-st.direction, st.multiplicity) for st in c.stars)
-    stars = tuple(sorted(stars, key=_star_order))
-    return Constellation(stars, c.total)
+    stars = (Star(-st.direction, st.multiplicity) for st in c.stars)
+    return Constellation(_in_star_order(stars), c.total)
 
 
 def constellation_match_angle(a: Constellation, b: Constellation) -> float:

@@ -24,6 +24,8 @@ from stellar import (
     wigner_d,
 )
 from stellar.majorana import (
+    CLUSTER_TOL,
+    Star,
     antipode,
     constellation_from_roots,
     stereo_from_sphere,
@@ -292,3 +294,149 @@ def test_constellation_match_angle_resolves_small_angles():
         axis /= np.linalg.norm(axis)
         moved = rotate_constellation(c, RotationSpec(axis, delta))
         assert constellation_match_angle(c, moved) == pytest.approx(delta, rel=1e-3)
+
+
+def _majorana_polynomial_loop(psi: SpinState) -> np.ndarray:
+    """The Majorana coefficients one term at a time (oracle)."""
+    n = psi.s.two_s
+    out = np.zeros(n + 1, dtype=complex)
+    for i in range(n + 1):
+        out[n - i] = (-1) ** i * math.sqrt(math.comb(n, i)) * psi.coeffs[i]
+    return out
+
+
+def test_majorana_polynomial_matches_the_loop_bit_for_bit():
+    rng = np.random.default_rng(71)
+    states = [random_state(rng, two_s) for two_s in range(1, 61)]
+    states += [coherent_state(SpinLabel(two_s), 0.0) for two_s in (1, 4, 9)]
+    states += [SpinState(SpinLabel(4), np.array([0.0, -1.0, 0.0, 1j, -0.0]))]
+    for psi in states:
+        got = majorana_polynomial(psi).coeffs
+        assert got.tobytes() == _majorana_polynomial_loop(psi).tobytes()
+
+
+@pytest.mark.parametrize(
+    "direction",
+    [np.zeros(3), [np.nan, 0.0, 1.0], [0.0, np.inf, 0.0], [0.0, -np.inf, np.inf]],
+)
+def test_star_rejects_directions_that_are_not_finite_and_nonzero(direction):
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        Star(np.array(direction), 1)
+
+
+@pytest.mark.parametrize("root", [complex("nan"), complex(1.0, math.nan)])
+def test_constellation_from_roots_rejects_nan_roots(root):
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        constellation_from_roots([0.5j, root])
+
+
+def _stereo_scalar(r) -> np.ndarray:
+    """Inverse stereographic projection in Python complex arithmetic (oracle)."""
+    z = complex(0.0 if r is INF else r)
+    a = abs(z)
+    if r is INF or a > 1e150:
+        return np.array([0.0, 0.0, -1.0])
+    d = 1.0 + a * a
+    return np.array([2 * z.real / d, 2 * z.imag / d, (1.0 - a * a) / d])
+
+
+def test_stereo_to_sphere_of_a_sequence_matches_the_scalar_formula():
+    rng = np.random.default_rng(73)
+    roots = [0.0, INF, 1e200 * np.exp(0.3j), 1e-9 * np.exp(2.1j), 0.7 - 1.2j, 40.0j]
+    scale = 10.0 ** rng.uniform(-4, 4, 200)
+    roots += list((rng.standard_normal(200) + 1j * rng.standard_normal(200)) * scale)
+    pts = stereo_to_sphere(roots)
+    assert pts.shape == (len(roots), 3)
+    for r, pt in zip(roots, pts):
+        assert pt.tobytes() == _stereo_scalar(r).tobytes()
+        assert stereo_to_sphere(r).tobytes() == pt.tobytes()
+    assert pts[1].tolist() == pts[2].tolist() == [0.0, 0.0, -1.0]
+    assert stereo_to_sphere([]).shape == (0, 3)
+
+
+def _greedy_clusters(roots) -> list:
+    """Stars of the roots, one pair of roots at a time (oracle).
+
+    The first free root opens a star and takes every later free root within CLUSTER_TOL; stars
+    sort by (theta on a CLUSTER_TOL grid, phi).
+    """
+    pts = [_stereo_scalar(r) for r in roots]
+    used = [False] * len(pts)
+    stars = []
+    for i in range(len(pts)):
+        if used[i]:
+            continue
+        members = [i]
+        used[i] = True
+        for j in range(i + 1, len(pts)):
+            if not used[j] and np.linalg.norm(pts[i] - pts[j]) <= CLUSTER_TOL:
+                members.append(j)
+                used[j] = True
+        mean = np.mean([pts[m] for m in members], axis=0)
+        stars.append(Star(mean, len(members)))
+    return sorted(stars, key=_star_key)
+
+
+def _star_key(star: Star) -> tuple:
+    theta, phi = star.angles()
+    return round(theta / CLUSTER_TOL), phi
+
+
+def _unit(rng) -> np.ndarray:
+    v = rng.standard_normal(3)
+    return v / np.linalg.norm(v)
+
+
+def _along(v, rng, chords) -> list:
+    """Points on one great circle through v, at the given chords from v."""
+    t = np.cross(v, rng.standard_normal(3))
+    t /= np.linalg.norm(t)
+    angles = [2.0 * math.asin(c / 2.0) for c in chords]
+    return [math.cos(a) * v + math.sin(a) * t for a in angles]
+
+
+@st.composite
+def _root_lists(draw) -> list:
+    """Roots with planted clusters, a greedy chain and the poles, shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = [_unit(rng) for _ in range(draw(st.integers(0, 6)))]
+    # pairs and triples 1e-8 apart merge; 1e-5 apart they stay separate
+    for spacing in draw(st.lists(st.sampled_from([1e-8, 1e-5]), max_size=3)):
+        centre = _unit(rng)
+        size = draw(st.integers(2, 3))
+        pts += [centre] + [_along(centre, rng, [spacing])[0] for _ in range(size - 1)]
+    if draw(st.booleans()):
+        # a - b and b - c are within CLUSTER_TOL, a - c is not: which star
+        # b joins depends on which of the three comes first
+        pts += _along(_unit(rng), rng, [0.0, 0.7e-6, 1.4e-6])
+    roots = [stereo_from_sphere(p / np.linalg.norm(p)) for p in pts]
+    phase = np.exp(2j * math.pi * rng.uniform())
+    roots += draw(
+        st.lists(st.sampled_from([0.0, INF, 1e200 * phase, 1e-9 * phase]), max_size=4)
+    )
+    return draw(st.permutations(roots))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(roots=_root_lists(), as_generator=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(roots=[], as_generator=False, seed=0)
+@example(roots=[], as_generator=True, seed=0)
+def test_constellation_from_roots_matches_the_greedy_oracle(roots, as_generator, seed):
+    got = constellation_from_roots((r for r in roots) if as_generator else roots)
+    want = _greedy_clusters(roots)
+    assert got.total == len(roots)
+    assert [s.multiplicity for s in got.stars] == [s.multiplicity for s in want]
+    for a, b in zip(got.stars, want):
+        assert np.abs(a.direction - b.direction).max() <= 1e-15
+    # rotated and antipodal constellations list their stars in the same order
+    r = random_rotation(np.random.default_rng(seed))
+    for moved in (rotate_constellation(got, r), antipodal_constellation(got)):
+        keys = [_star_key(s) for s in moved.stars]
+        assert keys == sorted(keys)
+
+
+def test_greedy_order_decides_a_chain():
+    rng = np.random.default_rng(72)
+    a, b, c = (stereo_from_sphere(p) for p in _along(_unit(rng), rng, [0.0, 0.7e-6, 1.4e-6]))
+    assert sorted(s.multiplicity for s in constellation_from_roots([a, b, c]).stars) == [1, 2]
+    assert [s.multiplicity for s in constellation_from_roots([b, a, c]).stars] == [3]
