@@ -503,9 +503,14 @@ def _cmd_verify(args) -> int:
         1e-7,
     )
 
-    comp = principal(orthogonal_complement(plane)).constellation
-    anti = antipodal_constellation(results["wronskian"].constellation)
-    check("complement-antipodality", constellation_match_angle(comp, anti), 1e-7)
+    if frame.k == frame.s.dim:
+        # the complement of the full space is the zero plane, and a full
+        # plane has no stars: nothing to pair
+        check("complement-antipodality", 0.0, 1e-7)
+    else:
+        comp = principal(orthogonal_complement(plane)).constellation
+        anti = antipodal_constellation(results["wronskian"].constellation)
+        check("complement-antipodality", constellation_match_angle(comp, anti), 1e-7)
 
     mc = multiconstellation(frame)
     doc = {

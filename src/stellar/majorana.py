@@ -310,14 +310,53 @@ def antipodal_constellation(c: Constellation) -> Constellation:
     return Constellation(_in_star_order(stars), c.total)
 
 
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a pairing of least total cost (square cost).
+
+    The Hungarian method in its shortest-augmenting-path form (Kuhn 1955;
+    Jonker & Volgenant 1987): row and column potentials keep every reduced
+    cost nonnegative, and each row joins the matching along one
+    Dijkstra-style path, each step of which is one pass over the columns.
+    O(n^3). Column n is a sentinel that holds the row being added.
+    """
+    n = cost.shape[0]
+    u = np.zeros(n)
+    v = np.zeros(n + 1)
+    row_of = np.full(n + 1, -1)
+    for i in range(n):
+        row_of[n] = i
+        j = n
+        dist = np.full(n, np.inf)
+        prev = np.full(n, n)
+        done = np.zeros(n + 1, dtype=bool)
+        while row_of[j] != -1:
+            done[j] = True
+            r = row_of[j]
+            unseen = ~done[:n]
+            reduced = cost[r] - u[r] - v[:n]
+            closer = unseen & (reduced < dist)
+            dist[closer] = reduced[closer]
+            prev[closer] = j
+            j = int(np.argmin(np.where(unseen, dist, np.inf)))
+            delta = dist[j]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            dist[unseen] -= delta
+        while j != n:
+            row_of[j] = row_of[prev[j]]
+            j = prev[j]
+    col_of_row = np.empty(n, dtype=int)
+    col_of_row[row_of[:n]] = np.arange(n)
+    return col_of_row
+
+
 def constellation_match_angle(a: Constellation, b: Constellation) -> float:
     """Largest angle (radians) between paired stars.
 
-    Stars, expanded by multiplicity, are paired so that the total angle is
-    least; the largest single angle of that pairing is returned.
+    Stars, expanded by multiplicity, are paired by a least-total-angle
+    assignment (`_assignment`, a Hungarian solver in numpy); the largest
+    single angle of that pairing is returned.
     """
-    from scipy.optimize import linear_sum_assignment
-
     if a.total != b.total:
         raise ValueError("constellations have different sizes")
     if a.total == 0:
@@ -328,5 +367,4 @@ def constellation_match_angle(a: Constellation, b: Constellation) -> float:
     # product cannot: it reads 2^-26 for identical directions
     chord = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2)
     cost = 2.0 * np.arcsin(np.minimum(chord / 2.0, 1.0))
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return float(cost[np.arange(a.total), _assignment(cost)].max())

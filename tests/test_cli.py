@@ -53,10 +53,16 @@ def test_constellation_of_tetrahedral_state():
 
 
 def test_import_loads_no_scipy():
-    code = "import stellar.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    # neither the import nor a verify run, which pairs stars, needs scipy
+    code = (
+        "import contextlib, io, sys, stellar.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = stellar.cli.main(['verify', {str(FIXTURES / 'vw_22.json')!r}, '--seed', '3'])\n"
+        "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_principal_routes_report_identical_angles():
@@ -224,6 +230,26 @@ def test_verify_passes_on_worked_example():
         "complement-antipodality",
     }
     assert all(c["passed"] for c in doc["checks"])
+
+
+def test_verify_passes_on_a_full_plane(tmp_path):
+    # k = 2s+1: the plane is the whole space, its complement the zero plane,
+    # and both constellations are empty
+    rng = np.random.default_rng(44)
+    for two_s, k in ((3, 4), (0, 1)):
+        rows = rng.standard_normal((k, two_s + 1)) + 1j * rng.standard_normal((k, two_s + 1))
+        doc = {
+            "schema": "stellar/1",
+            "kind": "plane",
+            "two_s": two_s,
+            "k": k,
+            "rows": [[[z.real, z.imag] for z in row] for row in rows],
+        }
+        proc, out = _run_json("verify", _write(tmp_path, f"full_{two_s}.json", doc), "--seed", "3")
+        assert proc.returncode == 0, proc.stdout
+        assert out["passed"] is True
+        comp = [c for c in out["checks"] if c["name"] == "complement-antipodality"]
+        assert comp[0]["value"] == 0.0
 
 
 def test_malformed_json_exits_2(tmp_path):

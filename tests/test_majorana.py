@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from stellar import (
     INF,
@@ -25,7 +26,9 @@ from stellar import (
 )
 from stellar.majorana import (
     CLUSTER_TOL,
+    Constellation,
     Star,
+    _assignment,
     antipode,
     constellation_from_roots,
     stereo_from_sphere,
@@ -440,3 +443,58 @@ def test_greedy_order_decides_a_chain():
     a, b, c = (stereo_from_sphere(p) for p in _along(_unit(rng), rng, [0.0, 0.7e-6, 1.4e-6]))
     assert sorted(s.multiplicity for s in constellation_from_roots([a, b, c]).stars) == [1, 2]
     assert [s.multiplicity for s in constellation_from_roots([b, a, c]).stars] == [3]
+
+
+def _cost_matrix(rng, n: int, kind: str) -> np.ndarray:
+    """A square cost: continuous, integer-rounded (ties) or with repeated
+    rows and columns (stars of multiplicity > 1 on both sides)."""
+    cost = rng.standard_normal((n, n))
+    if kind == "ties":
+        return np.round(2.0 * cost)
+    if kind == "repeats":
+        return cost[rng.integers(0, n, n)][:, rng.integers(0, n, n)]
+    return cost
+
+
+def _check_assignment(cost: np.ndarray, tie_free: bool) -> None:
+    n = len(cost)
+    col = _assignment(cost)
+    assert sorted(col.tolist()) == list(range(n))
+    rows, cols = linear_sum_assignment(cost)
+    best = cost[rows, cols].sum()
+    assert abs(cost[np.arange(n), col].sum() - best) <= 1e-12 * max(1.0, abs(best))
+    if tie_free:
+        assert col.tolist() == cols.tolist()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["continuous", "ties", "repeats"]), seed=st.integers(0, 2**32 - 1))
+def test_assignment_matches_the_scipy_optimum(kind, seed):
+    rng = np.random.default_rng(seed)
+    for n in [*range(1, 41), 80]:
+        _check_assignment(_cost_matrix(rng, n, kind), kind == "continuous")
+
+
+def _random_constellation(rng, mults) -> Constellation:
+    stars = tuple(Star(_unit(rng), m) for m in mults)
+    return Constellation(stars, sum(mults))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    mults=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+    nearby=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_constellation_match_angle_equals_the_scipy_pairing(mults, nearby, seed):
+    rng = np.random.default_rng(seed)
+    a = _random_constellation(rng, mults)
+    if nearby:
+        b = rotate_constellation(a, RotationSpec(_unit(rng), 1e-6 * rng.uniform()))
+    else:
+        b = _random_constellation(rng, rng.permutation(mults).tolist())
+    va, vb = a.directions(), b.directions()
+    chord = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2)
+    cost = 2.0 * np.arcsin(np.minimum(chord / 2.0, 1.0))
+    rows, cols = linear_sum_assignment(cost)
+    assert constellation_match_angle(a, b) == cost[rows, cols].max()
