@@ -233,7 +233,10 @@ def multiplicities_from_basis(s: SpinLabel, k: int) -> MultiplicityTable:
 
 @dataclass(frozen=True)
 class Multiplet:
-    """One spin-j block: which rows of U hold its 2j+1 components."""
+    """One spin-j block: the basis rows lo..hi-1 that hold its 2j+1 components.
+
+    Row lo + t is the m = j - t member, which lies in the weight space 2m.
+    """
 
     two_j: int
     copy_index: int
@@ -242,20 +245,38 @@ class Multiplet:
 
 @dataclass(frozen=True)
 class BDBasis:
-    """Unitary U block-diagonalizing the wedge representation.
+    """Unitary U block-diagonalizing the wedge representation, per S_z weight.
 
     Rows are grouped per multiplet (two_j descending, copies ascending); for
     every rotation r, U @ wedge_rep(r) @ U^dagger is block diagonal with
-    spin-j rotation matrices on the diagonal.  degenerate_two_j lists
-    j-sectors where the canonical refinement still hit a residual tie and
-    fell back to a deterministic coordinate rule.
+    spin-j rotation matrices on the diagonal.  Every row lies in a single
+    S_z weight space, so only its coefficients there are stored: weight
+    level l (2m = two_s_max - 2l) has its wedge positions in level_cols[l],
+    row r lies in level row_level[r], and coefs[r] holds U[r] on the
+    columns level_cols[row_level[r]].  Levels narrower than the widest are
+    padded with column 0 and coefficient 0.  The dense U is assembled on
+    each access and never stored.  degenerate_two_j lists j-sectors where
+    the canonical refinement still hit a residual tie and fell back to a
+    deterministic coordinate rule.
     """
 
     s: SpinLabel
     k: int
-    U: np.ndarray
+    level_cols: np.ndarray
+    row_level: np.ndarray
+    coefs: np.ndarray
     layout: tuple[Multiplet, ...]
     degenerate_two_j: tuple[int, ...]
+
+    @property
+    def U(self) -> np.ndarray:
+        """The dense dim x dim matrix, built from the per-weight rows."""
+        dim = len(self.row_level)
+        U = np.zeros((dim, dim), dtype=complex)
+        rows = np.arange(dim)[:, None]
+        np.add.at(U, (rows, self.level_cols[self.row_level]), self.coefs)
+        U.setflags(write=False)
+        return U
 
     def multiplicity_table(self) -> MultiplicityTable:
         mmap: dict[int, int] = {}
@@ -283,24 +304,15 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
     return v * (lead.conjugate() / abs(lead))
 
 
-def canonical_degenerate_basis(
-    s: SpinLabel, k: int, two_j: int, vectors
-) -> tuple[list, bool]:
-    """Rotation-independent ordered basis of a degenerate j-sector.
+def _canonical_level_basis(diags: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, bool]:
+    """canonical_degenerate_basis in the coordinates of one weight space.
 
-    Successively maximizes the expectation of Q^(2) = sum_r (S_z^(r))^2
-    (diagonal in the wedge basis), breaking eigenvalue ties with higher
-    powers Q^(3), ..., Q^(k); any residual tie is resolved by a deterministic
-    coordinate rule and reported through the returned flag.
+    V holds the sector's vectors as columns and diags the Q^(n) diagonals on
+    the same coordinates; returns the canonical vectors as columns.
     """
-    V = np.array(vectors, dtype=complex).T
-    if V.ndim != 2 or V.shape[1] == 0:
-        raise ValueError("need at least one vector")
     # make sure the working columns are orthonormal
     q, _ = np.linalg.qr(V)
     work = q[:, : V.shape[1]]
-    max_power = max(2, k)
-    diags = _qpower_diagonals(s.two_s, k, max_power)
     out = []
     flagged = False
     while work.shape[1] > 0:
@@ -308,7 +320,7 @@ def canonical_degenerate_basis(
             v = work[:, 0]
         else:
             cand = work
-            for n_pow in range(2, max_power + 1):
+            for n_pow in range(2, len(diags)):
                 A = cand.conj().T @ (diags[n_pow][:, None] * cand)
                 A = (A + A.conj().T) / 2
                 evals, evecs = np.linalg.eigh(A)
@@ -341,94 +353,135 @@ def canonical_degenerate_basis(
             break
         keep = null_space(coords[None, :].conj(), rcond=RANK_TOL)
         work = work @ keep
-    return out, flagged
+    return np.column_stack(out), flagged
+
+
+def canonical_degenerate_basis(
+    s: SpinLabel, k: int, two_j: int, vectors
+) -> tuple[list, bool]:
+    """Rotation-independent ordered basis of a degenerate j-sector.
+
+    The vectors are wedge vectors of weight 2m = two_j.  Successively
+    maximizes the expectation of Q^(2) = sum_r (S_z^(r))^2 (diagonal in the
+    wedge basis), breaking eigenvalue ties with higher powers Q^(3), ...,
+    Q^(k); any residual tie is resolved by a deterministic coordinate rule
+    and reported through the returned flag.  The work runs on the weight
+    space's own coordinates, so the results are exactly 0 off it.
+    """
+    V = np.array(vectors, dtype=complex).T
+    if V.ndim != 2 or V.shape[1] == 0:
+        raise ValueError("need at least one vector")
+    on_level = _wedge_two_m(s.two_s, k) == two_j
+    if np.abs(V[~on_level]).max(initial=0.0) > RANK_TOL * np.abs(V).max():
+        raise ValueError(f"vectors must lie in the 2m = {two_j} weight space")
+    diags = _qpower_diagonals(s.two_s, k, max(2, k))[:, on_level]
+    level, flagged = _canonical_level_basis(diags, V[on_level])
+    full = np.zeros((len(V), level.shape[1]), dtype=complex)
+    full[on_level] = level
+    return list(full.T), flagged
 
 
 @lru_cache(maxsize=32)
 def bd_basis(s: SpinLabel, k: int) -> BDBasis:
-    """Block-diagonalizing basis of the (s, k) wedge space (cached)."""
+    """Block-diagonalizing basis of the (s, k) wedge space (cached).
+
+    Highest-weight vectors, their canonical refinement and their lowering
+    ladders are all built in the coordinates of one weight space at a time.
+    """
     if not 1 <= k <= s.dim:
         raise ValueError("k out of range")
-    n = s.dim
-    dim = math.comb(n, k)
+    dim = math.comb(s.dim, k)
     two_m = _wedge_two_m(s.two_s, k)
     tsm = two_s_max(s, k)
-    level_pos = {
-        tm: np.nonzero(two_m == tm)[0] for tm in range(tsm, -tsm - 1, -2)
-    }
+    levels = range(tsm, -tsm - 1, -2)
+    pos = {tm: np.nonzero(two_m == tm)[0] for tm in levels}
+    local = np.empty(dim, dtype=np.intp)
+    for p in pos.values():
+        local[p] = np.arange(len(p))
+    # the lowering operator from weight tm to tm - 2, in level coordinates
     dst, src, cf = _wedge_lowering_terms(s.two_s, k)
+    lowering = {}
+    for tm in levels[:-1]:
+        sel = two_m[src] == tm
+        L = np.zeros((len(pos[tm - 2]), len(pos[tm])))
+        L[local[dst[sel]], local[src[sel]]] = cf[sel]
+        lowering[tm] = L
+    diags = _qpower_diagonals(s.two_s, k, max(2, k))
 
-    def lower(v: np.ndarray) -> np.ndarray:
-        w = np.zeros(dim, dtype=complex)
-        if len(dst):
-            np.add.at(w, dst, cf * v[src])
-        return w
-
-    # each multiplet: [two_j, list of vectors for m = j, j-1, ...]
-    multiplets: list[list] = []
+    # each multiplet: its two_j and its vectors for m = j, j-1, ...
+    two_js: list[int] = []
+    ladders: list[list[np.ndarray]] = []
     flagged: list[int] = []
-    for two_mu in range(tsm, -tsm - 1, -2):
-        pos = level_pos[two_mu]
-        lowered = []
-        for rec in multiplets:
-            two_j = rec[0]
-            if two_j >= two_mu + 2 >= -two_j + 2:
-                jj = two_j / 2
-                mm = (two_mu + 2) / 2  # the m being lowered from
-                coeff = math.sqrt(jj * (jj + 1) - mm * (mm - 1))
-                w = lower(rec[1][-1]) / coeff
-                rec[1].append(w)
-                lowered.append(w)
+    for two_mu in levels:
+        # lower every multiplet that reaches this weight, in one product
+        active = [i for i, tj in enumerate(two_js) if tj >= two_mu + 2 >= 2 - tj]
+        if active:
+            jj = np.array([two_js[i] for i in active]) / 2
+            mm = (two_mu + 2) / 2  # the m being lowered from
+            W = lowering[two_mu + 2] @ np.column_stack([ladders[i][-1] for i in active])
+            W /= np.sqrt(jj * (jj + 1) - mm * (mm - 1))
+            # Rounding in a ladder's vector along longer ladders grows as
+            # the lowering coefficient shrinks toward the ladder's foot.  QR
+            # in creation order (two_j descending) takes it out; the phases
+            # of R's diagonal keep each vector's own phase.
+            Q, R = np.linalg.qr(W)
+            dg = np.abs(np.diagonal(R))
+            if dg.min() <= RANK_TOL:
+                raise ArithmeticError(f"lowered ladders at 2m={two_mu} lost rank")
+            W = Q * (np.diagonal(R) / dg)
+            for i, w in zip(active, W.T):
+                ladders[i].append(w)
         if two_mu < 0:
             continue
-        n_new = len(pos) - len(lowered)
+        n_new = len(pos[two_mu]) - len(active)
         if n_new < 0:
             raise ArithmeticError("level dimension bookkeeping failed")
         if n_new == 0:
             continue
-        if lowered:
-            L = np.array([w[pos] for w in lowered])
-            ns = null_space(L.conj(), rcond=RANK_TOL)
+        if active:
+            ns = null_space(W.conj().T, rcond=RANK_TOL)
         else:
-            ns = np.eye(len(pos), dtype=complex)
+            ns = np.eye(len(pos[two_mu]), dtype=complex)
         if ns.shape[1] != n_new:
             raise ArithmeticError(
                 f"highest-weight space at 2m={two_mu} has numerical rank "
                 f"{ns.shape[1]}, expected {n_new}"
             )
-        new_full = []
-        for t in range(n_new):
-            v = np.zeros(dim, dtype=complex)
-            v[pos] = ns[:, t]
-            new_full.append(v)
         if n_new > 1:
-            new_full, flag = canonical_degenerate_basis(s, k, two_mu, new_full)
+            ns, flag = _canonical_level_basis(diags[:, pos[two_mu]], ns)
             if flag:
                 flagged.append(two_mu)
-        new_full = [_phase_fixed(v / np.linalg.norm(v)) for v in new_full]
-        for v in new_full:
-            multiplets.append([two_mu, [v]])
+        for v in ns.T:
+            two_js.append(two_mu)
+            ladders.append([_phase_fixed(v / np.linalg.norm(v))])
     # multiplets were created in descending two_j order; copies keep their
     # canonical order within each level
-    U = np.zeros((dim, dim), dtype=complex)
+    level_cols = np.zeros((len(levels), max(map(len, pos.values()))), dtype=np.intp)
+    for lev, tm in enumerate(levels):
+        level_cols[lev, : len(pos[tm])] = pos[tm]
+    row_level = np.empty(dim, dtype=np.intp)
+    coefs = np.zeros((dim, level_cols.shape[1]), dtype=complex)
     layout = []
     row = 0
     copy_counter: dict[int, int] = {}
-    for rec in multiplets:
-        two_j = rec[0]
-        vecs = rec[1]
+    for two_j, vecs in zip(two_js, ladders):
         if len(vecs) != two_j + 1:
             raise ArithmeticError("incomplete multiplet ladder")
         copy = copy_counter.get(two_j, 0)
         copy_counter[two_j] = copy + 1
-        for v in vecs:
-            U[row] = v.conj()
+        lev0 = (tsm - two_j) // 2
+        for t, v in enumerate(vecs):
+            row_level[row] = lev0 + t
+            coefs[row, : len(v)] = v.conj()
             row += 1
         layout.append(Multiplet(two_j, copy, (row - len(vecs), row)))
     if row != dim:
         raise ArithmeticError("block layout does not exhaust the wedge space")
-    U.setflags(write=False)
-    return BDBasis(s, k, U, tuple(layout), tuple(sorted(set(flagged))))
+    for arr in (level_cols, row_level, coefs):
+        arr.setflags(write=False)
+    return BDBasis(
+        s, k, level_cols, row_level, coefs, tuple(layout), tuple(sorted(set(flagged)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +503,14 @@ def decompose_plane(plane) -> list[ComponentState]:
     Accepts a KPlane or a bare KFrame; the frame's own overall scale and
     phase fix the (gauge-dependent) phases of the components, so rotating
     the rows coherently transforms every block by its spin-j rotation.
+    Each component entry is the product of one stored basis row with the
+    Pluecker entries of its own weight space.
     """
     frame = frame_of(plane)
     basis = bd_basis(frame.s, frame.k)
     P = plucker(frame).comps
     P = P / np.linalg.norm(P)
-    psi = basis.U @ P
+    psi = np.einsum("rc,rc->r", basis.coefs, P[basis.level_cols][basis.row_level])
     out = []
     for mult in basis.layout:
         lo, hi = mult.row_range

@@ -34,6 +34,14 @@ def multi_indices(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=64)
+def _multi_index_array(n: int, k: int) -> np.ndarray:
+    """multi_indices(n, k) as a read-only (C(n, k), k) integer array."""
+    out = np.array(multi_indices(n, k), dtype=np.intp).reshape(-1, k)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=64)
 def multi_index_positions(n: int, k: int) -> dict:
     """Map from multi-index tuple to its lexicographic position."""
     return {I: p for p, I in enumerate(multi_indices(n, k))}
@@ -117,8 +125,9 @@ class PluckerVector:
 
 def plucker(frame: KFrame) -> PluckerVector:
     """All k x k minors of the frame, lexicographically ordered."""
-    idxs = multi_indices(frame.s.dim, frame.k)
-    mats = np.stack([frame.rows[:, I] for I in idxs])
+    idx = _multi_index_array(frame.s.dim, frame.k)
+    # rows[:, idx][r, c, t] = rows[r, idx[c, t]]: minor c is [:, c, :]
+    mats = frame.rows[:, idx].transpose(1, 0, 2)
     return PluckerVector(frame.s, frame.k, np.linalg.det(mats))
 
 
@@ -186,10 +195,10 @@ def plucker_residual(P: PluckerVector) -> float:
     n = P.s.dim
     k = P.k
     # K = I + j with j = K_p: moving j from the end of I to slot p costs k-1-p
-    K = np.array(multi_indices(n, k), dtype=np.intp)
+    K = _multi_index_array(n, k)
     A = np.zeros((math.comb(n, k - 1), n), dtype=complex)
     A[_deletion_positions(n, k), K] = c[:, None] * (-1.0) ** (k - 1 - np.arange(k))
-    J = np.array(multi_indices(n, k + 1), dtype=np.intp).reshape(-1, k + 1)
+    J = _multi_index_array(n, k + 1)
     B = np.zeros((len(J), n), dtype=complex)
     B[np.arange(len(J))[:, None], J] = c[_deletion_positions(n, k + 1)] * (
         (-1.0) ** np.arange(k + 1)

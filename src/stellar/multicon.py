@@ -68,10 +68,10 @@ class PolarizationComponents:
     values: tuple  # of (ell, m, complex)
 
     def get(self, ell: int, m: int) -> complex:
-        for l2, m2, v in self.values:
-            if l2 == ell and m2 == m:
-                return v
-        raise KeyError((ell, m))
+        # ell^2 entries precede ell, and m = ell, ..., -ell follow in order
+        if not (0 <= ell <= self.two_j and -ell <= m <= ell):
+            raise KeyError((ell, m))
+        return self.values[ell * ell + ell - m][2]
 
 
 def polarization_components(rho: np.ndarray, s: SpinLabel) -> PolarizationComponents:

@@ -66,6 +66,20 @@ def test_plucker_worked_example():
     assert np.linalg.norm(P) == pytest.approx(2.0)
 
 
+def _plucker_list_form(frame: KFrame) -> np.ndarray:
+    """Oracle: one k x k column selection per multi-index, then np.stack."""
+    idxs = multi_indices(frame.s.dim, frame.k)
+    return np.linalg.det(np.stack([frame.rows[:, I] for I in idxs]))
+
+
+@pytest.mark.parametrize("two_s,k", [(0, 1), (2, 1), (3, 2), (4, 5), (7, 4), (9, 4), (11, 5)])
+def test_plucker_bit_identical_to_list_form(two_s, k):
+    rng = np.random.default_rng(100 + two_s)
+    for _ in range(3):
+        frame = random_frame(rng, two_s, k)
+        assert np.array_equal(plucker(frame).comps, _plucker_list_form(frame))
+
+
 def test_plucker_twosols_example():
     f = KFrame(
         SpinLabel(3), 2,

@@ -210,6 +210,22 @@ def test_polarization_hermitian_symmetry():
     assert pol.get(0, 0) == pytest.approx(np.trace(rho).real / math.sqrt(5.0))
 
 
+def test_polarization_get_matches_linear_scan():
+    rng = np.random.default_rng(64)
+    for two_j in range(13):
+        A = rng.standard_normal((two_j + 1,) * 2) + 1j * rng.standard_normal(
+            (two_j + 1,) * 2
+        )
+        pol = polarization_components(A @ A.conj().T, SpinLabel(two_j))
+        for ell in range(two_j + 1):
+            for m in range(-ell, ell + 1):
+                want = next(v for l2, m2, v in pol.values if (l2, m2) == (ell, m))
+                assert pol.get(ell, m) == want
+        for ell, m in ((-1, 0), (two_j + 1, 0), (0, 1), (two_j, two_j + 1), (two_j, -two_j - 1)):
+            with pytest.raises(KeyError):
+                pol.get(ell, m)
+
+
 def test_polarization_field_order():
     rng = np.random.default_rng(63)
     s = SpinLabel(2)
