@@ -60,35 +60,41 @@ def _polarization_diagonals(two_j: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class PolarizationComponents:
-    """rho_{lm} = Tr(rho T_{lm}^dagger), l ascending, m descending l..-l."""
+    """rho_{lm} = Tr(rho T_{lm}^dagger), l ascending, m descending l..-l.
 
-    two_j: int
-    values: tuple  # of (ell, m, complex)
+    Entry (l, m) lies on diagonal m of rho, which is expanded over the T_{lm}
+    of every l on first use: `get` reads only the diagonals it asks for.
+    """
+
+    def __init__(self, two_j: int, rho: np.ndarray) -> None:
+        self.two_j, self._rho, self._rows = two_j, rho, {}
 
     def get(self, ell: int, m: int) -> complex:
-        # ell^2 entries precede ell, and m = ell, ..., -ell follow in order
         if not (0 <= ell <= self.two_j and -ell <= m <= ell):
             raise KeyError((ell, m))
-        return self.values[ell * ell + ell - m][2]
+        if m not in self._rows:
+            # T_{l,m} = (-1)^m T_{l,-m}^T for m < 0
+            W = (-1) ** min(m, 0) * _polarization_diagonals(self.two_j)[abs(m)]
+            self._rows[m] = W.T @ np.diagonal(self._rho, m)
+        return complex(self._rows[m][ell - abs(m)])
+
+    @property
+    def values(self) -> tuple:
+        """Every (ell, m, rho_{lm}), in storage order."""
+        return tuple(
+            (ell, m, self.get(ell, m))
+            for ell in range(self.two_j + 1)
+            for m in range(ell, -ell - 1, -1)
+        )
 
 
 def polarization_components(rho: np.ndarray, s: SpinLabel) -> PolarizationComponents:
     """Expand a (not necessarily normalized) density matrix over T_{lm}."""
-    r = np.asarray(rho, dtype=complex)
+    r = np.array(rho, dtype=complex)
     if r.shape != (s.dim, s.dim):
         raise ValueError(f"rho must be {s.dim} x {s.dim}")
-    diags = _polarization_diagonals(s.two_s)
-    # rho_{lm} = Tr(rho T_{lm}^dagger), one product per diagonal of rho
-    up = [W.T @ np.diagonal(r, m) for m, W in enumerate(diags)]
-    down = [(-1) ** m * W.T @ np.diagonal(r, -m) for m, W in enumerate(diags)]
-    vals = [
-        (ell, m, complex(up[m][ell - m] if m >= 0 else down[-m][ell + m]))
-        for ell in range(s.two_s + 1)
-        for m in range(ell, -ell - 1, -1)
-    ]
-    return PolarizationComponents(s.two_s, tuple(vals))
+    return PolarizationComponents(s.two_s, r)
 
 
 @dataclass(frozen=True)
@@ -129,11 +135,11 @@ def gauge_fix_component(psi: SpinState) -> GaugeFixed:
         raise ValueError("cannot gauge-fix a zero component")
     constellation = constellation_of_state(psi)
     spin1_warning = two_j == 2
-    ops = build_generators(psi.s)
     c = psi.coeffs
-    sev = np.array(
-        [(c.conj() @ S @ c).real for S in (ops.Sx, ops.Sy, ops.Sz)]
-    )
+    # <S_+> = sum_i conj(c_i) <i|S_+|i+1> c_{i+1}, <S_x> + i <S_y> = <S_+>
+    s_plus = np.diagonal(build_generators(psi.s).Splus, 1) @ (c[:-1].conj() * c[1:])
+    s_z = psi.s.m_values() @ (c.real**2 + c.imag**2)
+    sev = np.array([s_plus.real, s_plus.imag, s_z])
     j = two_j / 2
     if np.linalg.norm(sev) <= GAUGE_TOL * j * nrm * nrm:
         return GaugeFixed(

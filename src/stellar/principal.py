@@ -26,7 +26,7 @@ from .majorana import (
     majorana_polynomial,
     stereo_to_sphere,
 )
-from .spin_rep import SpinLabel, SpinState, geodesic_rotation, wigner_d
+from .spin_rep import SpinLabel, SpinState, _geodesic_quaternions, _wigner_columns
 
 #: Relative size below which trailing Wronskian coefficients must cancel.
 TRUNCATION_TOL = 1e-6
@@ -100,49 +100,32 @@ def principal_top_component(plane) -> PrincipalResult:
     return PrincipalResult("top", poly, constellation_of_polynomial(poly))
 
 
-def _coherent_chart_rows(s: SpinLabel, k: int, n) -> np.ndarray:
-    """Rows of the coherent plane at n, reduced on the first k columns."""
-    D = wigner_d(s, geodesic_rotation(n))
-    rows = D[:, :k].T
-    A = rows[:, :k]
-    if abs(np.linalg.det(A)) < 1e-10:
-        raise _ChartSingular()
-    return np.linalg.solve(A, rows)
-
-
-class _ChartSingular(Exception):
-    pass
-
-
 def principal_sampled(plane) -> PrincipalResult:
     """Principal polynomial from coherent-plane overlaps.
 
     zeta^{k k'} det( conj(V_{-n(zeta)}) W^T ), with V_{-n} the first-columns
     chart representative of the antipodal coherent plane, is a polynomial of
     the nominal degree; sample it at d_nom + 1 unit-circle nodes offset by
-    half a step and interpolate by one DFT.  A node where the chart is
-    singular rotates the nodes and starts over.
+    half a step, all in one batch, and interpolate by one DFT.  The chart
+    block at a node on the unit circle differs from the one at any other
+    such node only by row and column phases, so its determinant depends on
+    (2s, k) alone; where it falls below 1e-10 (first at (2s, k) = (16, 7))
+    no choice of nodes helps, and the route raises.
     """
     frame = frame_of(plane)
     s, k = frame.s, frame.k
     d_nom = two_s_max(s, k)
-    W = frame.rows
-    n_nodes = d_nom + 1
     offset = 0.5
-    for _ in range(8):
-        nodes = _circle_nodes(n_nodes, offset)
-        vals = np.empty(n_nodes, dtype=complex)
-        try:
-            for a, zeta in enumerate(nodes):
-                minus_n = -stereo_to_sphere(zeta)
-                V = _coherent_chart_rows(s, k, minus_n)
-                vals[a] = zeta**d_nom * np.linalg.det(V.conj() @ W.T)
-        except _ChartSingular:
-            offset += 0.37
-            continue
-        poly = ComplexPolynomial(_circle_coeffs(vals, offset), d_nom)
-        return PrincipalResult("sampled", poly, constellation_of_polynomial(poly))
-    raise ArithmeticError("could not find nonsingular sampling nodes")
+    nodes = _circle_nodes(d_nom + 1, offset)
+    q = _geodesic_quaternions(-stereo_to_sphere(nodes))
+    rows = _wigner_columns(s.two_s, q, k).transpose(0, 2, 1)
+    A = rows[:, :, :k]
+    if np.abs(np.linalg.det(A)).min() < 1e-10:
+        raise ArithmeticError("could not find nonsingular sampling nodes")
+    V = np.linalg.solve(A, rows)
+    vals = nodes**d_nom * np.linalg.det(V.conj() @ frame.rows.T)
+    poly = ComplexPolynomial(_circle_coeffs(vals, offset), d_nom)
+    return PrincipalResult("sampled", poly, constellation_of_polynomial(poly))
 
 
 _ROUTES = {

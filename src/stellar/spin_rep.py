@@ -215,31 +215,48 @@ def _sy_eigenbasis(two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def wigner_d(s: SpinLabel, r: RotationSpec) -> np.ndarray:
-    """Spin-s rotation matrix expm(-i * angle * (axis . S)).
+def _wigner_columns(two_s: int, q: np.ndarray, k: int) -> np.ndarray:
+    """First k columns of the spin-s rotation matrix at each of N rotations.
 
-    Evaluated in z-y-z Euler form, D = e^{-i alpha S_z} e^{-i beta S_y}
-    e^{-i gamma S_z}, from the SU(2) element [[a, -conj(b)], [b, conj(a)]]
-    of the rotation, with e^{-i beta S_y} = V diag(e^{-i beta m}) V^dagger.
-    Working from the SU(2) element keeps the sign of a 2*pi rotation on
-    half-integer spins.  Each phase e^{-i angle m} is an integer power of a
-    unit complex number, taken in extended precision where the platform has
-    it: a power 2s of a double would multiply its rounding error by 2s.
+    q is an (N, 4) array of SU(2) quaternions (w, x, y, z); the result is
+    (N, 2s + 1, k).  Evaluated in z-y-z Euler form, D = e^{-i alpha S_z}
+    e^{-i beta S_y} e^{-i gamma S_z}, from the SU(2) element
+    [[a, -conj(b)], [b, conj(a)]] of each rotation, with e^{-i beta S_y} =
+    V diag(e^{-i beta m}) V^dagger.  Working from the SU(2) element keeps the
+    sign of a 2*pi rotation on half-integer spins.  Each phase e^{-i angle m}
+    is an integer power of a unit complex number, taken in extended
+    precision where the platform has it: a power 2s of a double would
+    multiply its rounding error by 2s.  The identity quaternion gives the
+    identity columns exactly.
     """
-    if r.angle == 0.0:
-        return np.eye(s.dim, dtype=complex)
-    w, x, y, z = r._quaternion()
-    a, b = np.clongdouble(complex(w, -z)), np.clongdouble(complex(y, -x))
-    u = a / abs(a) if a else 1  # e^{-i (alpha + gamma) / 2}
-    v = b.conjugate() / abs(b) if b else 1  # e^{-i (alpha - gamma) / 2}
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q.T
+    a, b = (w - 1j * z).astype(np.clongdouble), (y - 1j * x).astype(np.clongdouble)
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    # u = e^{-i (alpha + gamma) / 2} and v = e^{-i (alpha - gamma) / 2}, 1
+    # where undefined: a zero numerator gets 1 added to both sides
+    a_zero, b_zero = abs_a == 0, abs_b == 0
+    u = (a + a_zero) / (abs_a + a_zero)
+    v = (b.conj() + b_zero) / (abs_b + b_zero)
     p = np.sqrt(u * v)  # e^{-i alpha / 2}, either sign
-    c = abs(a) - 1j * abs(b)  # e^{-i beta / 2}
+    c = abs_a - 1j * abs_b  # e^{-i beta / 2}
     # e^{-i alpha m} = p^{2m}, e^{-i beta m} = c^{2m} and e^{-i gamma m} =
-    # q^{2m} with q = u / p: p q = u fixes the SU(2) sign
-    two_m, V, VH = _sy_eigenbasis(s.two_s)
-    bases = np.array([p, c / abs(c), u * p.conjugate()])
-    ph_alpha, ph_beta, ph_gamma = (bases[:, None] ** two_m).astype(complex)
-    return (ph_alpha[:, None] * V * ph_beta) @ (VH * ph_gamma)
+    # (u / p)^{2m}: p (u / p) = u fixes the SU(2) sign
+    bases = np.empty((len(q), 3, 1), dtype=np.clongdouble)
+    bases[:, 0, 0], bases[:, 1, 0], bases[:, 2, 0] = p, c / np.abs(c), u * p.conj()
+    two_m, V, VH = _sy_eigenbasis(two_s)
+    ph_alpha, ph_beta, ph_gamma = (bases**two_m).astype(complex).transpose(1, 0, 2)
+    D = (ph_alpha[:, :, None] * V * ph_beta[:, None]) @ (VH[:, :k] * ph_gamma[:, None, :k])
+    identity = b_zero & (a == 1)
+    if identity.any():
+        D[identity] = np.eye(two_s + 1, k)
+    return D
+
+
+def wigner_d(s: SpinLabel, r: RotationSpec) -> np.ndarray:
+    """Spin-s rotation matrix expm(-i * angle * (axis . S)), from its SU(2)
+    element (see `_wigner_columns`)."""
+    return _wigner_columns(s.two_s, r._quaternion()[None], s.dim)[0]
 
 
 def coherent_state(s: SpinLabel, zeta) -> SpinState:
@@ -277,6 +294,15 @@ def geodesic_rotation(n) -> RotationSpec:
     phi = math.atan2(v[1], v[0])  # 0 on the z-axis, giving the y-axis tie-break
     axis = np.array([-math.sin(phi), math.cos(phi), 0.0])
     return RotationSpec(axis, theta)
+
+
+def _geodesic_quaternions(n: np.ndarray) -> np.ndarray:
+    """(N, 4) SU(2) quaternions of `geodesic_rotation` at the rows of n."""
+    half = np.arccos(np.clip(n[:, 2], -1.0, 1.0)) / 2
+    phi = np.arctan2(n[:, 1], n[:, 0])
+    sin_half = np.sin(half)
+    zero = np.zeros_like(half)
+    return np.stack([np.cos(half), -sin_half * np.sin(phi), sin_half * np.cos(phi), zero], -1)
 
 
 def so3_matrix(r: RotationSpec) -> np.ndarray:

@@ -305,6 +305,24 @@ def test_state_whose_roots_fail_the_backward_error_check_exits_3(tmp_path):
     assert "backward error" in doc["message"]
 
 
+def test_sampled_route_with_a_singular_chart_exits_3(tmp_path):
+    # at (2s, k) = (17, 8) the sampled route's chart is singular at every node
+    rng = np.random.default_rng(45)
+    rows = rng.standard_normal((8, 18)) + 1j * rng.standard_normal((8, 18))
+    doc = {
+        "schema": "stellar/1",
+        "kind": "plane",
+        "two_s": 17,
+        "k": 8,
+        "rows": [[[z.real, z.imag] for z in row] for row in rows],
+    }
+    proc = _run("principal", _write(tmp_path, "p178.json", doc), "--route", "sampled")
+    assert proc.returncode == 3
+    out = json.loads(proc.stdout)
+    assert out["error"] == "numeric"
+    assert "nonsingular sampling nodes" in out["message"]
+
+
 def test_rank_deficient_plane_exits_3(tmp_path):
     path = _write(
         tmp_path,

@@ -18,7 +18,8 @@ from stellar import (
     spectator_constellation,
     standard_form,
 )
-from stellar.multicon import _polarization_diagonals
+from stellar.multicon import GAUGE_TOL, _polarization_diagonals
+from stellar.spin_rep import geodesic_rotation, wigner_d
 
 from conftest import random_frame, random_rotation
 
@@ -237,6 +238,109 @@ def test_polarization_field_order():
         (1, 1), (1, 0), (1, -1),
         (2, 2), (2, 1), (2, 0), (2, -1), (2, -2),
     ]
+
+
+def full_table_polarization(rho: np.ndarray, two_j: int) -> tuple:
+    """Every (ell, m, rho_lm) in storage order, all diagonals of rho expanded
+    at once."""
+    diags = _polarization_diagonals(two_j)
+    up = [W.T @ np.diagonal(rho, m) for m, W in enumerate(diags)]
+    down = [(-1) ** m * W.T @ np.diagonal(rho, -m) for m, W in enumerate(diags)]
+    return tuple(
+        (ell, m, complex(up[m][ell - m] if m >= 0 else down[-m][ell + m]))
+        for ell in range(two_j + 1)
+        for m in range(ell, -ell - 1, -1)
+    )
+
+
+def dense_gauge_fix(psi: SpinState) -> dict:
+    """Gauge fixing with the spin expectation as three dense quadratic forms
+    and the aligned state's full polarization table."""
+    two_j, c, nrm = psi.s.two_s, psi.coeffs, psi.norm
+    ops = build_generators(psi.s)
+    sev = np.array([(c.conj() @ S @ c).real for S in (ops.Sx, ops.Sy, ops.Sz)])
+    out = dict(sev=sev, z=None, alpha=None, beta=None, selected_lm=None)
+    if np.linalg.norm(sev) <= GAUGE_TOL * (two_j / 2) * nrm * nrm:
+        return dict(out, applicable=False, reason="vanishing spin expectation")
+    D = wigner_d(psi.s, geodesic_rotation(sev / np.linalg.norm(sev)))
+    psi1 = D.conj().T @ c
+    table = full_table_polarization(np.outer(psi1, psi1.conj()), two_j)
+    selected = next(
+        ((ell, m, v) for ell, m, v in table if m != 0 and abs(v) > GAUGE_TOL * nrm * nrm),
+        None,
+    )
+    if selected is None:
+        return dict(out, applicable=False, reason="axial symmetry", table=table)
+    ell0, m0, v0 = selected
+    alpha = math.atan2(v0.imag, v0.real) % (2.0 * math.pi)
+    if 2.0 * math.pi - alpha < 1e-9:
+        alpha = 0.0
+    m_values = psi.s.m_values()
+    psi2 = np.exp(-1j * alpha * m_values / m0) * psi1
+    mags = np.abs(psi2)
+    lead_idx = int(np.nonzero(mags > 1e-12 * mags.max())[0][0])
+    beta0 = math.atan2(psi2[lead_idx].imag, psi2[lead_idx].real) % (2 * math.pi)
+    cands = []
+    for t in range(abs(m0) if two_j % 2 == 0 else 2 * abs(m0)):
+        cand = (beta0 - 2.0 * math.pi * t * m_values[lead_idx] / m0) % (2.0 * math.pi)
+        cands.append(0.0 if 2 * math.pi - cand < 1e-9 else cand)
+    beta = min(cands)
+    return dict(
+        out, applicable=True, reason=None, table=table, selected_lm=(ell0, m0),
+        alpha=alpha, beta=beta, z=nrm * complex(math.cos(beta), math.sin(beta)),
+    )
+
+
+def _gauge_test_states():
+    rng = np.random.default_rng(69)
+    for two_j in range(1, 25):
+        dim = two_j + 1
+        for _ in range(4):
+            c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            yield SpinState(SpinLabel(two_j), c / np.linalg.norm(c))
+        # a few nonzero coefficients: sparse polarization tables
+        c = np.zeros(dim, dtype=complex)
+        c[rng.choice(dim, size=2, replace=False)] = rng.standard_normal(2)
+        yield SpinState(SpinLabel(two_j), c)
+        for i in range(dim):  # |j, m>: axial symmetry, or no expectation at m = 0
+            yield SpinState(SpinLabel(two_j), np.eye(dim)[i])
+        if two_j >= 2:  # |j, j> + |j, -j>: no spin expectation
+            yield SpinState(SpinLabel(two_j), np.eye(dim)[0] + np.eye(dim)[-1])
+
+
+def test_gauge_fix_matches_the_dense_oracle():
+    reasons = set()
+    for psi in _gauge_test_states():
+        g, want = gauge_fix_component(psi), dense_gauge_fix(psi)
+        assert np.abs(g.sev - want["sev"]).max() <= 1e-12
+        assert (g.applicable, g.reason, g.selected_lm) == (
+            want["applicable"], want["reason"], want["selected_lm"],
+        )
+        assert g.spin1_warning == (psi.s.two_s == 2)
+        reasons.add(g.reason)
+        if g.applicable:
+            assert abs(g.z - want["z"]) <= 1e-12
+            assert abs(g.alpha - want["alpha"]) <= 1e-12
+            assert abs(g.beta - want["beta"]) <= 1e-12
+        else:
+            assert g.z is g.alpha is g.beta is None
+        if "table" in want:
+            got = g.aligned_polarization.values
+            assert [lm[:2] for lm in got] == [lm[:2] for lm in want["table"]]
+            assert max(abs(a[2] - b[2]) for a, b in zip(got, want["table"])) <= 1e-12
+        else:
+            assert g.aligned_polarization is None
+    assert reasons == {None, "axial symmetry", "vanishing spin expectation"}
+
+
+def test_polarization_values_equal_the_full_table():
+    rng = np.random.default_rng(70)
+    for two_j in range(0, 25):
+        A = rng.standard_normal((two_j + 1,) * 2) + 1j * rng.standard_normal((two_j + 1,) * 2)
+        rho = A @ A.conj().T
+        assert polarization_components(rho, SpinLabel(two_j)).values == (
+            full_table_polarization(rho, two_j)
+        )
 
 
 def test_gauge_fix_worked_example_spin3():

@@ -18,8 +18,14 @@ from stellar import (
     schubert_count,
     standard_form,
 )
+from stellar.decomp import two_s_max
 from stellar.majorana import stereo_to_sphere
-from stellar.spin_rep import geodesic_rotation, wigner_d
+from stellar.spin_rep import (
+    _geodesic_quaternions,
+    _wigner_columns,
+    geodesic_rotation,
+    wigner_d,
+)
 from stellar.principal import (
     _circle_coeffs,
     _circle_nodes,
@@ -227,3 +233,53 @@ def test_interpolating_routes_fail_transversality_at_their_stars(seed):
             D = wigner_d(frame.s, geodesic_rotation(-star.direction))
             V = _orthonormal_rows(D[:, :6].T)
             assert abs(np.linalg.det(V.conj() @ W.T)) <= 2e-8, route.__name__
+
+
+def sampled_oracle(frame: KFrame) -> ComplexPolynomial:
+    """The sampled route one node at a time: a geodesic rotation, a full
+    Wigner matrix, a chart solve and a determinant per node."""
+    s, k = frame.s, frame.k
+    d_nom = two_s_max(s, k)
+    nodes = _circle_nodes(d_nom + 1, 0.5)
+    vals = np.empty(len(nodes), dtype=complex)
+    for a, zeta in enumerate(nodes):
+        rows = wigner_d(s, geodesic_rotation(-stereo_to_sphere(zeta)))[:, :k].T
+        A = rows[:, :k]
+        assert abs(np.linalg.det(A)) >= 1e-10
+        V = np.linalg.solve(A, rows)
+        vals[a] = zeta**d_nom * np.linalg.det(V.conj() @ frame.rows.T)
+    return ComplexPolynomial(_circle_coeffs(vals, 0.5), d_nom)
+
+
+def test_sampled_route_matches_the_per_node_oracle():
+    rng = np.random.default_rng(60)
+    for two_s in range(12):
+        for k in range(1, two_s + 2):
+            if two_s_max(SpinLabel(two_s), k) > 35:
+                continue
+            frame = random_frame(rng, two_s, k)
+            got = principal_sampled(frame).polynomial
+            assert projective_distance(got, sampled_oracle(frame)) <= 1e-12, (two_s, k)
+
+
+def test_chart_determinant_depends_only_on_the_shape():
+    # on the unit circle the chart block of one node differs from another's
+    # by row and column phases: moving the nodes cannot rescue a shape
+    for two_s in range(20):
+        for k in range(1, two_s + 2):
+            dets = []
+            for offset in (0.5, 0.87, 1.24):
+                nodes = _circle_nodes(two_s_max(SpinLabel(two_s), k) + 1, offset)
+                q = _geodesic_quaternions(-stereo_to_sphere(nodes))
+                A = _wigner_columns(two_s, q, k)[:, :k, :]
+                dets.append(np.abs(np.linalg.det(A)))
+            dets = np.concatenate(dets)
+            assert dets.max() - dets.min() <= 1e-9 * dets.max(), (two_s, k)
+
+
+def test_sampled_route_raises_where_its_chart_is_singular():
+    rng = np.random.default_rng(61)
+    for two_s, k in ((16, 7), (17, 8)):
+        with pytest.raises(ArithmeticError, match="nonsingular sampling nodes"):
+            principal_sampled(random_frame(rng, two_s, k))
+    assert principal_sampled(random_frame(rng, 16, 6)).constellation.total == 66

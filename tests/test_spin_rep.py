@@ -17,6 +17,7 @@ from stellar import (
     wigner_d,
 )
 from stellar.majorana import stereo_from_sphere, stereo_to_sphere
+from stellar.spin_rep import _geodesic_quaternions, _wigner_columns
 
 from conftest import random_rotation, random_state
 
@@ -177,6 +178,34 @@ def test_wigner_d_matches_mpmath_oracle():
         r2 = random_rotation(rng)
         lhs = wigner_d(s, r.compose(r2))
         assert np.abs(lhs - wigner_d(s, r) @ wigner_d(s, r2)).max() <= 5e-14
+
+
+def _geodesic_test_directions(rng) -> np.ndarray:
+    n = rng.standard_normal((12, 3))
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    # at the poles the tie-break puts the axis on y
+    return np.vstack([n, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+
+
+def test_geodesic_quaternions_match_geodesic_rotation():
+    n = _geodesic_test_directions(np.random.default_rng(19))
+    want = np.array([geodesic_rotation(v)._quaternion() for v in n])
+    assert np.abs(_geodesic_quaternions(n) - want).max() <= 1e-15
+
+
+def test_wigner_columns_match_wigner_d():
+    n = _geodesic_test_directions(np.random.default_rng(20))
+    q = _geodesic_quaternions(n)
+    for two_s in range(0, 21):
+        s = SpinLabel(two_s)
+        for k in {1, (two_s + 2) // 2, s.dim}:
+            got = _wigner_columns(two_s, q, k)
+            assert got.shape == (len(n), s.dim, k)
+            for D, v in zip(got, n):
+                want = wigner_d(s, geodesic_rotation(v))[:, :k]
+                assert np.abs(D - want).max() <= 1e-13
+    # the north pole is the identity, exactly
+    assert np.array_equal(_wigner_columns(5, q[-2:-1], 6)[0], np.eye(6))
 
 
 def test_generators_commutators():
