@@ -305,10 +305,13 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
 
 
 def _canonical_level_basis(diags: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, bool]:
-    """canonical_degenerate_basis in the coordinates of one weight space.
+    """Rotation-independent ordered basis of a degenerate j-sector.
 
-    V holds the sector's vectors as columns and diags the Q^(n) diagonals on
-    the same coordinates; returns the canonical vectors as columns.
+    V holds the sector's vectors as columns on one weight space, diags the
+    Q^(n) diagonals there; returns the canonical vectors as columns.  Each
+    in turn maximizes <Q^(2)>, Q^(2) = sum_r (S_z^(r))^2, ties broken by
+    Q^(3), ..., Q^(k); a residual tie falls back to a coordinate rule and
+    sets the returned flag.
     """
     # make sure the working columns are orthonormal
     q, _ = np.linalg.qr(V)
@@ -354,31 +357,6 @@ def _canonical_level_basis(diags: np.ndarray, V: np.ndarray) -> tuple[np.ndarray
         keep = null_space(coords[None, :].conj(), rcond=RANK_TOL)
         work = work @ keep
     return np.column_stack(out), flagged
-
-
-def canonical_degenerate_basis(
-    s: SpinLabel, k: int, two_j: int, vectors
-) -> tuple[list, bool]:
-    """Rotation-independent ordered basis of a degenerate j-sector.
-
-    The vectors are wedge vectors of weight 2m = two_j.  Successively
-    maximizes the expectation of Q^(2) = sum_r (S_z^(r))^2 (diagonal in the
-    wedge basis), breaking eigenvalue ties with higher powers Q^(3), ...,
-    Q^(k); any residual tie is resolved by a deterministic coordinate rule
-    and reported through the returned flag.  The work runs on the weight
-    space's own coordinates, so the results are exactly 0 off it.
-    """
-    V = np.array(vectors, dtype=complex).T
-    if V.ndim != 2 or V.shape[1] == 0:
-        raise ValueError("need at least one vector")
-    on_level = _wedge_two_m(s.two_s, k) == two_j
-    if np.abs(V[~on_level]).max(initial=0.0) > RANK_TOL * np.abs(V).max():
-        raise ValueError(f"vectors must lie in the 2m = {two_j} weight space")
-    diags = _qpower_diagonals(s.two_s, k, max(2, k))[:, on_level]
-    level, flagged = _canonical_level_basis(diags, V[on_level])
-    full = np.zeros((len(V), level.shape[1]), dtype=complex)
-    full[on_level] = level
-    return list(full.T), flagged
 
 
 @lru_cache(maxsize=32)

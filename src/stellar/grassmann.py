@@ -158,17 +158,6 @@ def frame_inner(v: KFrame, w: KFrame) -> complex:
     return complex(np.linalg.det(v.rows.conj() @ w.rows.T))
 
 
-def plane_inner(p1: KPlane, p2: KPlane) -> float:
-    """Normalized squared overlap |<V|W>|^2 / (<V|V> <W|W>) in [0, 1]."""
-    g11 = frame_inner(p1.frame, p1.frame).real
-    g22 = frame_inner(p2.frame, p2.frame).real
-    g12 = frame_inner(p1.frame, p2.frame)
-    if g11 <= 0 or g22 <= 0:
-        raise ValueError("degenerate plane in inner product")
-    val = (abs(g12) ** 2) / (g11 * g22)
-    return float(min(1.0, max(0.0, val)))
-
-
 def _deletion_positions(n: int, m: int) -> np.ndarray:
     """Row S, column t: the position of S minus its t-th element among the
     (m-1)-subsets, for every m-subset S in lexicographic order."""
@@ -221,10 +210,6 @@ def rotate_frame(frame: KFrame, r: RotationSpec) -> KFrame:
     """Row states rotated by D(r); no re-reduction, so phases are coherent."""
     D = wigner_d(frame.s, r)
     return KFrame(frame.s, frame.k, frame.rows @ D.T)
-
-
-def rotate_plane(plane: KPlane, r: RotationSpec) -> KPlane:
-    return standard_form(rotate_frame(plane.frame, r))
 
 
 def orthogonal_complement(plane: KPlane) -> KPlane:

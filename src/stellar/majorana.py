@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -114,6 +114,14 @@ class Star:
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be positive")
 
+    @classmethod
+    def _of_row(cls, row: np.ndarray, multiplicity: int) -> Star:
+        """A star on a validated read-only unit row, which it keeps bit for bit."""
+        star = object.__new__(cls)
+        object.__setattr__(star, "direction", row)
+        object.__setattr__(star, "multiplicity", multiplicity)
+        return star
+
     def angles(self) -> tuple[float, float]:
         """(theta, phi) with theta in [0, pi], phi in [0, 2*pi).
 
@@ -130,22 +138,42 @@ class Star:
 
 @dataclass(frozen=True)
 class Constellation:
-    """Stars with multiplicities; total counts multiplicity."""
+    """Stars as arrays: one unit row of `directions` and one entry of
+    `multiplicities` per star; `total` counts multiplicity.
 
-    stars: tuple[Star, ...]
+    Both arrays are copied, validated (rows finite and nonzero, each
+    multiplicity at least 1, their sum equal to total) and made read-only;
+    rows are kept as given, not renormalized.
+    """
+
+    directions: np.ndarray
+    multiplicities: np.ndarray
     total: int
 
     def __post_init__(self) -> None:
-        if sum(st.multiplicity for st in self.stars) != self.total:
+        d = np.array(self.directions, dtype=float)
+        m = np.array(self.multiplicities)
+        if d.ndim != 2 or d.shape[1] != 3 or m.shape != (len(d),):
+            raise ValueError(f"need (n, 3) directions, (n,) multiplicities: {d.shape}, {m.shape}")
+        if len(m) and m.dtype.kind not in "iu":
+            raise ValueError("multiplicities must be integers")
+        m = m.astype(np.intp, copy=False)
+        if not (np.isfinite(d).all() and d.any(axis=1).all()):
+            raise ValueError("directions must be finite and nonzero")
+        counts = m.tolist()  # Python reductions beat numpy's on a few entries
+        if counts and min(counts) < 1:
+            raise ValueError("multiplicity must be positive")
+        if sum(counts) != self.total:
             raise ValueError("multiplicities must sum to total")
+        d.setflags(write=False)
+        m.setflags(write=False)
+        object.__setattr__(self, "directions", d)
+        object.__setattr__(self, "multiplicities", m)
 
-    def directions(self) -> np.ndarray:
-        """All star directions expanded with multiplicity, shape (total, 3)."""
-        if self.total == 0:
-            return np.zeros((0, 3))
-        return np.concatenate(
-            [np.tile(st.direction, (st.multiplicity, 1)) for st in self.stars]
-        )
+    @cached_property
+    def stars(self) -> tuple[Star, ...]:
+        """The stars in order, each on its row of `directions`."""
+        return tuple(map(Star._of_row, self.directions, self.multiplicities.tolist()))
 
 
 def majorana_polynomial(psi: SpinState) -> ComplexPolynomial:
@@ -159,8 +187,9 @@ def majorana_polynomial(psi: SpinState) -> ComplexPolynomial:
     return ComplexPolynomial((signs * _sqrt_binomials(n) * c)[::-1], n)
 
 
-def poly_roots(p: ComplexPolynomial) -> list:
-    """All d_nom roots; degree deficits come back as the tagged INF value.
+def poly_roots(p: ComplexPolynomial) -> np.ndarray:
+    """All d_nom roots as a complex array; the d_nom - degree roots lost with
+    the leading coefficients come first, as complex(inf).
 
     The finite roots are the eigenvalues of the companion matrix, which
     LAPACK balances before its QR iteration (backward stable: Edelman and
@@ -169,9 +198,9 @@ def poly_roots(p: ComplexPolynomial) -> list:
     give |P(w)| <= ROOT_TOL * sum |a_j|, or ArithmeticError is raised.
     """
     deg = p.degree()
-    roots: list = [INF] * (p.d_nom - deg)
+    at_inf = np.full(p.d_nom - deg, math.inf, dtype=complex)
     if deg == 0:
-        return roots
+        return at_inf
     c = p.coeffs[: deg + 1]
     companion = np.eye(deg, k=-1, dtype=complex)
     companion[:, -1] = -c[:-1] / c[-1]
@@ -186,66 +215,58 @@ def poly_roots(p: ComplexPolynomial) -> list:
         raise ArithmeticError(
             f"root backward error {worst:.3g} exceeds ROOT_TOL = {ROOT_TOL:g}"
         )
-    roots.extend(z.tolist())
-    return roots
+    return np.concatenate((at_inf, z)) if len(at_inf) else z
 
 
 def stereo_to_sphere(zeta) -> np.ndarray:
-    """Inverse stereographic projection; zeta = 0 -> north pole, INF -> south.
+    """Inverse stereographic projection; zeta = 0 -> north pole, infinity -> south.
 
-    A scalar gives a 3-vector, a sequence of roots an (n, 3) array.
+    A complex array (as `poly_roots` returns, infinity as inf) maps to an
+    (n, 3) array in one pass.  A sequence that may hold the INF tag maps
+    the same way, and a scalar, INF included, gives a 3-vector.
     """
     if zeta is INF or np.ndim(zeta) == 0:
         return stereo_to_sphere([zeta])[0]
-    z = np.array([math.inf if r is INF else r for r in zeta], dtype=complex)
+    if isinstance(zeta, np.ndarray):
+        z = np.asarray(zeta, dtype=complex)
+    else:
+        z = np.array([math.inf if r is INF else r for r in zeta], dtype=complex)
+    x, y = z.real, z.imag
     # hypot, as Python's abs(complex); np.abs can differ in the last bit
-    a = np.hypot(z.real, z.imag)
+    a = np.hypot(x, y)
     south = a > 1e150  # numerically indistinguishable from the south pole
-    z[south] = 0.0
-    a[south] = 0.0
+    any_south = south.any()
+    if any_south:
+        x, y, a = (np.where(south, 0.0, v) for v in (x, y, a))
     a2 = a * a
     d = 1.0 + a2
-    pts = np.stack([2 * z.real / d, 2 * z.imag / d, (1.0 - a2) / d], axis=-1)
-    pts[south] = (0.0, 0.0, -1.0)
+    pts = np.empty((len(a), 3))
+    np.divide(2 * x, d, out=pts[:, 0])
+    np.divide(2 * y, d, out=pts[:, 1])
+    np.divide(1.0 - a2, d, out=pts[:, 2])
+    if any_south:
+        pts[south] = (0.0, 0.0, -1.0)
     return pts
 
 
-def stereo_from_sphere(n):
-    """Stereographic coordinate of a unit vector; south pole maps to INF."""
-    v = np.asarray(n, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError("n must be a unit vector")
-    if v[2] < -1.0 + 1e-14:
-        return INF
-    return complex(v[0], v[1]) / (1.0 + v[2])
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row divided by its norm, squared by the dot kernel of `Star`'s
+    v.dot(v), so that a row gets the bits `Star` would give it."""
+    return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
 
 
-def antipode(zeta):
-    """The stereographic coordinate of the antipodal point, -1/conj(zeta)."""
-    if zeta is INF:
-        return 0j
-    z = complex(zeta)
-    if z == 0:
-        return INF
-    return -1.0 / z.conjugate()
-
-
-def _in_star_order(stars) -> tuple[Star, ...]:
-    """Stars sorted by (theta on a CLUSTER_TOL grid, phi).
+def _in_star_order(directions: np.ndarray) -> np.ndarray:
+    """The permutation that lists rows by (theta on a CLUSTER_TOL grid, phi).
 
     Polar angles equal in exact arithmetic differ in their last bits, and
     must not decide the order of stars that share a circle of latitude.
+    phi is 0 within CLUSTER_TOL of a pole, as in Star.angles.
     """
-    stars = list(stars)
-    if not stars:
-        return ()
-    # Star.angles over all stars at once
-    x, y, z = np.array([st.direction for st in stars]).T
-    theta = np.arccos(np.clip(z, -1.0, 1.0))
+    x, y, z = directions.T
+    theta = np.arccos(np.minimum(np.maximum(z, -1.0), 1.0))
     phi = np.arctan2(y, x) % (2 * math.pi)
     phi[np.hypot(x, y) <= CLUSTER_TOL] = 0.0
-    order = np.lexsort((phi, np.round(theta / CLUSTER_TOL)))
-    return tuple(stars[i] for i in order)
+    return np.lexsort((phi, np.round(theta / CLUSTER_TOL)))
 
 
 def _cluster_labels(pts: np.ndarray) -> np.ndarray:
@@ -255,6 +276,9 @@ def _cluster_labels(pts: np.ndarray) -> np.ndarray:
     takes every later free point within CLUSTER_TOL of it.
     """
     n = len(pts)
+    z = np.sort(pts[:, 2])
+    if not (z[1:] - z[:-1] <= 2 * CLUSTER_TOL).any():
+        return np.arange(n)  # a chord is at least its z gap: no two points are close
     d2 = np.zeros((n, n))
     for x in pts.T:  # n x n temporaries, no n x n x 3 difference tensor
         d2 += (x[:, None] - x[None, :]) ** 2
@@ -272,22 +296,32 @@ def _cluster_labels(pts: np.ndarray) -> np.ndarray:
     return (np.cumsum(opens) - 1)[labels]
 
 
+def _ordered(directions: np.ndarray, multiplicities: np.ndarray, total: int) -> Constellation:
+    order = _in_star_order(directions)
+    return Constellation(directions[order], multiplicities[order], total)
+
+
 def constellation_from_roots(roots, total: int | None = None) -> Constellation:
     """Cluster projected roots into stars (chordal tolerance CLUSTER_TOL).
 
-    The clustering is greedy in root order (see _cluster_labels); a star
-    sits at the normalized mean direction of its roots.
+    The roots are a complex array as `poly_roots` returns, or any iterable
+    of roots that may hold the INF tag.  They are projected in one array
+    pass and clustered greedily in root order (see _cluster_labels); a star
+    sits at the mean of its roots' points, normalized once, and stars are
+    listed in the order of _in_star_order.
     """
-    pts = stereo_to_sphere(list(roots))
-    if total is None:
-        total = len(pts)
+    pts = stereo_to_sphere(roots if isinstance(roots, np.ndarray) else list(roots))
+    n = len(pts)
+    total = n if total is None else total
     labels = _cluster_labels(pts)
-    counts = np.bincount(labels)
-    sums = np.zeros((len(counts), 3))
-    np.add.at(sums, labels, pts)
-    means = sums / counts[:, None]
-    stars = (Star(v, m) for v, m in zip(means, counts.tolist()))
-    return Constellation(_in_star_order(stars), total)
+    if n and labels.max() < n - 1:
+        counts = np.bincount(labels)
+        sums = np.zeros((len(counts), 3))
+        np.add.at(sums, labels, pts)
+        pts = sums / counts[:, None]
+    else:
+        counts = np.ones(n, dtype=np.intp)
+    return _ordered(_unit_rows(pts), counts, total)
 
 
 def constellation_of_state(psi: SpinState) -> Constellation:
@@ -300,14 +334,18 @@ def constellation_of_polynomial(p: ComplexPolynomial) -> Constellation:
 
 
 def rotate_constellation(c: Constellation, r: RotationSpec) -> Constellation:
+    """Every star rotated by r and normalized, in one array pass.
+
+    Each row is R @ d, as a matrix-vector product per row rather than one
+    matrix product, so that a rotated star keeps the bits of Star(R @ d).
+    """
     R = so3_matrix(r)
-    stars = (Star(R @ st.direction, st.multiplicity) for st in c.stars)
-    return Constellation(_in_star_order(stars), c.total)
+    moved = np.matmul(R, c.directions[:, :, None])[:, :, 0]
+    return _ordered(_unit_rows(moved), c.multiplicities, c.total)
 
 
 def antipodal_constellation(c: Constellation) -> Constellation:
-    stars = (Star(-st.direction, st.multiplicity) for st in c.stars)
-    return Constellation(_in_star_order(stars), c.total)
+    return _ordered(_unit_rows(-c.directions), c.multiplicities, c.total)
 
 
 def _assignment(cost: np.ndarray) -> np.ndarray:
@@ -361,8 +399,8 @@ def constellation_match_angle(a: Constellation, b: Constellation) -> float:
         raise ValueError("constellations have different sizes")
     if a.total == 0:
         return 0.0
-    va = a.directions()
-    vb = b.directions()
+    va = np.repeat(a.directions, a.multiplicities, axis=0)
+    vb = np.repeat(b.directions, b.multiplicities, axis=0)
     # 2 arcsin(chord / 2) resolves small angles, which arccos of a dot
     # product cannot: it reads 2^-26 for identical directions
     chord = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2)

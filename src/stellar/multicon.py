@@ -30,6 +30,9 @@ from .spin_rep import (
 #: Relative threshold for treating amplitudes/expectations as zero.
 GAUGE_TOL = 1e-9
 
+#: The constellation of a spin-0 state.
+_NO_STARS = Constellation(np.zeros((0, 3)), np.zeros(0, dtype=int), 0)
+
 
 @lru_cache(maxsize=64)
 def _polarization_diagonals(two_j: int) -> tuple:
@@ -218,7 +221,7 @@ def spectator_constellation(z_values) -> Constellation:
     if Z.ndim != 1 or len(Z) == 0:
         raise ValueError("Z must be a nonempty vector")
     if len(Z) == 1:
-        return Constellation((), 0)
+        return _NO_STARS
     return constellation_of_state(SpinState(SpinLabel(len(Z) - 1), Z))
 
 
@@ -278,7 +281,7 @@ def multiconstellation(plane) -> Multiconstellation:
             reports.append(
                 ComponentReport(
                     comp.two_j, comp.copy_index, complex(comp.state.coeffs[0]),
-                    False, Constellation((), 0), None, (),
+                    False, _NO_STARS, None, (),
                 )
             )
             continue

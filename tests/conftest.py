@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from stellar import KFrame, RotationSpec, SpinLabel, SpinState
+from stellar import INF, KFrame, RotationSpec, SpinLabel, SpinState
 
 
 def random_frame(rng, two_s: int, k: int) -> KFrame:
@@ -23,3 +23,13 @@ def random_rotation(rng) -> RotationSpec:
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     return RotationSpec(axis, float(rng.uniform(0.0, 2.0 * np.pi)))
+
+
+def stereo_from_sphere(n):
+    """Stereographic coordinate of a unit vector; south pole maps to INF (oracle)."""
+    v = np.asarray(n, dtype=float)
+    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+        raise ValueError("n must be a unit vector")
+    if v[2] < -1.0 + 1e-14:
+        return INF
+    return complex(v[0], v[1]) / (1.0 + v[2])

@@ -20,11 +20,11 @@ from stellar import (
 )
 from stellar.decomp import (
     DEGENERACY_TOL,
+    _canonical_level_basis,
     _phase_fixed,
     _qpower_diagonals,
     _wedge_lowering_terms,
     _wedge_two_m,
-    canonical_degenerate_basis,
 )
 from stellar.grassmann import RANK_TOL, null_space
 
@@ -270,6 +270,19 @@ def test_canonical_degenerate_basis_splits_seven_halves_k4():
         vals.append(float((v.conj() * q2 * v).real.sum()))
     assert abs(vals[0] - vals[1]) > 1e-6
     assert vals[0] > vals[1]  # ordered by decreasing diagnostic value
+
+
+def canonical_degenerate_basis(s: SpinLabel, k: int, two_j: int, vectors) -> tuple[list, bool]:
+    """`_canonical_level_basis` of wedge vectors of weight 2m = two_j, in full
+    wedge coordinates: exactly 0 off that weight space (oracle)."""
+    V = np.array(vectors, dtype=complex).T
+    on_level = _wedge_two_m(s.two_s, k) == two_j
+    assert np.abs(V[~on_level]).max(initial=0.0) <= RANK_TOL * np.abs(V).max()
+    diags = _qpower_diagonals(s.two_s, k, max(2, k))[:, on_level]
+    level, flagged = _canonical_level_basis(diags, V[on_level])
+    full = np.zeros((len(V), level.shape[1]), dtype=complex)
+    full[on_level] = level
+    return list(full.T), flagged
 
 
 def test_canonical_degenerate_basis_deterministic():

@@ -11,17 +11,30 @@ from stellar import (
     coherent_plane,
     frame_inner,
     orthogonal_complement,
-    plane_inner,
     plucker,
     plucker_residual,
     rotate_frame,
-    rotate_plane,
     standard_form,
 )
 from stellar.grassmann import multi_indices
-from stellar.majorana import stereo_from_sphere
 
-from conftest import random_frame, random_rotation
+from conftest import random_frame, random_rotation, stereo_from_sphere
+
+
+def plane_inner(p1: KPlane, p2: KPlane) -> float:
+    """Normalized squared overlap |<V|W>|^2 / (<V|V> <W|W>) in [0, 1] (oracle)."""
+    g11 = frame_inner(p1.frame, p1.frame).real
+    g22 = frame_inner(p2.frame, p2.frame).real
+    g12 = frame_inner(p1.frame, p2.frame)
+    if g11 <= 0 or g22 <= 0:
+        raise ValueError("degenerate plane in inner product")
+    val = (abs(g12) ** 2) / (g11 * g22)
+    return float(min(1.0, max(0.0, val)))
+
+
+def rotate_plane(plane: KPlane, r) -> KPlane:
+    """The plane rotated by D(r), in standard form (oracle)."""
+    return standard_form(rotate_frame(plane.frame, r))
 
 
 def test_multi_indices_lexicographic():

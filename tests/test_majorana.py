@@ -29,13 +29,12 @@ from stellar.majorana import (
     Constellation,
     Star,
     _assignment,
-    antipode,
     constellation_from_roots,
-    stereo_from_sphere,
     stereo_to_sphere,
 )
+from stellar.spin_rep import so3_matrix
 
-from conftest import random_rotation, random_state
+from conftest import random_rotation, random_state, stereo_from_sphere
 
 
 def test_majorana_polynomial_spin1_oracle():
@@ -78,7 +77,9 @@ def test_poly_roots_against_numpy():
     rng = np.random.default_rng(21)
     c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     p = ComplexPolynomial(c, 8)
-    got = sorted(poly_roots(p), key=lambda z: (z.real, z.imag))
+    roots = poly_roots(p)
+    assert not np.isinf(roots).any()
+    got = sorted(roots, key=lambda z: (z.real, z.imag))
     want = sorted(np.roots(c[::-1]), key=lambda z: (z.real, z.imag))
     assert np.abs(np.array(got) - np.array(want)).max() < 1e-8
 
@@ -87,14 +88,40 @@ def test_leading_zero_coefficients_give_infinite_roots():
     # nominal degree 3, actual degree 1: two stars at the south pole
     p = ComplexPolynomial(np.array([1.0, 1.0, 0.0, 0.0]), 3)
     roots = poly_roots(p)
-    assert sum(1 for r in roots if r is INF) == 2
-    finite = [r for r in roots if r is not INF]
+    assert np.isinf(roots).tolist() == [True, True, False]
+    finite = roots[~np.isinf(roots)]
     assert len(finite) == 1
     assert abs(finite[0] - (-1.0)) < 1e-12
     c = constellation_of_polynomial(p)
     assert c.total == 3
     south = [s for s in c.stars if s.direction[2] < -0.99]
     assert south and south[0].multiplicity == 2
+
+
+@pytest.mark.parametrize("d_nom", [0, 1, 2, 5, 12])
+def test_poly_roots_is_a_complex_array_of_length_d_nom(d_nom):
+    rng = np.random.default_rng(74 + d_nom)
+    for lost in range(d_nom + 1):
+        c = rng.standard_normal(d_nom + 1) + 1j * rng.standard_normal(d_nom + 1)
+        c[d_nom + 1 - lost :] = 0.0
+        if not c.any():
+            c[0] = 1.0
+        roots = poly_roots(ComplexPolynomial(c, d_nom))
+        assert isinstance(roots, np.ndarray)
+        assert roots.shape == (d_nom,) and roots.dtype == complex
+        # the lost leading degrees come first, as complex(inf)
+        assert np.isinf(roots).tolist() == [True] * lost + [False] * (d_nom - lost)
+        assert roots[:lost].tolist() == [complex(math.inf)] * lost
+
+
+def antipode(zeta):
+    """The stereographic coordinate of the antipodal point, -1/conj(zeta) (oracle)."""
+    if zeta is INF:
+        return 0j
+    z = complex(zeta)
+    if z == 0:
+        return INF
+    return -1.0 / z.conjugate()
 
 
 def test_stereo_round_trip():
@@ -420,17 +447,31 @@ def _root_lists(draw) -> list:
     return draw(st.permutations(roots))
 
 
+def _as(kind: str, roots: list):
+    """The roots as a list, a generator, or a complex array with inf for INF."""
+    if kind == "generator":
+        return (r for r in roots)
+    if kind == "array":
+        return np.array([math.inf if r is INF else r for r in roots], dtype=complex)
+    return roots
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(roots=_root_lists(), as_generator=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@example(roots=[], as_generator=False, seed=0)
-@example(roots=[], as_generator=True, seed=0)
-def test_constellation_from_roots_matches_the_greedy_oracle(roots, as_generator, seed):
-    got = constellation_from_roots((r for r in roots) if as_generator else roots)
+@given(
+    roots=_root_lists(),
+    kind=st.sampled_from(["list", "generator", "array"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(roots=[], kind="list", seed=0)
+@example(roots=[], kind="generator", seed=0)
+@example(roots=[], kind="array", seed=0)
+def test_constellation_from_roots_matches_the_greedy_oracle(roots, kind, seed):
+    got = constellation_from_roots(_as(kind, roots))
     want = _greedy_clusters(roots)
     assert got.total == len(roots)
-    assert [s.multiplicity for s in got.stars] == [s.multiplicity for s in want]
-    for a, b in zip(got.stars, want):
-        assert np.abs(a.direction - b.direction).max() <= 1e-15
+    assert got.multiplicities.tolist() == [s.multiplicity for s in want]
+    want_directions = np.array([s.direction for s in want]).reshape(-1, 3)
+    assert got.directions.tobytes() == want_directions.tobytes()
     # rotated and antipodal constellations list their stars in the same order
     r = random_rotation(np.random.default_rng(seed))
     for moved in (rotate_constellation(got, r), antipodal_constellation(got)):
@@ -476,8 +517,8 @@ def test_assignment_matches_the_scipy_optimum(kind, seed):
 
 
 def _random_constellation(rng, mults) -> Constellation:
-    stars = tuple(Star(_unit(rng), m) for m in mults)
-    return Constellation(stars, sum(mults))
+    directions = np.array([Star(_unit(rng), m).direction for m in mults]).reshape(-1, 3)
+    return Constellation(directions, np.array(mults, dtype=int), sum(mults))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -493,8 +534,97 @@ def test_constellation_match_angle_equals_the_scipy_pairing(mults, nearby, seed)
         b = rotate_constellation(a, RotationSpec(_unit(rng), 1e-6 * rng.uniform()))
     else:
         b = _random_constellation(rng, rng.permutation(mults).tolist())
-    va, vb = a.directions(), b.directions()
+    va = np.array([st.direction for st in a.stars for _ in range(st.multiplicity)])
+    vb = np.array([st.direction for st in b.stars for _ in range(st.multiplicity)])
     chord = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2)
     cost = 2.0 * np.arcsin(np.minimum(chord / 2.0, 1.0))
     rows, cols = linear_sum_assignment(cost)
     assert constellation_match_angle(a, b) == cost[rows, cols].max()
+
+
+def _moved_oracle(c: Constellation, move) -> list:
+    """Stars of c moved one at a time, Star(move(d), m), sorted in Python (oracle)."""
+    return sorted((Star(move(st.direction), st.multiplicity) for st in c.stars), key=_star_key)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    mults=st.lists(st.integers(1, 4), max_size=12),
+    poles=st.lists(st.sampled_from([1.0, -1.0]), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(mults=[], poles=[], seed=0)
+def test_rotated_and_antipodal_constellations_match_the_per_star_oracle(mults, poles, seed):
+    rng = np.random.default_rng(seed)
+    directions = [_unit(rng) for _ in mults] + [np.array([0.0, 0.0, z]) for z in poles]
+    counts = list(mults) + [1] * len(poles)
+    c = constellation_from_roots(
+        [stereo_from_sphere(d) for d, m in zip(directions, counts) for _ in range(m)]
+    )
+    r = random_rotation(rng)
+    R = so3_matrix(r)
+    for got, want in (
+        (rotate_constellation(c, r), _moved_oracle(c, lambda d: R @ d)),
+        (antipodal_constellation(c), _moved_oracle(c, lambda d: -d)),
+    ):
+        assert got.total == c.total
+        assert got.multiplicities.tolist() == [s.multiplicity for s in want]
+        want_directions = np.array([s.direction for s in want]).reshape(-1, 3)
+        assert np.abs(got.directions - want_directions).max(initial=0.0) <= 1e-15
+        # each row is normalized as Star normalizes it, so the bits agree too
+        assert got.directions.tobytes() == want_directions.tobytes()
+
+
+def _unit_rows_of(rng, n: int) -> np.ndarray:
+    v = rng.standard_normal((n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "row", [[np.nan, 0.0, 1.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf], [0.0, 0.0, 0.0]]
+)
+def test_constellation_rejects_rows_that_are_not_finite_and_nonzero(row):
+    directions = _unit_rows_of(np.random.default_rng(75), 3)
+    directions[1] = row
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        Constellation(directions, np.array([1, 2, 1]), 4)
+
+
+@pytest.mark.parametrize(
+    "directions, multiplicities, total, message",
+    [
+        (np.ones((2, 3)), [1, 0], 1, "positive"),
+        (np.ones((2, 3)), [2, -1], 1, "positive"),
+        (np.ones((2, 3)), [1, 2], 4, "sum to total"),
+        (np.ones((2, 3)), [1, 1.5], 2, "integers"),
+        (np.ones((2, 2)), [1, 1], 2, "need"),
+        (np.ones(3), [1], 1, "need"),
+        (np.ones((2, 3)), [1, 1, 1], 3, "need"),
+        (np.ones((2, 3)), [[1, 1]], 2, "need"),
+    ],
+)
+def test_constellation_rejects_bad_multiplicities_and_shapes(
+    directions, multiplicities, total, message
+):
+    with pytest.raises(ValueError, match=message):
+        Constellation(directions, np.array(multiplicities), total)
+
+
+def test_constellation_arrays_are_read_only_copies_and_stars_share_their_bits():
+    rng = np.random.default_rng(76)
+    directions, mults = _unit_rows_of(rng, 5), np.array([1, 3, 1, 2, 1])
+    c = Constellation(directions, mults, 8)
+    directions[0] = 0.0
+    mults[0] = 7
+    assert c.directions[0].any() and c.multiplicities[0] == 1
+    for a in (c.directions, c.multiplicities):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 2
+    for built in (c, constellation_of_state(random_state(rng, 9))):
+        assert len(built.stars) == len(built.directions)
+        for i, star in enumerate(built.stars):
+            assert star.direction.tobytes() == built.directions[i].tobytes()
+            assert type(star.multiplicity) is int
+            assert star.multiplicity == built.multiplicities[i]
+            assert not star.direction.flags.writeable
+    assert Constellation(np.zeros((0, 3)), np.zeros(0, dtype=int), 0).stars == ()

@@ -16,10 +16,10 @@ from stellar import (
     so3_matrix,
     wigner_d,
 )
-from stellar.majorana import stereo_from_sphere, stereo_to_sphere
+from stellar.majorana import stereo_to_sphere
 from stellar.spin_rep import _geodesic_quaternions, _wigner_columns
 
-from conftest import random_rotation, random_state
+from conftest import random_rotation, random_state, stereo_from_sphere
 
 
 def test_spin_label_basics():
