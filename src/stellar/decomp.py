@@ -1,10 +1,13 @@
 """SU(2) structure of the k-th wedge power of the spin-s space.
 
 The Pluecker image of a (s, k) plane lives in the wedge space of dimension
-C(2s+1, k), which splits into spin-j blocks with multiplicities m_j.  This
-module computes those multiplicities by three independent routes (character
-inner products, a generating-function quotient, and explicit highest-weight
-construction), and builds the unitary change of basis to the block-diagonal
+C(2s+1, k), which splits into spin-j blocks with multiplicities m_j: the
+differences of the coefficients of the Gaussian binomial [2s+1 choose k]_q.
+This module computes those multiplicities by three independent routes: the
+closed-form product in exact integers (`genfun`) and the int64 character
+dynamic program (`char`), each in O(kk L) steps for kk = min(k, 2s+1-k) and
+L = kk(2s+1-kk) + 1, and the explicit highest-weight construction
+(`basis`).  It also builds the unitary change of basis to the block-diagonal
 form, with a canonical, rotation-independent choice inside degenerate
 j-sectors.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -99,127 +103,118 @@ class MultiplicityTable:
         return sum((tj + 1) * m for tj, m in self.entries)
 
 
+@lru_cache(maxsize=64)
+def _zero_entries(tsm: int) -> tuple[tuple[int, int], ...]:
+    """(two_j, 0) for two_j = tsm, ..., 0, shared by every table of that size.
+
+    At least every other entry of a table is zero (two_j of the other
+    parity), so sharing these tuples halves the objects a table holds.
+    """
+    return tuple((tj, 0) for tj in range(tsm, -1, -1))
+
+
 def _table_from_map(s: SpinLabel, k: int, mmap: dict) -> MultiplicityTable:
-    tsm = two_s_max(s, k)
-    entries = tuple((tj, int(mmap.get(tj, 0))) for tj in range(tsm, -1, -1))
+    entries = tuple(
+        (z[0], mmap[z[0]]) if mmap.get(z[0]) else z
+        for z in _zero_entries(two_s_max(s, k))
+    )
     return MultiplicityTable(s, k, entries)
 
 
-def _poly_mul_int(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+def _multiplicities_from_gaussian(s: SpinLabel, k: int, c: list) -> MultiplicityTable:
+    """The table from c[e], the q^e coefficients of the Gaussian binomial.
 
-
-def _poly_div_exact(a: list, b: list) -> list:
-    """Quotient of integer polynomials (b monic); the division must be exact."""
-    a = list(a)
-    dq = len(a) - len(b)
-    if dq < 0:
-        raise ArithmeticError("inexact polynomial division")
-    q = [0] * (dq + 1)
-    for i in range(dq, -1, -1):
-        c = a[i + len(b) - 1]
-        q[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    if any(a):
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-def multiplicities_genfun(s: SpinLabel, k: int) -> MultiplicityTable:
-    """Multiplicities as coefficients of a closed-form rational function.
-
-    In the variable x the table is the non-negative part of
-
-        (1 - x^{-1}) prod_{r=1}^{k} (x^{s+1} - x^{r-s-1}) / (x^r - 1),
-
-    read off at exponents j = s_max, ..., 0.  Everything is carried out in
-    y = x^{1/2} with exact integer coefficients, so half-integer spins and
-    arbitrary sizes need no floating point at all.  The product runs to
-    min(k, 2s+1-k), since the k-th and (2s+1-k)-th wedge powers are
-    equivalent representations.
+    c[e] counts the k-subsets of the n weights whose sorted index sum
+    exceeds its least value by e: the weight 2m = two_s_max - 2e of the wedge
+    character.  So m_j = c[e] - c[e - 1] at e = (two_s_max - 2j) / 2.
     """
-    if not 1 <= k <= s.dim:
-        raise ValueError("k out of range")
-    two_s = s.two_s
-    num_off, num = 0, [1]
-    den = [1]
-    for r in range(1, min(k, s.dim - k) + 1):
-        e1 = two_s + 2
-        e2 = 2 * r - two_s - 2
-        lo, hi = min(e1, e2), max(e1, e2)
-        f = [0] * (hi - lo + 1)
-        f[e1 - lo] += 1
-        f[e2 - lo] -= 1
-        num = _poly_mul_int(num, f)
-        num_off += lo
-        g = [0] * (2 * r + 1)
-        g[0] = -1
-        g[2 * r] = 1
-        den = _poly_mul_int(den, g)
-    num = _poly_mul_int(num, [-1, 0, 1])  # times (1 - y^{-2})
-    num_off -= 2
-    q = _poly_div_exact(num, den)
-    mmap = {}
-    for tj in range(two_s_max(s, k), -1, -1):
-        idx = tj - num_off
-        if 0 <= idx < len(q):
-            mmap[tj] = q[idx]
+    tsm = two_s_max(s, k)
+    mmap = {tsm - 2 * e: c[e] - (c[e - 1] if e else 0) for e in range(tsm // 2 + 1)}
     return _table_from_map(s, k, mmap)
 
 
-def _wedge_character(two_s: int, k: int, reach: int) -> np.ndarray:
-    """Coefficients of e_k(q^{2m}) at exponents -reach..reach, modulo 2^64.
+def multiplicities_genfun(s: SpinLabel, k: int) -> MultiplicityTable:
+    """Multiplicities from the closed form of the Gaussian binomial.
 
-    The dynamic program only adds, so int64 wraparound leaves every entry
-    right modulo 2^64.  The row is returned as a copy, so that an error
-    raised over it does not keep the whole (k + 1)-row table alive.
+    With n = 2s+1 and kk = min(k, n-k) (the k-th and (n-k)-th wedge powers
+    are equivalent representations), the wedge character, read from its
+    top weight down in steps of 2, is the Gaussian binomial
+
+        [n choose kk]_q = prod_{r=1}^{kk} (1 - q^{n-kk+r}) / (1 - q^r),
+
+    built one factor at a time on a list of exact Python ints, never longer
+    than L + kk with L = kk(n-kk) + 1: multiplying by (1 - q^a) is one
+    shifted subtract, dividing by (1 - q^r) one running sum with stride r.
+    The running sum is the power series of the quotient; it is exact only
+    if the r coefficients past the quotient's degree vanish, and an
+    ArithmeticError is raised if they do not.  Each factor costs O(L), the
+    table O(kk L), and no floating point is involved.
     """
-    width = 2 * reach + 1
-    E = np.zeros((k + 1, width), dtype=np.int64)
-    E[0, reach] = 1
-    for i in range(two_s + 1):
-        tm = two_s - 2 * i
-        for j in range(min(k, i + 1), 0, -1):
-            if tm >= 0:
-                E[j, tm:] += E[j - 1, : width - tm]
-            else:
-                E[j, :tm] += E[j - 1, -tm:]
-    return E[k].copy()
+    if not 1 <= k <= s.dim:
+        raise ValueError("k out of range")
+    n = s.dim
+    kk = min(k, n - k)
+    c = [1]
+    for r in range(1, kk + 1):
+        a = n - kk + r
+        c += [0] * a
+        c[a:] = [x - y for x, y in zip(c[a:], c)]  # times (1 - q^a)
+        for rho in range(r):  # over (1 - q^r): c[t] += c[t - r], left to right
+            c[rho::r] = accumulate(c[rho::r])
+        if any(c[-r:]):
+            raise ArithmeticError("inexact polynomial division")
+        del c[-r:]
+    return _multiplicities_from_gaussian(s, k, c)
+
+
+def _wedge_character(n: int, kk: int) -> list | None:
+    """Coefficients of the Gaussian binomial [n choose kk]_q, or None on overflow.
+
+    The int64 dynamic program for e_kk over the weights: row j holds the
+    j-subsets of the indices seen so far, by index sum less its least value
+    j(j-1)/2, so adding index i shifts row j-1 by i-(j-1) >= 0 into row j
+    and every row fits the one-sided width L = kk(n-kk) + 1.  The program
+    only adds, so int64 wraparound leaves every entry right modulo 2^64; the
+    true entries are non-negative and sum to C(n, kk), which the stored ones
+    reach only if none of them wrapped.  The table is dropped before the
+    caller sees the result, so an error raised over it keeps no array alive.
+    """
+    L = kk * (n - kk) + 1
+    E = np.zeros((kk + 1, L), dtype=np.int64)
+    E[0, 0] = 1
+    for i in range(n):
+        # row j still reaches row kk only if the n - 1 - i indices left suffice
+        for j in range(min(kk, i + 1), max(0, kk - n + i), -1):
+            sh = i - (j - 1)
+            E[j, sh:] += E[j - 1, : L - sh]
+    row = E[kk].tolist()
+    return row if sum(row) == math.comb(n, kk) else None
 
 
 def multiplicities_char(s: SpinLabel, k: int) -> MultiplicityTable:
     """Multiplicities from exact character inner products.
 
     The wedge character chi is the elementary symmetric polynomial e_k of
-    the weights q^{2m}, built by an integer dynamic program at
-    min(k, 2s+1-k) (the two wedge powers are equivalent representations).
-    Pairing with the spin-j character telescopes to m_j = chi(2j) - chi(2j+2),
-    with chi(e) the coefficient of q^e.  Raises ArithmeticError where a
-    coefficient exceeds the int64 range.
+    the weights q^{2m}, built by an int64 dynamic program at kk =
+    min(k, 2s+1-k) (the two wedge powers are equivalent representations)
+    on the one-sided index-sum support of width L = kk(2s+1-kk) + 1: at
+    most kk (2s+1) row additions of length at most L, O(kk L) per index.
+    Pairing with the spin-j character telescopes to m_j = chi(2j) -
+    chi(2j+2), with chi(e) the coefficient of q^e.
+    Overflow is detected once, on the final row, by its sum (see
+    _wedge_character); an ArithmeticError is then raised from a frame that
+    holds no array, so a kept traceback keeps no table alive.
     """
     if not 1 <= k <= s.dim:
         raise ValueError("k out of range")
     n = s.dim
-    tsm = two_s_max(s, k)
-    # at min(k, n - k) <= n/2 no intermediate e_j reaches past +-tsm
-    chi = _wedge_character(s.two_s, min(k, n - k), tsm)
-    # chi is right modulo 2^64; its true entries are non-negative and sum to
-    # C(n, k), which the stored ones reach only if none of them wrapped.
-    if sum(chi.tolist()) != math.comb(n, k):
+    chi = _wedge_character(n, min(k, n - k))
+    if chi is None:
         raise ArithmeticError(
             f"multiplicities_char: the (n, k) = ({n}, {k}) wedge character "
             "overflows int64"
         )
-    up = chi[tsm:].tolist() + [0, 0]  # chi(0), ..., chi(tsm), then zeros
-    mmap = {tj: up[tj] - up[tj + 2] for tj in range(tsm + 1)}
-    return _table_from_map(s, k, mmap)
+    return _multiplicities_from_gaussian(s, k, chi)
 
 
 def multiplicities_from_basis(s: SpinLabel, k: int) -> MultiplicityTable:
@@ -243,7 +238,7 @@ class Multiplet:
     row_range: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BDBasis:
     """Unitary U block-diagonalizing the wedge representation, per S_z weight.
 
@@ -466,7 +461,7 @@ def bd_basis(s: SpinLabel, k: int) -> BDBasis:
 # plane decomposition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentState:
     """One spin-j component of a decomposed Pluecker vector."""
 

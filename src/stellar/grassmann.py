@@ -47,7 +47,7 @@ def multi_index_positions(n: int, k: int) -> dict:
     return {I: p for p, I in enumerate(multi_indices(n, k))}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KFrame:
     """k linearly independent spin-s row states (a k x (2s+1) matrix)."""
 
@@ -72,7 +72,7 @@ class KFrame:
         object.__setattr__(self, "rows", r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KPlane:
     """A point of the Grassmannian, held by its standard-form frame."""
 
@@ -102,7 +102,7 @@ def null_space(A: np.ndarray, rcond: float | None = None) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PluckerVector:
     """k x k minors over lexicographic column multi-indices."""
 

@@ -39,7 +39,7 @@ def _sqrt_binomials(n: int) -> np.ndarray:
     return row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexPolynomial:
     """Dense complex coefficients in ascending degree, length d_nom + 1.
 
@@ -94,7 +94,7 @@ def projective_distance(p: ComplexPolynomial, q: ComplexPolynomial) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Star:
     """A point on the unit sphere carrying an integer multiplicity."""
 
@@ -136,7 +136,7 @@ class Star:
         return theta, phi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """Stars as arrays: one unit row of `directions` and one entry of
     `multiplicities` per star; `total` counts multiplicity.

@@ -100,7 +100,7 @@ def polarization_components(rho: np.ndarray, s: SpinLabel) -> PolarizationCompon
     return PolarizationComponents(s.two_s, r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaugeFixed:
     """Outcome of the alignment procedure on one spin-j component.
 
@@ -225,7 +225,7 @@ def spectator_constellation(z_values) -> Constellation:
     return constellation_of_state(SpinState(SpinLabel(len(Z) - 1), Z))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentReport:
     """One spin-j block of a multiconstellation."""
 

@@ -60,7 +60,7 @@ class SpinLabel:
         return (self.two_s - 2 * np.arange(self.dim)) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinState:
     """Coefficients of a spin-s ket in the S_z eigenbasis (m = s, ..., -s)."""
 
@@ -97,7 +97,7 @@ def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotationSpec:
     """Axis-angle rotation with the SU(2) lift kept explicit.
 
@@ -153,7 +153,7 @@ class RotationSpec:
         return RotationSpec(-self.axis, self.angle)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinOperators:
     """The standard spin matrices in the S_z eigenbasis."""
 

@@ -1,9 +1,11 @@
 import math
 import time
 from dataclasses import dataclass, fields
+from itertools import zip_longest
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stellar import (
     KFrame,
@@ -138,6 +140,109 @@ def test_multiplicities_char_raises_beyond_int64():
     # the table is computed at min(k, n - k), but the message names k
     with pytest.raises(ArithmeticError, match=r"\(75, 38\)"):
         multiplicities_char(SpinLabel(74), 38)
+
+
+def gaussian_binomial(n: int, k: int) -> list:
+    """Coefficients of [n choose k]_q by [m, j] = [m-1, j-1] + q^j [m-1, j] (oracle)."""
+    row = [[1]] + [[0]] * k  # row[j] holds [m choose j]_q, here at m = 0
+    for m in range(1, n + 1):
+        for j in range(min(m, k), max(0, k - n + m - 1), -1):
+            shifted = [0] * j + row[j]
+            row[j] = [x + y for x, y in zip_longest(row[j - 1], shifted, fillvalue=0)]
+    return row[k][: k * (n - k) + 1]
+
+
+def table_from_gaussian(n: int, k: int, c: list) -> tuple:
+    """(two_j, m_j) for two_j = two_s_max..0, with m_j = c[e] - c[e-1] (oracle)."""
+    tsm = k * (n - k)
+    out = []
+    for tj in range(tsm, -1, -1):
+        e, odd = divmod(tsm - tj, 2)
+        out.append((tj, 0 if odd else c[e] - (c[e - 1] if e else 0)))
+    return tuple(out)
+
+
+def test_gaussian_binomial_oracle_on_small_cases():
+    assert gaussian_binomial(4, 2) == [1, 1, 2, 1, 1]
+    assert gaussian_binomial(5, 2) == [1, 1, 2, 2, 2, 1, 1]
+    for n in range(1, 12):
+        for k in range(1, n + 1):
+            assert sum(gaussian_binomial(n, k)) == math.comb(n, k)
+
+
+_shapes = st.integers(1, 90).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(nk=_shapes)
+@example(nk=(74, 37))
+@example(nk=(75, 37))
+@example(nk=(90, 45))
+@example(nk=(90, 1))
+@example(nk=(1, 1))
+def test_integer_routes_match_the_gaussian_binomial_oracle(nk):
+    n, k = nk
+    s = SpinLabel(n - 1)
+    c = gaussian_binomial(n, k)
+    want = table_from_gaussian(n, k, c)
+    assert multiplicities_genfun(s, k).entries == want
+    if max(c) >= 2**63:
+        with pytest.raises(ArithmeticError, match="overflows int64"):
+            multiplicities_char(s, k)
+    else:
+        assert multiplicities_char(s, k).entries == want
+
+
+def partition_numbers(top: int) -> list:
+    """p(0), ..., p(top) by the coin-change recurrence over part sizes (oracle)."""
+    p = [1] + [0] * top
+    for part in range(1, top + 1):
+        for e in range(part, top + 1):
+            p[e] += p[e - part]
+    return p
+
+
+def test_genfun_at_two_s_199_k_100():
+    # In a 100 x 100 box the first 101 coefficients are unrestricted
+    # partition numbers, so the top of the table is known independently.
+    s, k = SpinLabel(199), 100
+    table = multiplicities_genfun(s, k)
+    tsm = two_s_max(s, k)
+    assert tsm == 10000
+    assert table.total_dimension() == math.comb(200, 100)
+    assert all(m >= 0 for _, m in table.entries)
+    p = partition_numbers(100)
+    for e in range(101):
+        assert table.multiplicity(tsm - 2 * e) == p[e] - (p[e - 1] if e else 0)
+        assert table.multiplicity(tsm - 2 * e - 1) == 0
+
+
+def test_char_overflow_raises_over_no_array():
+    try:
+        multiplicities_char(SpinLabel(79), 40)
+    except ArithmeticError as exc:
+        tb = exc.__traceback__
+    else:
+        pytest.fail("the (80, 40) character fits int64")
+    frames = 0
+    while tb is not None:
+        held = [
+            name for name, v in tb.tb_frame.f_locals.items() if isinstance(v, np.ndarray)
+        ]
+        assert held == [], (tb.tb_frame.f_code.co_name, held)
+        frames += 1
+        tb = tb.tb_next
+    assert frames >= 2  # this test's frame and the raising one
+
+
+def test_tables_of_one_size_share_their_zero_entries():
+    # (40, 10) and (40, 30) have the same two_s_max; more than half of the
+    # entries are zero and held once, not once per table
+    a = multiplicities_genfun(SpinLabel(39), 10).entries
+    b = multiplicities_char(SpinLabel(39), 30).entries
+    zeros = [i for i, (_, m) in enumerate(a) if m == 0]
+    assert len(zeros) > len(a) // 2
+    assert all(a[i] is b[i] for i in zeros)
 
 
 def test_multiplicities_large_case_is_fast():
