@@ -21,8 +21,16 @@ from itertools import accumulate
 
 import numpy as np
 
-from .grassmann import RANK_TOL, frame_of, multi_indices, null_space, plucker
-from .spin_rep import RotationSpec, SpinLabel, SpinState, wigner_d
+from .grassmann import (
+    RANK_TOL,
+    _multi_index_array,
+    frame_of,
+    multi_index_positions,
+    multi_indices,
+    null_space,
+    plucker,
+)
+from .spin_rep import RotationSpec, SpinLabel, SpinState, _ladder, wigner_d
 
 #: Eigenvalue clusters tighter than this count as ties during refinement.
 DEGENERACY_TOL = 1e-9
@@ -41,36 +49,33 @@ def _wedge_lowering_terms(two_s: int, k: int):
     """(dst, src, coeff) triples of the lowering operator on wedge indices.
 
     Lowering sends the single index i to i + 1 (m decreases by one) with the
-    usual ladder coefficient, summed over the k slots; terms that would
-    duplicate an index vanish, and sorted order is preserved, so no
-    antisymmetrization signs appear.
+    ladder coefficient _ladder(two_s)[i], summed over the k slots; terms
+    that would duplicate an index vanish, and sorted order is preserved, so
+    no antisymmetrization signs appear.
     """
     n = two_s + 1
-    s = two_s / 2
-    idxs = multi_indices(n, k)
-    pos = {I: p for p, I in enumerate(idxs)}
+    ladder = _ladder(two_s)
+    pos = multi_index_positions(n, k)
     dst, src, cf = [], [], []
-    for p, I in enumerate(idxs):
+    for p, I in enumerate(multi_indices(n, k)):
         occupied = set(I)
         for t, i in enumerate(I):
             if i + 1 < n and (i + 1) not in occupied:
-                m = s - i
                 dst.append(pos[I[:t] + (i + 1,) + I[t + 1 :]])
                 src.append(p)
-                cf.append(math.sqrt(s * (s + 1) - m * (m - 1)))
+                cf.append(ladder[i])
     return np.array(dst), np.array(src), np.array(cf)
 
 
 def _wedge_two_m(two_s: int, k: int) -> np.ndarray:
     """Twice the S_z eigenvalue of each wedge basis vector."""
-    idxs = multi_indices(two_s + 1, k)
-    return np.array([sum(two_s - 2 * i for i in I) for I in idxs])
+    return k * two_s - 2 * _multi_index_array(two_s + 1, k).sum(axis=1)
 
 
 def wedge_rep(s: SpinLabel, k: int, r: RotationSpec) -> np.ndarray:
     """The rotation on the wedge space: the k-th compound of wigner_d."""
     D = wigner_d(s, r)
-    sel = np.array(multi_indices(s.dim, k))
+    sel = _multi_index_array(s.dim, k)
     sub = D[sel[:, None, :, None], sel[None, :, None, :]]
     return np.linalg.det(sub)
 
@@ -282,7 +287,7 @@ class BDBasis:
 
 def _qpower_diagonals(two_s: int, k: int, max_power: int) -> np.ndarray:
     """Diagonals of sum_r (S_z of slot r)^n in the wedge basis, n = 2..max."""
-    ms = (two_s - 2 * np.array(multi_indices(two_s + 1, k))) / 2
+    ms = (two_s - 2 * _multi_index_array(two_s + 1, k)) / 2
     out = np.zeros((max_power + 1, len(ms)))
     for n_pow in range(2, max_power + 1):
         for col in ms.T:
@@ -389,10 +394,9 @@ def bd_basis(s: SpinLabel, k: int) -> BDBasis:
         # lower every multiplet that reaches this weight, in one product
         active = [i for i, tj in enumerate(two_js) if tj >= two_mu + 2 >= 2 - tj]
         if active:
-            jj = np.array([two_js[i] for i in active]) / 2
-            mm = (two_mu + 2) / 2  # the m being lowered from
             W = lowering[two_mu + 2] @ np.column_stack([ladders[i][-1] for i in active])
-            W /= np.sqrt(jj * (jj + 1) - mm * (mm - 1))
+            # spin j lowers from m = (two_mu + 2) / 2 by entry j - m of its ladder
+            W /= [_ladder(two_js[i])[(two_js[i] - two_mu - 2) // 2] for i in active]
             # Rounding in a ladder's vector along longer ladders grows as
             # the lowering coefficient shrinks toward the ladder's foot.  QR
             # in creation order (two_j descending) takes it out; the phases

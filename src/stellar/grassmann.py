@@ -118,10 +118,6 @@ class PluckerVector:
         c.setflags(write=False)
         object.__setattr__(self, "comps", c)
 
-    @property
-    def is_degenerate(self) -> bool:
-        return not np.any(self.comps)
-
 
 def plucker(frame: KFrame) -> PluckerVector:
     """All k x k minors of the frame, lexicographically ordered."""
@@ -174,8 +170,7 @@ def plucker_residual(P: PluckerVector) -> float:
     sum_t (-1)^t c_{I+J_t} c_{J-J_t}; as a sum over the column j = J_t it is
     the (I, J) entry of A B^T, with A[I, j] = c_{I+j} (signed by where j
     sorts into I) and B[J, J_t] = (-1)^t c_{J-J_t}.  Zero (to tolerance)
-    iff P is a wedge of k vectors; the zero vector returns 0.0 and is
-    reported through P.is_degenerate instead.
+    iff P is a wedge of k vectors; the zero vector returns 0.0.
     """
     c = P.comps
     norm2 = float(np.vdot(c, c).real)

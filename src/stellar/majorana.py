@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .spin_rep import INF, RotationSpec, SpinState, so3_matrix
+from .spin_rep import RotationSpec, SpinState, so3_matrix
 
 #: Relative magnitude, after binomial weighting, below which a coefficient
 #: counts as zero (see ComplexPolynomial.degree).
@@ -221,16 +221,13 @@ def poly_roots(p: ComplexPolynomial) -> np.ndarray:
 def stereo_to_sphere(zeta) -> np.ndarray:
     """Inverse stereographic projection; zeta = 0 -> north pole, infinity -> south.
 
-    A complex array (as `poly_roots` returns, infinity as inf) maps to an
-    (n, 3) array in one pass.  A sequence that may hold the INF tag maps
-    the same way, and a scalar, INF included, gives a 3-vector.
+    A complex scalar gives a 3-vector; a sequence or array of n points, with
+    infinity as complex(inf) as `poly_roots` returns it, gives an (n, 3)
+    array in one pass.
     """
-    if zeta is INF or np.ndim(zeta) == 0:
-        return stereo_to_sphere([zeta])[0]
-    if isinstance(zeta, np.ndarray):
-        z = np.asarray(zeta, dtype=complex)
-    else:
-        z = np.array([math.inf if r is INF else r for r in zeta], dtype=complex)
+    z = np.asarray(zeta, dtype=complex)
+    if z.ndim == 0:
+        return stereo_to_sphere(z[None])[0]
     x, y = z.real, z.imag
     # hypot, as Python's abs(complex); np.abs can differ in the last bit
     a = np.hypot(x, y)
@@ -305,10 +302,10 @@ def constellation_from_roots(roots, total: int | None = None) -> Constellation:
     """Cluster projected roots into stars (chordal tolerance CLUSTER_TOL).
 
     The roots are a complex array as `poly_roots` returns, or any iterable
-    of roots that may hold the INF tag.  They are projected in one array
-    pass and clustered greedily in root order (see _cluster_labels); a star
-    sits at the mean of its roots' points, normalized once, and stars are
-    listed in the order of _in_star_order.
+    of complex roots, infinity as complex(inf).  They are projected in one
+    array pass and clustered greedily in root order (see _cluster_labels);
+    a star sits at the mean of its roots' points, normalized once, and
+    stars are listed in the order of _in_star_order.
     """
     pts = stereo_to_sphere(roots if isinstance(roots, np.ndarray) else list(roots))
     n = len(pts)

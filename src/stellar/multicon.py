@@ -19,13 +19,7 @@ import numpy as np
 from .decomp import decompose_plane
 from .grassmann import frame_of
 from .majorana import Constellation, constellation_of_state
-from .spin_rep import (
-    SpinLabel,
-    SpinState,
-    build_generators,
-    geodesic_rotation,
-    wigner_d,
-)
+from .spin_rep import SpinLabel, SpinState, _ladder, geodesic_rotation, wigner_d
 
 #: Relative threshold for treating amplitudes/expectations as zero.
 GAUGE_TOL = 1e-9
@@ -48,8 +42,7 @@ def _polarization_diagonals(two_j: int) -> tuple:
     """
     j = two_j / 2
     mz = j - np.arange(two_j + 1)
-    # ladder[i] = <i|S_+|i+1> in the S_z eigenbasis m = j, ..., -j
-    ladder = np.sqrt(j * (j + 1) - mz[1:] * (mz[1:] + 1))
+    ladder = _ladder(two_j)
     out = []
     for m in range(two_j + 1):
         # entry p of the diagonal sits at (p, p + m): m_r = mz[p], m_c = mz[p + m]
@@ -140,7 +133,7 @@ def gauge_fix_component(psi: SpinState) -> GaugeFixed:
     spin1_warning = two_j == 2
     c = psi.coeffs
     # <S_+> = sum_i conj(c_i) <i|S_+|i+1> c_{i+1}, <S_x> + i <S_y> = <S_+>
-    s_plus = np.diagonal(build_generators(psi.s).Splus, 1) @ (c[:-1].conj() * c[1:])
+    s_plus = _ladder(two_j) @ (c[:-1].conj() * c[1:])
     s_z = psi.s.m_values() @ (c.real**2 + c.imag**2)
     sev = np.array([s_plus.real, s_plus.imag, s_z])
     j = two_j / 2
@@ -300,12 +293,8 @@ def multiconstellation(plane) -> Multiconstellation:
         )
         all_flags.extend(flags)
     if z_ok:
-        z_values = tuple(
-            r.amplitude if r.amplitude is not None else 0.0 for r in reports
-        )
-        spectator = (
-            spectator_constellation(z_values) if len(z_values) >= 1 else None
-        )
+        z_values = tuple(r.amplitude for r in reports)
+        spectator = spectator_constellation(z_values)
     else:
         z_values = None
         spectator = None

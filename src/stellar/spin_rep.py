@@ -1,4 +1,4 @@
-"""SU(2) spin-s machinery: generators, rotation matrices, coherent states.
+"""SU(2) spin-s machinery: the S_+ ladder, rotation matrices, coherent states.
 
 Conventions used throughout the package:
 
@@ -6,34 +6,18 @@ Conventions used throughout the package:
 * rotations act as D(axis, angle) = expm(-i * angle * (axis . S));
 * the spin coherent state along the direction with stereographic coordinate
   zeta = tan(theta/2) e^{i phi} has components
-  sqrt(C(2s, s-m)) zeta^{s-m} / (1 + |zeta|^2)^s.
+  sqrt(C(2s, s-m)) zeta^{s-m} / (1 + |zeta|^2)^s, and zeta = complex(inf)
+  stands for the south pole.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-
-class _Infinity:
-    """Tag for the point zeta = infinity of the extended complex plane."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INF"
-
-
-#: The single tagged value representing zeta = infinity (never a float sentinel).
-INF = _Infinity()
 
 
 @dataclass(frozen=True)
@@ -84,19 +68,6 @@ class SpinState:
         return float(np.linalg.norm(self.coeffs))
 
 
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class RotationSpec:
     """Axis-angle rotation with the SU(2) lift kept explicit.
@@ -114,9 +85,12 @@ class RotationSpec:
         a = np.array(self.axis, dtype=float)
         if a.shape != (3,):
             raise ValueError("axis must be a 3-vector")
-        if abs(np.linalg.norm(a) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(a) - 1.0) <= 1e-12:
             raise ValueError("axis must be a unit vector (|axis| = 1 to 1e-12)")
-        ang = float(self.angle) % (4 * math.pi)
+        ang = float(self.angle)
+        if not math.isfinite(ang):
+            raise ValueError("angle must be finite")
+        ang %= 4 * math.pi
         if ang > 2 * math.pi:
             ang = 4 * math.pi - ang
             a = -a
@@ -124,66 +98,23 @@ class RotationSpec:
         object.__setattr__(self, "axis", a)
         object.__setattr__(self, "angle", ang)
 
-    @staticmethod
-    def identity() -> "RotationSpec":
-        return RotationSpec(np.array([0.0, 0.0, 1.0]), 0.0)
-
-    @staticmethod
-    def from_euler_zyz(alpha: float, beta: float, gamma: float) -> "RotationSpec":
-        """z-y-z Euler angles, composed in SU(2) and returned as axis-angle."""
-        r = RotationSpec(np.array([0.0, 0.0, 1.0]), alpha)
-        r = r.compose(RotationSpec(np.array([0.0, 1.0, 0.0]), beta))
-        return r.compose(RotationSpec(np.array([0.0, 0.0, 1.0]), gamma))
-
     def _quaternion(self) -> np.ndarray:
         h = self.angle / 2
         return np.concatenate(([math.cos(h)], math.sin(h) * self.axis))
 
-    def compose(self, other: "RotationSpec") -> "RotationSpec":
-        """Rotation equal to applying `other` first, then `self` (in SU(2))."""
-        q = _quat_mul(self._quaternion(), other._quaternion())
-        w = min(1.0, max(-1.0, float(q[0])))
-        v = q[1:]
-        nv = float(np.linalg.norm(v))
-        ang = 2 * math.atan2(nv, w)
-        axis = v / nv if nv > 1e-15 else np.array([0.0, 0.0, 1.0])
-        return RotationSpec(axis, ang)
-
-    def inverse(self) -> "RotationSpec":
-        return RotationSpec(-self.axis, self.angle)
-
-
-@dataclass(frozen=True, eq=False)
-class SpinOperators:
-    """The standard spin matrices in the S_z eigenbasis."""
-
-    Sz: np.ndarray
-    Splus: np.ndarray
-    Sminus: np.ndarray
-    Sx: np.ndarray
-    Sy: np.ndarray
-
 
 @lru_cache(maxsize=64)
-def _generators_cached(two_s: int) -> SpinOperators:
+def _ladder(two_s: int) -> np.ndarray:
+    """The read-only <m+1|S_+|m> = sqrt(s(s+1) - m(m+1)), m = s-1, ..., -s.
+
+    Entry i links basis vectors i and i + 1 (m = s, ..., -s): it is
+    <i|S_+|i+1>, and <i+1|S_-|i> as well.
+    """
     s = two_s / 2
-    m = (two_s - 2 * np.arange(two_s + 1)) / 2
-    Sz = np.diag(m).astype(complex)
-    Splus = np.zeros((two_s + 1, two_s + 1), dtype=complex)
-    idx = np.arange(1, two_s + 1)
-    if idx.size:
-        Splus[idx - 1, idx] = np.sqrt(s * (s + 1) - m[idx] * (m[idx] + 1))
-    Sminus = Splus.conj().T.copy()
-    Sx = (Splus + Sminus) / 2
-    Sy = (Splus - Sminus) / 2j
-    for M in (Sz, Splus, Sminus, Sx, Sy):
-        M.setflags(write=False)
-    return SpinOperators(Sz, Splus, Sminus, Sx, Sy)
-
-
-def build_generators(s: SpinLabel) -> SpinOperators:
-    """S_z diagonal (s ... -s); S_pm with elements sqrt(s(s+1) - m(m pm 1))."""
-    return _generators_cached(s.two_s)
+    m = s - 1 - np.arange(two_s)
+    out = np.sqrt(s * (s + 1) - m * (m + 1))
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -260,13 +191,17 @@ def wigner_d(s: SpinLabel, r: RotationSpec) -> np.ndarray:
 
 
 def coherent_state(s: SpinLabel, zeta) -> SpinState:
-    """Spin coherent state at stereographic coordinate zeta (INF -> |s,-s>)."""
+    """Spin coherent state at the complex stereographic coordinate zeta.
+
+    zeta = 0 gives |s, s> and an infinite zeta (complex(inf), as
+    `poly_roots` returns for a lost leading coefficient) gives |s, -s>.
+    """
     dim = s.dim
-    if zeta is INF:
+    z = complex(zeta)
+    if cmath.isinf(z):
         c = np.zeros(dim, dtype=complex)
         c[-1] = 1.0
         return SpinState(s, c)
-    z = complex(zeta)
     if z == 0:
         c = np.zeros(dim, dtype=complex)
         c[0] = 1.0
@@ -275,10 +210,12 @@ def coherent_state(s: SpinLabel, zeta) -> SpinState:
     r = abs(z)
     phase = z / r
     i = np.arange(dim)
-    # log-scale magnitudes so huge |zeta| stays finite
+    # log-scale magnitudes so huge |zeta| stays finite; past 1e150, where
+    # r * r may overflow, log(1 + r^2) is 2 log r to rounding
+    log_norm = math.log1p(r * r) if r < 1e150 else 2 * math.log(r)
     log_mag = np.array(
         [0.5 * math.log(math.comb(n, int(j))) for j in i]
-    ) + i * math.log(r) - (n / 2) * math.log1p(r * r)
+    ) + i * math.log(r) - (n / 2) * log_norm
     c = np.exp(log_mag) * phase**i
     return SpinState(s, c)
 
@@ -288,7 +225,7 @@ def geodesic_rotation(n) -> RotationSpec:
     v = np.asarray(n, dtype=float)
     if v.shape != (3,):
         raise ValueError("n must be a 3-vector")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
         raise ValueError("n must be a unit vector")
     theta = math.acos(min(1.0, max(-1.0, v[2])))
     phi = math.atan2(v[1], v[0])  # 0 on the z-axis, giving the y-axis tie-break

@@ -30,7 +30,7 @@ from stellar.decomp import (
 )
 from stellar.grassmann import RANK_TOL, null_space
 
-from conftest import random_frame, random_rotation
+from conftest import compose, random_frame, random_rotation
 
 # spin content of the wedge powers through s = 7/2, k = 4, keyed by
 # (two_s, k) with values {two_j: multiplicity}
@@ -99,7 +99,7 @@ def test_wedge_rep_is_minor_lift_of_wigner_d():
     assert np.abs(D @ D.conj().T - np.eye(D.shape[0])).max() < 1e-10
     # product structure carries over from the underlying representation
     r2 = random_rotation(rng)
-    lhs = wedge_rep(s, k, r.compose(r2))
+    lhs = wedge_rep(s, k, compose(r, r2))
     rhs = wedge_rep(s, k, r) @ wedge_rep(s, k, r2)
     assert np.abs(lhs - rhs).max() < 1e-9
 

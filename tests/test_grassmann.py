@@ -194,9 +194,8 @@ def test_plucker_residual_matches_relation_loop(two_s, k):
         assert plucker_residual(P) == pytest.approx(want, rel=1e-12)
 
 
-def test_plucker_residual_zero_vector_flags_degenerate():
+def test_plucker_residual_of_zero_vector_is_zero():
     Z = PluckerVector(SpinLabel(3), 2, np.zeros(6, dtype=complex))
-    assert Z.is_degenerate
     assert plucker_residual(Z) == 0.0
 
 

@@ -8,7 +8,6 @@ from stellar import (
     KFrame,
     SpinLabel,
     SpinState,
-    build_generators,
     constellation_match_angle,
     gauge_fix_component,
     multiconstellation,
@@ -21,7 +20,7 @@ from stellar import (
 from stellar.multicon import GAUGE_TOL, _polarization_diagonals
 from stellar.spin_rep import geodesic_rotation, wigner_d
 
-from conftest import random_frame, random_rotation
+from conftest import random_frame, random_rotation, spin_matrices
 
 
 def _twice(x, name: str) -> int:
@@ -172,7 +171,7 @@ def test_tensor_operator_adjoint_symmetry():
 def test_tensor_operators_are_spherical_tensors():
     # [S_z, T_lm] = m T_lm and [S_+, T_lm] = sqrt(l(l+1) - m(m+1)) T_{l,m+1}
     for two_j in range(0, 41):
-        gens = build_generators(SpinLabel(two_j))
+        gens = spin_matrices(two_j)
         keys, ops = all_tensor_ops(two_j)
         m = np.array([mm for _, mm in keys], dtype=float)[:, None, None]
         l = np.array([ell for ell, _ in keys], dtype=float)[:, None, None]
@@ -257,7 +256,7 @@ def dense_gauge_fix(psi: SpinState) -> dict:
     """Gauge fixing with the spin expectation as three dense quadratic forms
     and the aligned state's full polarization table."""
     two_j, c, nrm = psi.s.two_s, psi.coeffs, psi.norm
-    ops = build_generators(psi.s)
+    ops = spin_matrices(two_j)
     sev = np.array([(c.conj() @ S @ c).real for S in (ops.Sx, ops.Sy, ops.Sz)])
     out = dict(sev=sev, z=None, alpha=None, beta=None, selected_lm=None)
     if np.linalg.norm(sev) <= GAUGE_TOL * (two_j / 2) * nrm * nrm:

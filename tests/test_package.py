@@ -40,7 +40,6 @@ INSTANCE_BUILDERS = {
     "SpinLabel": lambda: stellar.SpinLabel(3),
     "SpinState": _state,
     "RotationSpec": lambda: stellar.RotationSpec(np.array([0.0, 0.0, 1.0]), 0.5),
-    "SpinOperators": lambda: stellar.SpinOperators(*[np.eye(2)] * 5),
     "ComplexPolynomial": lambda: stellar.ComplexPolynomial(np.array([1.0, 2.0, 3.0]), 2),
     "Star": lambda: stellar.Star(np.array([0.0, 0.0, 1.0]), 1),
     "Constellation": lambda: stellar.constellation_of_state(_state()),

@@ -6,20 +6,28 @@ import numpy as np
 import pytest
 
 from stellar import (
-    INF,
     RotationSpec,
     SpinLabel,
     SpinState,
-    build_generators,
     coherent_state,
+    constellation_of_state,
     geodesic_rotation,
+    majorana_polynomial,
+    poly_roots,
     so3_matrix,
     wigner_d,
 )
 from stellar.majorana import stereo_to_sphere
-from stellar.spin_rep import _geodesic_quaternions, _wigner_columns
+from stellar.spin_rep import _geodesic_quaternions, _ladder, _wigner_columns
 
-from conftest import random_rotation, random_state, stereo_from_sphere
+from conftest import (
+    INF,
+    compose,
+    random_rotation,
+    random_state,
+    spin_matrices,
+    stereo_from_sphere,
+)
 
 
 def test_spin_label_basics():
@@ -46,6 +54,21 @@ def test_rotation_axis_must_be_unit():
         RotationSpec(np.array([1.0, 1.0, 0.0]), 0.3)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RotationSpec(np.array([math.nan, 0.0, 1.0]), 0.3),
+        lambda: RotationSpec(np.array([0.0, 0.0, 1.0]), math.nan),
+        lambda: RotationSpec(np.array([0.0, 0.0, 1.0]), math.inf),
+        lambda: geodesic_rotation(np.array([0.0, math.nan, 1.0])),
+    ],
+    ids=["nan-axis", "nan-angle", "inf-angle", "nan-direction"],
+)
+def test_rotation_rejects_non_finite_input(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_rotation_angle_folding():
     z = np.array([0.0, 0.0, 1.0])
     r = RotationSpec(z, 3.0 * math.pi)
@@ -62,16 +85,16 @@ def test_rotation_angle_folding():
 
 
 def test_identity_rotation():
-    r = RotationSpec.identity()
+    r = RotationSpec(np.array([0.0, 0.0, 1.0]), 0.0)
     assert r.angle == 0.0
-    assert np.allclose(wigner_d(SpinLabel(3), r), np.eye(4))
+    assert np.array_equal(wigner_d(SpinLabel(3), r), np.eye(4))
 
 
 def test_compose_z_rotations_add_angles():
     z = np.array([0.0, 0.0, 1.0])
-    r = RotationSpec(z, 0.7).compose(RotationSpec(z, 1.1))
-    assert np.allclose(r.axis, z)
-    assert r.angle == pytest.approx(1.8)
+    s = SpinLabel(3)
+    D = wigner_d(s, RotationSpec(z, 0.7)) @ wigner_d(s, RotationSpec(z, 1.1))
+    assert np.abs(D - wigner_d(s, RotationSpec(z, 1.8))).max() < 1e-12
 
 
 def test_compose_matches_matrix_product():
@@ -81,7 +104,7 @@ def test_compose_matches_matrix_product():
         for _ in range(6):
             r1 = random_rotation(rng)
             r2 = random_rotation(rng)
-            lhs = wigner_d(s, r1.compose(r2))
+            lhs = wigner_d(s, compose(r1, r2))
             rhs = wigner_d(s, r1) @ wigner_d(s, r2)
             assert np.abs(lhs - rhs).max() < 1e-10
 
@@ -89,7 +112,8 @@ def test_compose_matches_matrix_product():
 def test_inverse():
     rng = np.random.default_rng(12)
     r = random_rotation(rng)
-    D = wigner_d(SpinLabel(3), r.compose(r.inverse()))
+    s = SpinLabel(3)
+    D = wigner_d(s, r) @ wigner_d(s, RotationSpec(-r.axis, r.angle))
     assert np.abs(D - np.eye(4)).max() < 1e-10
 
 
@@ -107,7 +131,9 @@ def test_wigner_d_half_spin_y_rotation():
 
 def test_from_euler_zyz_half_spin():
     a, b, g = 0.7, 1.1, -0.4
-    D = wigner_d(SpinLabel(1), RotationSpec.from_euler_zyz(a, b, g))
+    y, z = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    r = compose(compose(RotationSpec(z, a), RotationSpec(y, b)), RotationSpec(z, g))
+    D = wigner_d(SpinLabel(1), r)
     ref = np.array(
         [
             [
@@ -176,7 +202,7 @@ def test_wigner_d_matches_mpmath_oracle():
         sign = -1.0 if two_s % 2 else 1.0
         assert np.abs(full - sign * np.eye(s.dim)).max() <= 1e-14
         r2 = random_rotation(rng)
-        lhs = wigner_d(s, r.compose(r2))
+        lhs = wigner_d(s, compose(r, r2))
         assert np.abs(lhs - wigner_d(s, r) @ wigner_d(s, r2)).max() <= 5e-14
 
 
@@ -209,12 +235,14 @@ def test_wigner_columns_match_wigner_d():
 
 
 def test_generators_commutators():
-    for two_s in (1, 2, 3, 4):
-        ops = build_generators(SpinLabel(two_s))
+    for two_s in (0, 1, 2, 3, 4, 17):
+        ops = spin_matrices(two_s)
         comm = ops.Sz @ ops.Splus - ops.Splus @ ops.Sz
         assert np.abs(comm - ops.Splus).max() < 1e-12
         comm2 = ops.Splus @ ops.Sminus - ops.Sminus @ ops.Splus
         assert np.abs(comm2 - 2.0 * ops.Sz).max() < 1e-12
+        # the library's one ladder is the superdiagonal of S_+
+        assert np.array_equal(_ladder(two_s), np.diagonal(ops.Splus, 1).real)
 
 
 def test_coherent_state_poles():
@@ -222,7 +250,22 @@ def test_coherent_state_poles():
     north = coherent_state(s, 0.0)
     assert np.allclose(north.coeffs, np.eye(5)[0])
     south = coherent_state(s, INF)
-    assert np.allclose(south.coeffs, np.eye(5)[4])
+    assert np.array_equal(south.coeffs, np.eye(5)[4])
+
+
+def test_coherent_state_at_every_root_of_a_state_with_lost_leading_coefficients():
+    # |3/2, -1/2>: the two leading coefficients of its polynomial vanish, so
+    # poly_roots returns [inf, inf, 0]
+    s = SpinLabel(3)
+    roots = poly_roots(majorana_polynomial(SpinState(s, np.eye(4)[2])))
+    assert np.isinf(roots).sum() == 2
+    for r in roots:
+        psi = coherent_state(s, r)
+        assert np.isfinite(psi.coeffs).all()
+        assert psi.norm == pytest.approx(1.0, abs=1e-12)
+        c = constellation_of_state(psi)
+        assert c.multiplicities.tolist() == [3]
+        assert np.abs(c.directions[0] - stereo_to_sphere(r)).max() < 1e-12
 
 
 def test_coherent_state_normalized():
@@ -231,6 +274,10 @@ def test_coherent_state_normalized():
         z = complex(rng.standard_normal(), rng.standard_normal())
         psi = coherent_state(SpinLabel(two_s), z)
         assert psi.norm == pytest.approx(1.0, abs=1e-12)
+    # past |zeta| ~ 1.3e154, |zeta|^2 overflows: the state is still |s, -s>
+    for z in (1e155, -3e200j, 1e300):
+        psi = coherent_state(SpinLabel(3), z)
+        assert np.abs(psi.coeffs - np.eye(4)[3] * (z / abs(z)) ** 3).max() < 1e-12
 
 
 def test_coherent_overlap_law():
@@ -282,7 +329,7 @@ def test_geodesic_rotation_south_pole_tie():
 def test_so3_matches_spin_expectation_transformation():
     rng = np.random.default_rng(18)
     s = SpinLabel(3)
-    ops = build_generators(s)
+    ops = spin_matrices(s.two_s)
     for _ in range(5):
         psi = random_state(rng, 3)
         r = random_rotation(rng)
