@@ -1,8 +1,9 @@
 """Command-line interface.
 
 All documents are JSON with a "schema": "stellar/1" marker and complex
-numbers encoded as [re, im] pairs.  Input kinds: "state" (two_s, coeffs),
-"plane" (two_s, k, rows), "plane_pair" (two planes of the same shape).
+numbers encoded as [re, im] pairs.  Input kinds: "state" (two_s, coeffs)
+and "plane" (two_s, k, rows); "plane_pair" (two planes of the same shape)
+is a fixture format the tests read, and every command rejects it.
 Exit codes: 0 success, 2 parse error, 3 numeric failure, 4 a result was
 produced but a not-applicable flag is present.
 """
@@ -61,7 +62,10 @@ class CLIError(Exception):
         super().__init__(message)
         self.code = code
         self.slug = slug
-        self.message = message
+
+
+#: The exceptions a command or a batch entry reports as an error document.
+_FAILURES = (CLIError, ArithmeticError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +97,21 @@ def _emit(doc: dict, out_path: str | None) -> None:
         print(text)
 
 
-def _error_doc(code: int, slug: str, message: str) -> dict:
+def _failure(exc: Exception) -> tuple[dict, int]:
+    """The error document and exit code of one of the _FAILURES."""
+    if isinstance(exc, CLIError):
+        code, slug = exc.code, exc.slug
+    elif isinstance(exc, ArithmeticError):
+        code, slug = EXIT_NUMERIC, "numeric"
+    else:
+        code, slug = EXIT_PARSE, "invalid-value"
     return {
         "schema": SCHEMA,
         "kind": "error",
         "code": code,
         "error": slug,
-        "message": message,
-    }
+        "message": str(exc),
+    }, code
 
 
 def _load_json(path: str) -> dict:
@@ -361,35 +372,21 @@ def _principal_doc_for(path: str, route: str) -> tuple[dict, int]:
     return doc, code
 
 
-def _run_batch(paths, one):
-    """Run `one(path) -> (doc, code)` over paths in order."""
-
-    def safe(path):
-        try:
-            return one(path)
-        except CLIError as e:
-            return _error_doc(e.code, e.slug, e.message), e.code
-        except ArithmeticError as e:
-            return _error_doc(EXIT_NUMERIC, "numeric", str(e)), EXIT_NUMERIC
-
-    return [safe(p) for p in paths]
-
-
 def _cmd_principal(args) -> int:
-    if len(args.plane_files) == 1 and args.jobs == 1:
+    if len(args.plane_files) == 1:
         doc, code = _principal_doc_for(args.plane_files[0], args.route)
         _emit(doc, args.out)
         return code
-    results = _run_batch(
-        args.plane_files, lambda p: _principal_doc_for(p, args.route)
-    )
-    batch = {
-        "schema": SCHEMA,
-        "kind": "principal_batch",
-        "results": {p: doc for p, (doc, _) in zip(args.plane_files, results)},
-    }
-    _emit(batch, args.out)
-    return max((code for _, code in results), default=EXIT_OK)
+    # one failed plane gives its own error entry and leaves the others be
+    results, code = {}, EXIT_OK
+    for path in args.plane_files:
+        try:
+            results[path], c = _principal_doc_for(path, args.route)
+        except _FAILURES as e:
+            results[path], c = _failure(e)
+        code = max(code, c)
+    _emit({"schema": SCHEMA, "kind": "principal_batch", "results": results}, args.out)
+    return code
 
 
 def _cmd_decompose(args) -> int:
@@ -479,7 +476,7 @@ def _cmd_verify(args) -> int:
     check("route-agreement", _route_agreement(results), 1e-7)
 
     plane = standard_form(frame)
-    check("plucker-residual", plucker_residual(plucker(plane.frame)), 1e-10)
+    check("plucker-residual", plucker_residual(plucker(plane)), 1e-10)
 
     other = KFrame(
         frame.s,
@@ -558,9 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="accepted for compatibility: planes run one after another and "
-        "results do not depend on it (a value other than 1 still asks for a "
-        "batch document, even for one file)",
+        help="accepted for compatibility; it has no effect",
     )
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_principal)
@@ -604,15 +599,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CLIError as e:
-        _emit(_error_doc(e.code, e.slug, e.message), None)
-        return e.code
-    except ArithmeticError as e:
-        _emit(_error_doc(EXIT_NUMERIC, "numeric", str(e)), None)
-        return EXIT_NUMERIC
-    except ValueError as e:
-        _emit(_error_doc(EXIT_PARSE, "invalid-value", str(e)), None)
-        return EXIT_PARSE
+    except _FAILURES as e:
+        doc, code = _failure(e)
+        _emit(doc, None)
+        return code
 
 
 if __name__ == "__main__":

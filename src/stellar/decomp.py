@@ -23,8 +23,8 @@ import numpy as np
 
 from .grassmann import (
     RANK_TOL,
+    KFrame,
     _multi_index_array,
-    frame_of,
     multi_index_positions,
     multi_indices,
     null_space,
@@ -86,44 +86,22 @@ def wedge_rep(s: SpinLabel, k: int, r: RotationSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiplicityTable:
-    """Multiplicities m_j of spin-j blocks, keyed by two_j descending to 0."""
+    """Multiplicities m_j > 0 of the spin-j blocks that occur, two_j descending."""
 
     s: SpinLabel
     k: int
     entries: tuple[tuple[int, int], ...]
 
-    def multiplicity(self, two_j: int) -> int:
-        for tj, m in self.entries:
-            if tj == two_j:
-                return m
-        return 0
-
     def nonzero(self) -> tuple[tuple[int, int], ...]:
-        return tuple((tj, m) for tj, m in self.entries if m)
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
+        return self.entries
 
     def total_dimension(self) -> int:
         return sum((tj + 1) * m for tj, m in self.entries)
 
 
-@lru_cache(maxsize=64)
-def _zero_entries(tsm: int) -> tuple[tuple[int, int], ...]:
-    """(two_j, 0) for two_j = tsm, ..., 0, shared by every table of that size.
-
-    At least every other entry of a table is zero (two_j of the other
-    parity), so sharing these tuples halves the objects a table holds.
-    """
-    return tuple((tj, 0) for tj in range(tsm, -1, -1))
-
-
 def _table_from_map(s: SpinLabel, k: int, mmap: dict) -> MultiplicityTable:
-    entries = tuple(
-        (z[0], mmap[z[0]]) if mmap.get(z[0]) else z
-        for z in _zero_entries(two_s_max(s, k))
-    )
-    return MultiplicityTable(s, k, entries)
+    entries = sorted(((tj, m) for tj, m in mmap.items() if m), reverse=True)
+    return MultiplicityTable(s, k, tuple(entries))
 
 
 def _multiplicities_from_gaussian(s: SpinLabel, k: int, c: list) -> MultiplicityTable:
@@ -474,19 +452,21 @@ class ComponentState:
     state: SpinState
 
 
-def decompose_plane(plane) -> list[ComponentState]:
-    """Spin-j components of the normalized Pluecker vector of a plane.
+def decompose_plane(frame: KFrame) -> list[ComponentState]:
+    """Spin-j components of the normalized Pluecker vector of a frame.
 
-    Accepts a KPlane or a bare KFrame; the frame's own overall scale and
-    phase fix the (gauge-dependent) phases of the components, so rotating
-    the rows coherently transforms every block by its spin-j rotation.
-    Each component entry is the product of one stored basis row with the
-    Pluecker entries of its own weight space.
+    The frame's own overall scale and phase fix the (gauge-dependent) phases
+    of the components, so rotating the rows coherently transforms every
+    block by its spin-j rotation.  Each component entry is the product of
+    one stored basis row with the Pluecker entries of its own weight space.
+    Minors whose norm overflows or underflows raise ArithmeticError.
     """
-    frame = frame_of(plane)
     basis = bd_basis(frame.s, frame.k)
     P = plucker(frame).comps
-    P = P / np.linalg.norm(P)
+    norm = np.linalg.norm(P)
+    if not 0.0 < norm < math.inf:
+        raise ArithmeticError("Pluecker minors overflow or underflow")
+    P = P / norm
     psi = np.einsum("rc,rc->r", basis.coefs, P[basis.level_cols][basis.row_level])
     out = []
     for mult in basis.layout:

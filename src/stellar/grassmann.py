@@ -73,20 +73,16 @@ class KFrame:
 
 
 @dataclass(frozen=True, eq=False)
-class KPlane:
-    """A point of the Grassmannian, held by its standard-form frame."""
+class KPlane(KFrame):
+    """A point of the Grassmannian: a frame in standard form, the identity on
+    its pivot columns.  Being a frame, it goes wherever a KFrame does."""
 
-    frame: KFrame
     pivot_columns: tuple[int, ...]
 
-
-def frame_of(plane) -> KFrame:
-    """The frame of a KPlane, or a bare KFrame itself."""
-    if isinstance(plane, KPlane):
-        return plane.frame
-    if isinstance(plane, KFrame):
-        return plane
-    raise TypeError("expected a KPlane or KFrame")
+    @property
+    def frame(self) -> KFrame:
+        """The plane itself: it is its own standard-form frame."""
+        return self
 
 
 def null_space(A: np.ndarray, rcond: float | None = None) -> np.ndarray:
@@ -143,7 +139,7 @@ def standard_form(frame: KFrame) -> KPlane:
     A = frame.rows[:, pivots]
     rep = np.linalg.solve(A, frame.rows)
     rep[:, pivots] = np.eye(frame.k)  # exact identity on the pivot block
-    return KPlane(KFrame(frame.s, frame.k, rep), pivots)
+    return KPlane(frame.s, frame.k, rep, pivots)
 
 
 def frame_inner(v: KFrame, w: KFrame) -> complex:
@@ -207,8 +203,7 @@ def rotate_frame(frame: KFrame, r: RotationSpec) -> KFrame:
     return KFrame(frame.s, frame.k, frame.rows @ D.T)
 
 
-def orthogonal_complement(plane: KPlane) -> KPlane:
-    """The (2s+1-k)-plane of states orthogonal to every state of the plane."""
-    rows = plane.frame.rows
-    comp = null_space(rows.conj()).T
-    return standard_form(KFrame(plane.frame.s, rows.shape[1] - rows.shape[0], comp))
+def orthogonal_complement(frame: KFrame) -> KPlane:
+    """The (2s+1-k)-plane of states orthogonal to every state of the frame."""
+    comp = null_space(frame.rows.conj()).T
+    return standard_form(KFrame(frame.s, frame.s.dim - frame.k, comp))

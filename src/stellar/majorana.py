@@ -223,26 +223,31 @@ def stereo_to_sphere(zeta) -> np.ndarray:
 
     A complex scalar gives a 3-vector; a sequence or array of n points, with
     infinity as complex(inf) as `poly_roots` returns it, gives an (n, 3)
-    array in one pass.
+    array in one pass.  A NaN point raises ValueError, unless its other part
+    is infinite: that point is infinity, as `cmath.isinf` reads it.
     """
     z = np.asarray(zeta, dtype=complex)
     if z.ndim == 0:
         return stereo_to_sphere(z[None])[0]
     x, y = z.real, z.imag
-    # hypot, as Python's abs(complex); np.abs can differ in the last bit
+    # hypot, as Python's abs(complex); np.abs can differ in the last bit.
+    # hypot(inf, nan) is inf, so only a NaN point off infinity gives NaN.
     a = np.hypot(x, y)
-    south = a > 1e150  # numerically indistinguishable from the south pole
-    any_south = south.any()
-    if any_south:
-        x, y, a = (np.where(south, 0.0, v) for v in (x, y, a))
+    # past 1e150 a point is numerically the south pole; NaN fails this too
+    near = a <= 1e150
+    all_near = near.all()
+    if not all_near:
+        if np.isnan(a).any():
+            raise ValueError("stereographic points must not be NaN")
+        x, y, a = (np.where(near, v, 0.0) for v in (x, y, a))
     a2 = a * a
     d = 1.0 + a2
     pts = np.empty((len(a), 3))
     np.divide(2 * x, d, out=pts[:, 0])
     np.divide(2 * y, d, out=pts[:, 1])
     np.divide(1.0 - a2, d, out=pts[:, 2])
-    if any_south:
-        pts[south] = (0.0, 0.0, -1.0)
+    if not all_near:
+        pts[~near] = (0.0, 0.0, -1.0)
     return pts
 
 

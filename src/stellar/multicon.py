@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .decomp import decompose_plane
-from .grassmann import frame_of
+from .grassmann import KFrame
 from .majorana import Constellation, constellation_of_state
 from .spin_rep import SpinLabel, SpinState, _ladder, geodesic_rotation, wigner_d
 
@@ -248,14 +248,12 @@ class Multiconstellation:
     flags: tuple
 
 
-def multiconstellation(plane) -> Multiconstellation:
+def multiconstellation(frame: KFrame) -> Multiconstellation:
     """Decompose a plane and gauge-fix every spin block.
 
-    Accepts a KPlane or KFrame; the representative's overall phase is part
-    of the gauge, so rotating the rows coherently rotates every piece of the
-    answer without re-fixing phases.
+    The frame's overall phase is part of the gauge, so rotating the rows
+    coherently rotates every piece of the answer without re-fixing phases.
     """
-    frame = frame_of(plane)
     comps = decompose_plane(frame)
     reports = []
     z_ok = True

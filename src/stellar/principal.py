@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import decompose_plane, two_s_max
-from .grassmann import KFrame, KPlane, frame_of, standard_form
+from .grassmann import KFrame, KPlane, standard_form
 from .majorana import (
     ComplexPolynomial,
     Constellation,
@@ -53,7 +53,7 @@ def _circle_coeffs(vals: np.ndarray, offset: float) -> np.ndarray:
     return np.fft.fft(vals) / n * np.exp(-2j * np.pi * offset * np.arange(n) / n)
 
 
-def principal_wronskian(plane) -> PrincipalResult:
+def principal_wronskian(frame: KFrame) -> PrincipalResult:
     """Principal polynomial as the Wronskian of the row polynomials.
 
     W(zeta) = det [ d^r P_i / d zeta^r ], rows i = 1..k, columns r = 0..k-1,
@@ -62,7 +62,6 @@ def principal_wronskian(plane) -> PrincipalResult:
     nominal degree cancel identically and are truncated after a
     cancellation check.
     """
-    frame = frame_of(plane)
     k, dim = frame.k, frame.s.dim
     d_nom = two_s_max(frame.s, k)
     derivs = np.zeros((k, k, dim), dtype=complex)
@@ -76,17 +75,18 @@ def principal_wronskian(plane) -> PrincipalResult:
     det = _circle_coeffs(vals, 0.0)
     top = float(np.max(np.abs(det)))
     tail = float(np.max(np.abs(det[d_nom + 1 :]), initial=0.0))
-    if tail > TRUNCATION_TOL * top:
+    # written so that NaN, infinite or all-zero coefficients fail it too
+    if not (0 < top < math.inf and tail <= TRUNCATION_TOL * top):
         raise ArithmeticError(
-            "Wronskian coefficients above the nominal degree failed to cancel"
+            "Wronskian coefficients overflow, underflow or fail to cancel above "
+            "the nominal degree"
         )
     poly = ComplexPolynomial(det[: d_nom + 1], d_nom)
     return PrincipalResult("wronskian", poly, constellation_of_polynomial(poly))
 
 
-def principal_top_component(plane) -> PrincipalResult:
+def principal_top_component(frame: KFrame) -> PrincipalResult:
     """Majorana polynomial of the plane's highest-spin block."""
-    frame = frame_of(plane)
     comps = decompose_plane(frame)
     top = comps[0]
     if top.two_j != two_s_max(frame.s, frame.k):
@@ -100,7 +100,7 @@ def principal_top_component(plane) -> PrincipalResult:
     return PrincipalResult("top", poly, constellation_of_polynomial(poly))
 
 
-def principal_sampled(plane) -> PrincipalResult:
+def principal_sampled(frame: KFrame) -> PrincipalResult:
     """Principal polynomial from coherent-plane overlaps.
 
     zeta^{k k'} det( conj(V_{-n(zeta)}) W^T ), with V_{-n} the first-columns
@@ -112,7 +112,6 @@ def principal_sampled(plane) -> PrincipalResult:
     (2s, k) alone; where it falls below 1e-10 (first at (2s, k) = (16, 7))
     no choice of nodes helps, and the route raises.
     """
-    frame = frame_of(plane)
     s, k = frame.s, frame.k
     d_nom = two_s_max(s, k)
     offset = 0.5
@@ -124,6 +123,8 @@ def principal_sampled(plane) -> PrincipalResult:
         raise ArithmeticError("could not find nonsingular sampling nodes")
     V = np.linalg.solve(A, rows)
     vals = nodes**d_nom * np.linalg.det(V.conj() @ frame.rows.T)
+    if not (np.all(np.isfinite(vals)) and np.any(vals)):
+        raise ArithmeticError("overlaps at the sampling nodes overflow or underflow")
     poly = ComplexPolynomial(_circle_coeffs(vals, offset), d_nom)
     return PrincipalResult("sampled", poly, constellation_of_polynomial(poly))
 
@@ -135,18 +136,18 @@ _ROUTES = {
 }
 
 
-def principal(plane, route: str = "wronskian") -> PrincipalResult:
+def principal(frame: KFrame, route: str = "wronskian") -> PrincipalResult:
     """Principal polynomial/constellation by the requested route."""
     try:
         fn = _ROUTES[route]
     except KeyError:
         raise ValueError(f"unknown route {route!r}; choose from {sorted(_ROUTES)}")
-    return fn(plane)
+    return fn(frame)
 
 
-def principal_all(plane) -> dict:
+def principal_all(frame: KFrame) -> dict:
     """All three routes at once, keyed by route name."""
-    return {name: fn(plane) for name, fn in _ROUTES.items()}
+    return {name: fn(frame) for name, fn in _ROUTES.items()}
 
 
 def schubert_count(s: SpinLabel, k: int) -> int:

@@ -132,6 +132,33 @@ def test_principal_batch_with_jobs():
         assert sub["route_agreement"] <= 1e-7
 
 
+def test_a_failed_plane_leaves_the_rest_of_its_batch(tmp_path):
+    rng = np.random.default_rng(46)
+    rows = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+
+    def plane(scale):
+        return {
+            "schema": "stellar/1",
+            "kind": "plane",
+            "two_s": 3,
+            "k": 2,
+            "rows": [[[z.real, z.imag] for z in row] for row in scale * rows],
+        }
+
+    good = _write(tmp_path, "good.json", plane(1.0))
+    big = _write(tmp_path, "big.json", plane(1e300))  # its minors overflow
+    proc, doc = _run_json("principal", good, big, "--route", "all")
+    assert proc.returncode == 3
+    assert doc["kind"] == "principal_batch"
+    assert doc["results"][good]["kind"] == "principal"
+    assert doc["results"][big]["kind"] == "error"
+    assert doc["results"][big]["code"] == 3
+    # --jobs has no effect: one file gives one principal document
+    proc, doc = _run_json("principal", good, "--jobs", "2")
+    assert proc.returncode == 0
+    assert doc["kind"] == "principal"
+
+
 def test_decompose_worked_example():
     proc, doc = _run_json("decompose", str(FIXTURES / "vw_22.json"))
     assert proc.returncode == 0

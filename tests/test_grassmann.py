@@ -9,10 +9,15 @@ from stellar import (
     PluckerVector,
     SpinLabel,
     coherent_plane,
+    decompose_plane,
     frame_inner,
+    multiconstellation,
     orthogonal_complement,
     plucker,
     plucker_residual,
+    principal,
+    principal_all,
+    projective_distance,
     rotate_frame,
     standard_form,
 )
@@ -239,3 +244,36 @@ def test_orthogonal_complement():
     assert np.abs(gram).max() < 1e-10
     back = orthogonal_complement(comp)
     assert plane_inner(back, plane) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_a_plane_is_the_frame_of_its_standard_form():
+    # every public function that takes a frame takes a KPlane as well, and
+    # reads the same plane from the frame and from its standard form
+    rng = np.random.default_rng(41)
+    f = random_frame(rng, 4, 2)
+    plane = standard_form(f)
+    assert issubclass(KPlane, KFrame) and plane.frame is plane
+    # the standard form is the frame times the inverse of its pivot block
+    scale = np.linalg.det(f.rows[:, list(plane.pivot_columns)])
+    P, Q = plucker(f).comps, plucker(plane).comps
+    assert np.abs(P - scale * Q).max() < 1e-12 * np.abs(P).max()
+    assert abs(frame_inner(plane, f) - np.vdot(Q, P)) < 1e-12 * np.abs(P).max()
+    r = random_rotation(rng)
+    a, b = (standard_form(rotate_frame(x, r)) for x in (f, plane))
+    assert np.abs(a.rows - b.rows).max() < 1e-12
+    a, b = (orthogonal_complement(x) for x in (f, plane))
+    assert np.abs(a.rows - b.rows).max() < 1e-12
+    # the normalized Pluecker vectors differ by the phase of the pivot minor
+    phase = scale / abs(scale)
+    for ca, cb in zip(decompose_plane(f), decompose_plane(plane)):
+        assert (ca.two_j, ca.copy_index) == (cb.two_j, cb.copy_index)
+        assert np.abs(ca.state.coeffs - phase * cb.state.coeffs).max() < 1e-12
+    assert projective_distance(
+        principal(f).polynomial, principal(plane).polynomial
+    ) < 1e-12
+    ra, rb = principal_all(f), principal_all(plane)
+    for route in ra:
+        assert projective_distance(ra[route].polynomial, rb[route].polynomial) < 1e-12
+    ma, mb = multiconstellation(f), multiconstellation(plane)
+    for ca, cb in zip(ma.components, mb.components):
+        assert abs(abs(ca.amplitude) - abs(cb.amplitude)) < 1e-12

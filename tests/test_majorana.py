@@ -356,8 +356,22 @@ def test_star_rejects_directions_that_are_not_finite_and_nonzero(direction):
 
 @pytest.mark.parametrize("root", [complex("nan"), complex(1.0, math.nan)])
 def test_constellation_from_roots_rejects_nan_roots(root):
-    with pytest.raises(ValueError, match="finite and nonzero"):
+    with pytest.raises(ValueError, match="must not be NaN"):
         constellation_from_roots([0.5j, root])
+
+
+@pytest.mark.parametrize(
+    "zeta", [complex("nan"), complex(1.0, math.nan), [0.5j, 2.0, complex("nan"), INF]]
+)
+def test_stereo_to_sphere_rejects_nan_points(zeta):
+    with pytest.raises(ValueError, match="must not be NaN"):
+        stereo_to_sphere(zeta)
+
+
+def test_stereo_to_sphere_reads_an_infinite_part_as_infinity():
+    # cmath.isinf(complex(inf, nan)) holds: the point is infinity, not NaN
+    for z in (complex(math.inf, math.nan), complex(math.nan, -math.inf)):
+        assert stereo_to_sphere(z).tolist() == [0.0, 0.0, -1.0]
 
 
 def _stereo_scalar(r) -> np.ndarray:

@@ -8,6 +8,8 @@ from stellar import (
     KFrame,
     SpinLabel,
     constellation_match_angle,
+    decompose_plane,
+    multiconstellation,
     planes_from_quartic_32,
     plucker,
     principal,
@@ -106,6 +108,17 @@ def test_principal_accepts_plane_and_frame():
     a = principal(frame).polynomial
     b = principal(standard_form(frame)).polynomial
     assert projective_distance(a, b) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_planes_whose_minors_overflow_or_underflow_raise(scale):
+    f = random_frame(np.random.default_rng(54), 3, 2)
+    g = KFrame(f.s, f.k, scale * f.rows)
+    routes = (principal_wronskian, principal_sampled, principal_top_component)
+    with np.errstate(all="ignore"):
+        for fn in routes + (decompose_plane, multiconstellation):
+            with pytest.raises(ArithmeticError, match="overflow"):
+                fn(g)
 
 
 def test_degree_drop_puts_stars_at_south_pole():
