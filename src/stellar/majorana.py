@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -170,6 +171,15 @@ class Constellation:
         object.__setattr__(self, "directions", d)
         object.__setattr__(self, "multiplicities", m)
 
+    @classmethod
+    def _of_rows(cls, directions, multiplicities, total: int) -> Constellation:
+        """A constellation on validated read-only arrays, which it keeps as they are."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "directions", directions)
+        object.__setattr__(c, "multiplicities", multiplicities)
+        object.__setattr__(c, "total", total)
+        return c
+
     @cached_property
     def stars(self) -> tuple[Star, ...]:
         """The stars in order, each on its row of `directions`."""
@@ -191,31 +201,44 @@ def poly_roots(p: ComplexPolynomial) -> np.ndarray:
     """All d_nom roots as a complex array; the d_nom - degree roots lost with
     the leading coefficients come first, as complex(inf).
 
+    The one-polynomial case of `_roots`, which documents the method.
+    """
+    return _roots([p])[0]
+
+
+def _roots(polys) -> list[np.ndarray]:
+    """`poly_roots` of each polynomial, in one pass per actual degree.
+
     The finite roots are the eigenvalues of the companion matrix, which
     LAPACK balances before its QR iteration (backward stable: Edelman and
-    Murakami, Math. Comp. 64 (1995)).  Each root z is then checked on the
-    disc: w = z, or w = 1/z on the reversed coefficients when |z| > 1, must
-    give |P(w)| <= ROOT_TOL * sum |a_j|, or ArithmeticError is raised.
+    Murakami, Math. Comp. 64 (1995)); the companions of all polynomials of
+    one actual degree go to one stacked `eigvals`.  Each root z is then
+    checked on the disc: w = z, or w = 1/z on the reversed coefficients when
+    |z| > 1, must give |P(w)| <= ROOT_TOL * sum |a_j|, or ArithmeticError is
+    raised.
     """
-    deg = p.degree()
-    at_inf = np.full(p.d_nom - deg, math.inf, dtype=complex)
-    if deg == 0:
-        return at_inf
-    c = p.coeffs[: deg + 1]
-    companion = np.eye(deg, k=-1, dtype=complex)
-    companion[:, -1] = -c[:-1] / c[-1]
-    z = np.linalg.eigvals(companion)
-    inside = np.abs(z) <= 1.0
-    w = np.divide(1.0, z, out=z.copy(), where=~inside)
-    powers = np.vander(w, deg + 1, increasing=True)
-    residual = np.abs(np.where(inside, powers @ c, powers @ c[::-1]))
-    err = residual / np.abs(c).sum()
-    worst = float(err.max())  # NaN if any root is NaN
-    if not worst <= ROOT_TOL:
-        raise ArithmeticError(
-            f"root backward error {worst:.3g} exceeds ROOT_TOL = {ROOT_TOL:g}"
-        )
-    return np.concatenate((at_inf, z)) if len(at_inf) else z
+    degrees = [p.degree() for p in polys]
+    out = [None if d else np.full(p.d_nom, math.inf, dtype=complex) for p, d in zip(polys, degrees)]
+    for deg in set(degrees) - {0}:
+        idx = [i for i, d in enumerate(degrees) if d == deg]
+        c = np.array([polys[i].coeffs[: deg + 1] for i in idx])
+        companion = np.zeros((len(idx), deg, deg), dtype=complex)
+        companion.reshape(len(idx), -1)[:, deg :: deg + 1] = 1.0  # the subdiagonal
+        np.divide(c[:, :-1], -c[:, -1:], out=companion[:, :, -1])
+        z = np.linalg.eigvals(companion)
+        inside = np.abs(z) <= 1.0
+        w = np.divide(1.0, z, out=z.copy(), where=~inside)
+        powers = np.vander(w.ravel(), deg + 1, increasing=True).reshape(*z.shape, deg + 1)
+        at_w = np.where(inside[..., None], powers @ c[..., None], powers @ c[:, ::-1, None])
+        worst = float((np.abs(at_w[..., 0]) / np.abs(c).sum(1)[:, None]).max())  # NaN if a root is
+        if not worst <= ROOT_TOL:
+            raise ArithmeticError(
+                f"root backward error {worst:.3g} exceeds ROOT_TOL = {ROOT_TOL:g}"
+            )
+        for i, roots in zip(idx, z):
+            lost = polys[i].d_nom - deg
+            out[i] = roots if not lost else np.concatenate((np.full(lost, math.inf), roots))
+    return out
 
 
 def stereo_to_sphere(zeta) -> np.ndarray:
@@ -257,8 +280,9 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
 
 
-def _in_star_order(directions: np.ndarray) -> np.ndarray:
-    """The permutation that lists rows by (theta on a CLUSTER_TOL grid, phi).
+def _in_star_order(directions: np.ndarray, *sets: np.ndarray) -> np.ndarray:
+    """The permutation that lists rows by (theta on a CLUSTER_TOL grid, phi),
+    within each set when `sets` gives the (ascending) set of each row.
 
     Polar angles equal in exact arithmetic differ in their last bits, and
     must not decide the order of stars that share a circle of latitude.
@@ -268,34 +292,35 @@ def _in_star_order(directions: np.ndarray) -> np.ndarray:
     theta = np.arccos(np.minimum(np.maximum(z, -1.0), 1.0))
     phi = np.arctan2(y, x) % (2 * math.pi)
     phi[np.hypot(x, y) <= CLUSTER_TOL] = 0.0
-    return np.lexsort((phi, np.round(theta / CLUSTER_TOL)))
+    return np.lexsort((phi, np.round(theta / CLUSTER_TOL), *sets))
 
 
-def _cluster_labels(pts: np.ndarray) -> np.ndarray:
-    """Greedy chordal clustering: the index of each point's star.
+def _clustered(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy chordal clustering: the stars, each at the mean of its points,
+    and their multiplicities.
 
     In point order, the first point not yet taken opens the next star and
     takes every later free point within CLUSTER_TOL of it.
     """
     n = len(pts)
-    z = np.sort(pts[:, 2])
-    if not (z[1:] - z[:-1] <= 2 * CLUSTER_TOL).any():
-        return np.arange(n)  # a chord is at least its z gap: no two points are close
     d2 = np.zeros((n, n))
     for x in pts.T:  # n x n temporaries, no n x n x 3 difference tensor
         d2 += (x[:, None] - x[None, :]) ** 2
     close = np.sqrt(d2) <= CLUSTER_TOL
     labels = np.arange(n)
-    shared = np.flatnonzero(close.sum(axis=1) > 1)
-    if not len(shared):
-        return labels
-    for i in shared:
+    for i in np.flatnonzero(close.sum(axis=1) > 1):
         if labels[i] == i:
             later = i + 1 + np.flatnonzero(close[i, i + 1 :])
             free = later[labels[later] == later]
             labels[free] = i
     opens = labels == np.arange(n)
-    return (np.cumsum(opens) - 1)[labels]
+    if opens.all():
+        return pts, np.ones(n, dtype=np.intp)
+    labels = (np.cumsum(opens) - 1)[labels]
+    counts = np.bincount(labels)
+    sums = np.zeros((len(counts), 3))
+    np.add.at(sums, labels, pts)
+    return sums / counts[:, None], counts
 
 
 def _ordered(directions: np.ndarray, multiplicities: np.ndarray, total: int) -> Constellation:
@@ -307,23 +332,55 @@ def constellation_from_roots(roots, total: int | None = None) -> Constellation:
     """Cluster projected roots into stars (chordal tolerance CLUSTER_TOL).
 
     The roots are a complex array as `poly_roots` returns, or any iterable
-    of complex roots, infinity as complex(inf).  They are projected in one
-    array pass and clustered greedily in root order (see _cluster_labels);
-    a star sits at the mean of its roots' points, normalized once, and
-    stars are listed in the order of _in_star_order.
+    of complex roots, infinity as complex(inf); total, when given, must be
+    their number.  The one-set case of `_constellations`, which documents
+    the method.
     """
-    pts = stereo_to_sphere(roots if isinstance(roots, np.ndarray) else list(roots))
-    n = len(pts)
-    total = n if total is None else total
-    labels = _cluster_labels(pts)
-    if n and labels.max() < n - 1:
-        counts = np.bincount(labels)
-        sums = np.zeros((len(counts), 3))
-        np.add.at(sums, labels, pts)
-        pts = sums / counts[:, None]
-    else:
-        counts = np.ones(n, dtype=np.intp)
-    return _ordered(_unit_rows(pts), counts, total)
+    roots = roots if isinstance(roots, np.ndarray) else list(roots)
+    if total is not None and total != len(roots):
+        raise ValueError("multiplicities must sum to total")
+    return _constellations([roots])[0]
+
+
+def _constellations(root_sets) -> list[Constellation]:
+    """`constellation_from_roots` of each root set, in one array pass.
+
+    All roots are projected at once.  A set is clustered (greedily in root
+    order, see `_clustered`) only if two of its points lie within
+    2 CLUSTER_TOL in z, since a chord is at least its z gap; a star sits at
+    the mean of its roots' points.  Every row is normalized once, each set's
+    stars are listed in the order of `_in_star_order` by one sort keyed on
+    the set, and the rows are validated (finite, nonzero) by one sum.
+    """
+    totals = [len(r) for r in root_sets]
+    sets = np.arange(len(totals)).repeat(totals)
+    pts = stereo_to_sphere(np.concatenate(root_sets))
+    counts = np.ones(len(pts), dtype=np.intp)
+    # z + 4 * set keeps each set's points together, 2 apart from the next
+    z = np.sort(pts[:, 2] + 4.0 * sets)
+    crowded = set(sets[1:][z[1:] - z[:-1] <= 2 * CLUSTER_TOL].tolist())
+    sizes = totals
+    if crowded:
+        bounds = list(accumulate(totals, initial=0))
+        parts = [
+            _clustered(pts[a:b]) if i in crowded else (pts[a:b], counts[a:b])
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+        ]
+        pts, counts = (np.concatenate(v) for v in zip(*parts))
+        sizes = [len(m) for _, m in parts]
+        sets = np.arange(len(sizes)).repeat(sizes)
+    rows = _unit_rows(pts)
+    if not np.isfinite(rows.sum()):  # a row that was zero or not finite is NaN now
+        raise ValueError("directions must be finite and nonzero")
+    order = _in_star_order(rows, sets)
+    rows, counts = rows[order], counts[order]
+    rows.setflags(write=False)
+    counts.setflags(write=False)
+    bounds = list(accumulate(sizes, initial=0))
+    return [
+        Constellation._of_rows(rows[a:b], counts[a:b], total)
+        for a, b, total in zip(bounds, bounds[1:], totals)
+    ]
 
 
 def constellation_of_state(psi: SpinState) -> Constellation:

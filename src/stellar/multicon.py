@@ -13,13 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .decomp import decompose_plane
 from .grassmann import KFrame
-from .majorana import Constellation, constellation_of_state
-from .spin_rep import SpinLabel, SpinState, _ladder, geodesic_rotation, wigner_d
+from .majorana import (
+    Constellation, _constellations, _roots, constellation_of_state, majorana_polynomial,
+)
+from .spin_rep import (
+    SpinLabel, SpinState, _geodesic_quaternions, _ladder, _sy_eigenbasis, _wigner_columns,
+)
 
 #: Relative threshold for treating amplitudes/expectations as zero.
 GAUGE_TOL = 1e-9
@@ -121,52 +126,74 @@ def gauge_fix_component(psi: SpinState) -> GaugeFixed:
 
     Rotate the spin expectation to +z, cancel the phase of the first
     non-axial polarization component by a diagonal S_z twist, and read off
-    z = ||psi|| e^{i beta} from the first nonzero coefficient.
+    z = ||psi|| e^{i beta} from the first nonzero coefficient.  The
+    one-component case of `_gauge_fix`.
     """
-    two_j = psi.s.two_s
-    if two_j == 0:
+    if psi.s.two_s == 0:
         raise ValueError("gauge fixing applies to spin j > 0 components")
-    nrm = psi.norm
-    if nrm <= 1e-12:
+    if psi.norm <= 1e-12:
         raise ValueError("cannot gauge-fix a zero component")
-    constellation = constellation_of_state(psi)
-    spin1_warning = two_j == 2
-    c = psi.coeffs
-    # <S_+> = sum_i conj(c_i) <i|S_+|i+1> c_{i+1}, <S_x> + i <S_y> = <S_+>
-    s_plus = _ladder(two_j) @ (c[:-1].conj() * c[1:])
-    s_z = psi.s.m_values() @ (c.real**2 + c.imag**2)
-    sev = np.array([s_plus.real, s_plus.imag, s_z])
-    j = two_j / 2
-    if np.linalg.norm(sev) <= GAUGE_TOL * j * nrm * nrm:
-        return GaugeFixed(
-            two_j, None, constellation, False, "vanishing spin expectation",
-            spin1_warning, sev, None, None, None, None,
-        )
-    n = sev / np.linalg.norm(sev)
-    D = wigner_d(psi.s, geodesic_rotation(n))
-    psi1 = D.conj().T @ c  # inverse rotation: expectation now along +z
-    rho1 = np.outer(psi1, psi1.conj())
-    pol = polarization_components(rho1, psi.s)
-    selected = None
-    # Scan ell ascending, m descending within each ell, matching the storage
-    # order of PolarizationComponents.  The residual-orbit quotient below
-    # makes the final amplitude independent of this direction.
-    for ell in range(1, two_j + 1):
-        for m in range(ell, -ell - 1, -1):
-            if m == 0:
-                continue
-            v = pol.get(ell, m)
-            if abs(v) > GAUGE_TOL * nrm * nrm:
-                selected = (ell, m, v)
-                break
-        if selected:
-            break
+    return _gauge_fix([psi])[0]
+
+
+def _gauge_fix(states: list) -> list[GaugeFixed]:
+    """`gauge_fix_component` of each nonzero spin-j > 0 component, in one pass:
+    one pass over all roots, norms and spin expectations as reductions over
+    the stacked coefficients, and one `_wigner_columns` call that rotates
+    every spin expectation to +z.  Only `_gauge_of` runs per component.
+    """
+    constellations = _constellations(_roots([majorana_polynomial(psi) for psi in states]))
+    two_j = [psi.s.two_s for psi in states]
+    dims = [n + 1 for n in two_j]
+    starts = list(accumulate(dims, initial=0))[:-1]
+    c = np.concatenate([psi.coeffs for psi in states])
+    weight = c.real**2 + c.imag**2
+    nrm = np.sqrt(np.add.reduceat(weight, starts)).tolist()
+    # <S_+> = sum_i conj(c_i) <i|S_+|i+1> c_{i+1}, <S_x> + i <S_y> = <S_+>;
+    # a 0 after each component's ladder drops the pair across components
+    ladder = np.concatenate([x for n in two_j for x in (_ladder(n), (0.0,))])[:-1]
+    s_plus = np.add.reduceat(ladder * (c[:-1].conj() * c[1:]), starts)
+    two_m = np.concatenate([_sy_eigenbasis(n)[0] for n in two_j])
+    sev = np.empty((len(states), 3))
+    sev[:, 0], sev[:, 1] = s_plus.real, s_plus.imag
+    sev[:, 2] = np.add.reduceat(two_m * weight, starts) / 2
+    sev_norm = np.sqrt((sev * sev).sum(1))
+    live = [
+        b for b, (size, n, r) in enumerate(zip(sev_norm.tolist(), two_j, nrm))
+        if size > GAUGE_TOL * n / 2 * r * r
+    ]
+    psi1 = {}
+    if live:
+        q = _geodesic_quaternions(sev[live] / sev_norm[live, None])
+        q[:, 1:] *= -1.0  # the inverse rotation: expectation now along +z
+        x = np.concatenate([states[b].coeffs for b in live])[:, None]
+        rotated = _wigner_columns([two_j[b] for b in live], q, x)[:, 0]
+        ends = accumulate(dims[b] for b in live)
+        psi1 = {b: rotated[e - dims[b] : e] for b, e in zip(live, ends)}
+    return [
+        _gauge_of(psi1.get(b), two_j[b], nrm[b], constellations[b], sev[b])
+        for b in range(len(states))
+    ]
+
+
+def _gauge_of(psi1, two_j: int, nrm: float, constellation: Constellation, sev) -> GaugeFixed:
+    """The polarization scan, alpha twist and beta quotient of one component,
+    rotated so that its spin expectation is along +z (psi1 None: it has none)."""
+    spin, pol, selected = SpinLabel(two_j), None, None
+    if psi1 is not None:
+        pol = polarization_components(np.outer(psi1, psi1.conj()), spin)
+        # Scan ell ascending, m descending within each ell, matching the storage
+        # order of PolarizationComponents.  The residual-orbit quotient below
+        # makes the final amplitude independent of this direction.
+        lms = ((ell, m) for ell in range(1, two_j + 1) for m in range(ell, -ell - 1, -1) if m)
+        selected = next((lm for lm in lms if abs(pol.get(*lm)) > GAUGE_TOL * nrm * nrm), None)
     if selected is None:
+        reason = "vanishing spin expectation" if pol is None else "axial symmetry"
         return GaugeFixed(
-            two_j, None, constellation, False, "axial symmetry",
-            spin1_warning, sev, None, None, None, pol,
+            two_j, None, constellation, False, reason, two_j == 2, sev, None, None, None, pol,
         )
-    ell0, m0, v0 = selected
+    ell0, m0 = selected
+    v0 = pol.get(ell0, m0)
     # alpha lives on [0, 2*pi) so the branch cut sits on the positive real
     # axis, away from negative-real selected components; noise that lands
     # just below the cut is folded back to 0, because a twist by 2*pi/m is
@@ -174,7 +201,7 @@ def gauge_fix_component(psi: SpinState) -> GaugeFixed:
     alpha = math.atan2(v0.imag, v0.real) % (2.0 * math.pi)
     if 2.0 * math.pi - alpha < 1e-9:
         alpha = 0.0
-    m_values = psi.s.m_values()
+    m_values = spin.m_values()
     psi2 = np.exp(-1j * alpha * m_values / m0) * psi1
     mags = np.abs(psi2)
     lead_idx = int(np.nonzero(mags > 1e-12 * mags.max())[0][0])
@@ -199,8 +226,7 @@ def gauge_fix_component(psi: SpinState) -> GaugeFixed:
             beta = cand
     z = nrm * complex(math.cos(beta), math.sin(beta))
     return GaugeFixed(
-        two_j, z, constellation, True, None, spin1_warning,
-        sev, (ell0, m0), alpha, beta, pol,
+        two_j, z, constellation, True, None, two_j == 2, sev, (ell0, m0), alpha, beta, pol,
     )
 
 
@@ -255,47 +281,32 @@ def multiconstellation(frame: KFrame) -> Multiconstellation:
     coherently rotates every piece of the answer without re-fixing phases.
     """
     comps = decompose_plane(frame)
+    norms = [comp.state.norm for comp in comps]
+    live = [comp.state for comp, nrm in zip(comps, norms) if comp.two_j > 0 and nrm > GAUGE_TOL]
+    gauges = iter(_gauge_fix(live) if live else ())
     reports = []
     z_ok = True
     all_flags = []
-    for comp in comps:
-        nrm = comp.state.norm
+    for comp, nrm in zip(comps, norms):
+        tag = (comp.two_j, comp.copy_index)
         if nrm <= GAUGE_TOL:
-            reports.append(
-                ComponentReport(
-                    comp.two_j, comp.copy_index, 0.0, True, None, None,
-                    ("absent",),
-                )
-            )
+            reports.append(ComponentReport(*tag, 0.0, True, None, None, ("absent",)))
             continue
         if comp.two_j == 0:
-            reports.append(
-                ComponentReport(
-                    comp.two_j, comp.copy_index, complex(comp.state.coeffs[0]),
-                    False, _NO_STARS, None, (),
-                )
-            )
+            amplitude = complex(comp.state.coeffs[0])
+            reports.append(ComponentReport(*tag, amplitude, False, _NO_STARS, None, ()))
             continue
-        g = gauge_fix_component(comp.state)
+        g = next(gauges)
         flags = []
         if not g.applicable:
             flags.append(f"gauge not applicable: {g.reason}")
             z_ok = False
         if g.spin1_warning:
             flags.append("spin-1 block: z and constellation underdetermine it")
-        reports.append(
-            ComponentReport(
-                comp.two_j, comp.copy_index, g.z, False, g.constellation,
-                g, tuple(flags),
-            )
-        )
+        reports.append(ComponentReport(*tag, g.z, False, g.constellation, g, tuple(flags)))
         all_flags.extend(flags)
-    if z_ok:
-        z_values = tuple(r.amplitude for r in reports)
-        spectator = spectator_constellation(z_values)
-    else:
-        z_values = None
-        spectator = None
+    z_values = tuple(r.amplitude for r in reports) if z_ok else None
+    spectator = None if z_values is None else spectator_constellation(z_values)
     return Multiconstellation(
         frame.s, frame.k, tuple(reports), z_values, spectator, tuple(all_flags)
     )

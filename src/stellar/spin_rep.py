@@ -16,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -146,23 +147,33 @@ def _sy_eigenbasis(two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _wigner_columns(two_s: int, q: np.ndarray, k: int) -> np.ndarray:
-    """First k columns of the spin-s rotation matrix at each of N rotations.
+def _wigner_columns(two_s, q: np.ndarray, x) -> np.ndarray:
+    """D(q_i) x_i for N rotations, each of its own spin.
 
-    q is an (N, 4) array of SU(2) quaternions (w, x, y, z); the result is
-    (N, 2s + 1, k).  Evaluated in z-y-z Euler form, D = e^{-i alpha S_z}
-    e^{-i beta S_y} e^{-i gamma S_z}, from the SU(2) element
-    [[a, -conj(b)], [b, conj(a)]] of each rotation, with e^{-i beta S_y} =
-    V diag(e^{-i beta m}) V^dagger.  Working from the SU(2) element keeps the
-    sign of a 2*pi rotation on half-integer spins.  Each phase e^{-i angle m}
-    is an integer power of a unit complex number, taken in extended
-    precision where the platform has it: a power 2s of a double would
-    multiply its rounding error by 2s.  The identity quaternion gives the
-    identity columns exactly.
+    two_s is one 2s for all rotations or a list of N, q an (N, 4) array of
+    SU(2) quaternions (w, x, y, z), and x stacks the (2s_i + 1, k) blocks x_i
+    in rotation order; the result is stacked the same way.  An int x = k
+    stands for the first k identity columns, and the result is then the
+    first k columns of each rotation matrix, (N, 2s + 1, k).
+
+    Evaluated in z-y-z Euler form, D = e^{-i alpha S_z} e^{-i beta S_y}
+    e^{-i gamma S_z}, from the SU(2) element [[a, -conj(b)], [b, conj(a)]]
+    of each rotation, with e^{-i beta S_y} = V diag(e^{-i beta m}) V^dagger,
+    one factor at a time: a run of rotations of one spin meets that spin's
+    cached V and V^dagger in one batched matmul each, and no rotation matrix
+    is formed.  Working from the SU(2) element keeps the sign of a 2*pi
+    rotation on half-integer spins.  Each phase e^{-i angle m} is an integer
+    power of a unit complex number, taken in extended precision where the
+    platform has it: a power 2s of a double would multiply its rounding
+    error by 2s.  The identity quaternion leaves x_i exactly as it is.
     """
     q = np.asarray(q, dtype=float)
-    w, x, y, z = q.T
-    a, b = (w - 1j * z).astype(np.clongdouble), (y - 1j * x).astype(np.clongdouble)
+    if isinstance(x, int):
+        cols = np.eye(two_s + 1, x)[None].repeat(len(q), 0)
+        return _wigner_columns(two_s, q, cols.reshape(-1, x)).reshape(cols.shape)
+    spins = [two_s] * len(q) if isinstance(two_s, int) else two_s
+    w, qx, qy, qz = q.T
+    a, b = (w - 1j * qz).astype(np.clongdouble), (qy - 1j * qx).astype(np.clongdouble)
     abs_a, abs_b = np.abs(a), np.abs(b)
     # u = e^{-i (alpha + gamma) / 2} and v = e^{-i (alpha - gamma) / 2}, 1
     # where undefined: a zero numerator gets 1 added to both sides
@@ -175,13 +186,22 @@ def _wigner_columns(two_s: int, q: np.ndarray, k: int) -> np.ndarray:
     # (u / p)^{2m}: p (u / p) = u fixes the SU(2) sign
     bases = np.empty((len(q), 3, 1), dtype=np.clongdouble)
     bases[:, 0, 0], bases[:, 1, 0], bases[:, 2, 0] = p, c / np.abs(c), u * p.conj()
-    two_m, V, VH = _sy_eigenbasis(two_s)
-    ph_alpha, ph_beta, ph_gamma = (bases**two_m).astype(complex).transpose(1, 0, 2)
-    D = (ph_alpha[:, :, None] * V * ph_beta[:, None]) @ (VH[:, :k] * ph_gamma[:, None, :k])
+    out = np.empty(x.shape, dtype=complex)
+    lo = start = 0
+    for n, run in groupby(spins):  # a run of one spin: one batched matmul per factor
+        hi = lo + len(list(run))
+        two_m, V, VH = _sy_eigenbasis(n)
+        phases = (bases[lo:hi] ** two_m).astype(complex)[..., None]
+        ph_alpha, ph_beta, ph_gamma = phases.transpose(1, 0, 2, 3)
+        rows = slice(start, start + (hi - lo) * (n + 1))
+        y = VH @ (ph_gamma * x[rows].reshape(hi - lo, n + 1, -1))
+        out[rows] = (ph_alpha * (V @ (ph_beta * y))).reshape(-1, x.shape[1])
+        lo, start = hi, rows.stop
     identity = b_zero & (a == 1)
     if identity.any():
-        D[identity] = np.eye(two_s + 1, k)
-    return D
+        rows = identity.repeat([n + 1 for n in spins])
+        out[rows] = x[rows]
+    return out
 
 
 def wigner_d(s: SpinLabel, r: RotationSpec) -> np.ndarray:
@@ -235,11 +255,12 @@ def geodesic_rotation(n) -> RotationSpec:
 
 def _geodesic_quaternions(n: np.ndarray) -> np.ndarray:
     """(N, 4) SU(2) quaternions of `geodesic_rotation` at the rows of n."""
-    half = np.arccos(np.clip(n[:, 2], -1.0, 1.0)) / 2
+    half = np.arccos(np.minimum(np.maximum(n[:, 2], -1.0), 1.0)) / 2
     phi = np.arctan2(n[:, 1], n[:, 0])
     sin_half = np.sin(half)
-    zero = np.zeros_like(half)
-    return np.stack([np.cos(half), -sin_half * np.sin(phi), sin_half * np.cos(phi), zero], -1)
+    q = np.zeros((len(n), 4))
+    q[:, 0], q[:, 1], q[:, 2] = np.cos(half), -sin_half * np.sin(phi), sin_half * np.cos(phi)
+    return q
 
 
 def so3_matrix(r: RotationSpec) -> np.ndarray:

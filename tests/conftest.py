@@ -68,3 +68,8 @@ def stereo_from_sphere(n):
     if v[2] < -1.0 + 1e-14:
         return INF
     return complex(v[0], v[1]) / (1.0 + v[2])
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: -0.0 and 0.0 differ, as do NaN payloads."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -29,12 +29,14 @@ from stellar.majorana import (
     Constellation,
     Star,
     _assignment,
+    _constellations,
+    _roots,
     constellation_from_roots,
     stereo_to_sphere,
 )
 from stellar.spin_rep import so3_matrix
 
-from conftest import INF, random_rotation, random_state, stereo_from_sphere
+from conftest import INF, random_rotation, random_state, same_bits, stereo_from_sphere
 
 
 def test_majorana_polynomial_spin1_oracle():
@@ -642,3 +644,59 @@ def test_constellation_arrays_are_read_only_copies_and_stars_share_their_bits():
             assert star.multiplicity == built.multiplicities[i]
             assert not star.direction.flags.writeable
     assert Constellation(np.zeros((0, 3)), np.zeros(0, dtype=int), 0).stars == ()
+
+
+def _mixed_polynomials(rng) -> list:
+    """Majorana polynomials of several degrees, repeated degrees, lost leading
+    coefficients (roots at infinity) and a constant."""
+    polys = []
+    for two_s in (3, 1, 6, 3, 12, 6, 2, 5, 3):
+        c = rng.standard_normal(two_s + 1) + 1j * rng.standard_normal(two_s + 1)
+        polys.append(majorana_polynomial(SpinState(SpinLabel(two_s), c)))
+    for lost in (1, 2, 4):
+        c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        c[:lost] = 0.0  # m = 3, 2, ...: the top coefficients of the polynomial
+        polys.append(majorana_polynomial(SpinState(SpinLabel(6), c)))
+    polys.append(ComplexPolynomial(np.array([2.0 - 1j, 0.0, 0.0]), 2))
+    return polys
+
+
+def test_batched_roots_equal_poly_roots_bit_for_bit():
+    polys = _mixed_polynomials(np.random.default_rng(73))
+    batched = _roots(polys)
+    assert len(batched) == len(polys)
+    for p, roots in zip(polys, batched):
+        assert same_bits(roots, poly_roots(p))
+    assert [int(np.isinf(r).sum()) for r in batched[-4:]] == [1, 2, 4, 2]
+
+
+def test_batched_roots_raise_when_any_polynomial_fails_its_check():
+    rng = np.random.default_rng(61)
+    c = (rng.standard_normal(41) + 1j * rng.standard_normal(41)) * 10.0 ** rng.uniform(
+        -10, 10, 41
+    )
+    good = _mixed_polynomials(np.random.default_rng(74))
+    with pytest.raises(ArithmeticError, match="backward error"):
+        _roots(good[:3] + [ComplexPolynomial(c, 40)] + good[3:])
+
+
+def test_batched_constellations_equal_the_one_set_path_bit_for_bit():
+    rng = np.random.default_rng(75)
+    sets = [poly_roots(p) for p in _mixed_polynomials(rng)]
+    a, b = complex(rng.standard_normal(), rng.standard_normal()), 0.4 - 0.2j
+    sets += [
+        np.array([a, b, a, a + 1e-9, INF, INF]),  # clustered, at infinity too
+        np.array([], dtype=complex),
+        np.array([b]),
+        np.array([a, -1.0 / np.conj(a), b, b]),  # an antipodal pair, a double star
+    ]
+    rng.shuffle(sets)
+    batched = _constellations(sets)
+    assert len(batched) == len(sets)
+    assert sum(int((c.multiplicities > 1).any()) for c in batched) >= 3
+    for roots, got in zip(sets, batched):
+        want = constellation_from_roots(roots)
+        assert same_bits(got.directions, want.directions)
+        assert same_bits(got.multiplicities, want.multiplicities)
+        assert got.total == want.total == len(roots)
+        assert not got.directions.flags.writeable and not got.multiplicities.flags.writeable

@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stellar import (
     KFrame,
     SpinLabel,
     SpinState,
+    coherent_plane,
     constellation_match_angle,
+    constellation_of_state,
+    decompose_plane,
     gauge_fix_component,
     multiconstellation,
     polarization_components,
@@ -17,10 +21,11 @@ from stellar import (
     spectator_constellation,
     standard_form,
 )
+from stellar import majorana
 from stellar.multicon import GAUGE_TOL, _polarization_diagonals
 from stellar.spin_rep import geodesic_rotation, wigner_d
 
-from conftest import random_frame, random_rotation, spin_matrices
+from conftest import random_frame, random_rotation, same_bits, spin_matrices
 
 
 def _twice(x, name: str) -> int:
@@ -417,7 +422,7 @@ def test_spectator_rotation_invariance():
         mc = multiconstellation(rotate_frame(frame, r))
         assert mc.z_values is not None
         for a, b in zip(mc.z_values, base.z_values):
-            assert abs(a - b) < 1e-7
+            assert abs(a - b) < 1e-12
 
 
 def test_component_covariance():
@@ -522,3 +527,100 @@ def test_multiconstellation_accepts_plane():
             assert rb.constellation is None
             continue
         assert constellation_match_angle(ra.constellation, rb.constellation) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# multiconstellation gauge-fixes all blocks in one pass; each block must be
+# what the one-block path gives for its own state
+
+
+def _blocks_match_the_one_block_path(frame: KFrame) -> list:
+    """Check every gauge-fixed block of multiconstellation(frame) against
+    gauge_fix_component and constellation_of_state of its state; return the
+    blocks' GaugeFixed records."""
+    mc = multiconstellation(frame)
+    gauges = []
+    for rep, comp in zip(mc.components, decompose_plane(frame)):
+        assert (rep.two_j, rep.copy_index) == (comp.two_j, comp.copy_index)
+        if rep.gauge is None:
+            continue
+        g, want = rep.gauge, gauge_fix_component(comp.state)
+        one = constellation_of_state(comp.state)
+        for c in (g.constellation, want.constellation):
+            assert same_bits(c.directions, one.directions)
+            assert same_bits(c.multiplicities, one.multiplicities)
+            assert c.total == one.total
+        assert (g.applicable, g.reason, g.selected_lm, g.spin1_warning) == (
+            want.applicable, want.reason, want.selected_lm, want.spin1_warning,
+        )
+        assert np.abs(g.sev - want.sev).max() <= 1e-12
+        for got, ref in ((g.z, want.z), (g.alpha, want.alpha), (g.beta, want.beta)):
+            assert (got is None) == (ref is None)
+            assert got is None or abs(got - ref) <= 1e-12
+        flags = [f"gauge not applicable: {want.reason}"] if not want.applicable else []
+        flags += ["spin-1 block: z and constellation underdetermine it"] * want.spin1_warning
+        assert rep.flags == tuple(flags)
+        gauges.append(g)
+    return gauges
+
+
+@pytest.mark.parametrize(
+    "two_s,k", [(3, 2), (4, 2), (5, 3), (7, 4), (9, 4), (6, 3), (8, 4), (11, 5)]
+)
+def test_every_block_matches_the_one_block_path(two_s, k):
+    # the bench `planes` shapes, plus (11,5): many spins, a spin-1/2 block
+    rng = np.random.default_rng(1000 + 16 * two_s + k)
+    for _ in range(3):
+        gauges = _blocks_match_the_one_block_path(random_frame(rng, two_s, k))
+        assert gauges and any(g.applicable for g in gauges)
+
+
+def test_blocks_with_multiple_roots_take_the_clustering_path_and_match():
+    # a coherent plane at a pole: its top block is |3, +-3>, one sixfold star
+    for pole in (1.0, -1.0):
+        frame = coherent_plane(SpinLabel(4), 2, np.array([0.0, 0.0, pole]))
+        (g,) = _blocks_match_the_one_block_path(frame)
+        assert g.constellation.multiplicities.tolist() == [6]
+    # zero last columns: every block of a high enough spin loses its leading
+    # coefficients, so its roots at infinity merge into one star, next to
+    # blocks whose stars are all simple
+    rng = np.random.default_rng(71)
+    rows = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    rows[:, -2:] = 0.0
+    gauges = _blocks_match_the_one_block_path(KFrame(SpinLabel(7), 3, rows))
+    most = [int(g.constellation.multiplicities.max()) for g in gauges]
+    assert most == [6, 4, 3, 2, 1, 1]
+
+
+def test_weight_vector_blocks_keep_the_exact_identity_rotation():
+    # rows |2, 2> and |2, -1>: every block is |j, 1>, whose spin expectation
+    # is along +z; the identity rotation must leave it exactly as it is, so
+    # every polarization component off the diagonal is exactly 0
+    frame = KFrame(SpinLabel(4), 2, np.eye(5, dtype=complex)[[0, 3]])
+    gauges = _blocks_match_the_one_block_path(frame)
+    assert [g.two_j for g in gauges] == [6, 2]
+    for g in gauges:
+        assert g.reason == "axial symmetry"
+        assert all(v == 0 for _, m, v in g.aligned_polarization.values if m)
+
+
+def test_multiconstellation_raises_when_a_block_root_fails_its_check(monkeypatch):
+    frame = random_frame(np.random.default_rng(72), 7, 4)
+    monkeypatch.setattr(majorana, "ROOT_TOL", 0.0)
+    with pytest.raises(ArithmeticError, match="backward error"):
+        multiconstellation(frame)
+
+
+Z_SHAPES = [(3, 2), (4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (7, 3), (7, 4), (8, 3), (8, 4), (9, 4)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(Z_SHAPES), seed=st.integers(0, 2**32 - 1))
+def test_spectator_amplitudes_are_rotation_invariant(shape, seed):
+    rng = np.random.default_rng(seed)
+    frame = random_frame(rng, *shape)
+    base = multiconstellation(frame)
+    assert base.z_values is not None
+    for _ in range(3):
+        mc = multiconstellation(rotate_frame(frame, random_rotation(rng)))
+        assert max(abs(a - b) for a, b in zip(mc.z_values, base.z_values)) <= 1e-11

@@ -234,6 +234,28 @@ def test_wigner_columns_match_wigner_d():
     assert np.array_equal(_wigner_columns(5, q[-2:-1], 6)[0], np.eye(6))
 
 
+def test_wigner_columns_of_mixed_spins_match_wigner_d():
+    # runs of one spin in any order, spin 0, and identity rotations among them
+    rng = np.random.default_rng(21)
+    spins = [3, 3, 0, 5, 3, 1, 1, 8, 8, 8, 2]
+    rotations = [random_rotation(rng) for _ in spins]
+    rotations[1] = rotations[7] = RotationSpec(np.array([0.0, 0.0, 1.0]), 0.0)
+    q = np.array([r._quaternion() for r in rotations])
+    x = rng.standard_normal((sum(spins) + len(spins), 2)) + 1j * rng.standard_normal(
+        (sum(spins) + len(spins), 2)
+    )
+    got = _wigner_columns(spins, q, x)
+    assert got.shape == x.shape
+    start = 0
+    for i, (two_s, r) in enumerate(zip(spins, rotations)):
+        rows = slice(start, start + two_s + 1)
+        want = wigner_d(SpinLabel(two_s), r) @ x[rows]
+        assert np.abs(got[rows] - want).max() <= 1e-13
+        if i in (1, 7):
+            assert np.array_equal(got[rows], x[rows])
+        start = rows.stop
+
+
 def test_generators_commutators():
     for two_s in (0, 1, 2, 3, 4, 17):
         ops = spin_matrices(two_s)
