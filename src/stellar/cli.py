@@ -444,7 +444,7 @@ def _cmd_multiplicities(args) -> int:
         "two_s": args.two_s,
         "k": args.k,
         "method": args.method,
-        "nonzero": [[tj, m] for tj, m in table.nonzero()],
+        "nonzero": [[tj, m] for tj, m in table.entries],
         "total_dimension": table.total_dimension(),
         "wedge_dimension": math.comb(args.two_s + 1, args.k),
     }

@@ -1,12 +1,12 @@
 """Principal polynomial and principal constellation of a spin-s k-plane.
 
 Three independent routes compute the same degree-k(2s+1-k) polynomial (up to
-scale): the Wronskian determinant of the row polynomials, coherent-state
-overlap sampling, and the Majorana polynomial of the plane's top spin block.
-Its roots projected to the sphere are the plane's principal constellation:
-exactly the directions n whose antipodal coherent plane fails to be
-transversal.  The first two routes share only their interpolation: values at
-unit-circle nodes (`_circle_nodes`) go to coefficients by one scaled DFT
+scale): the Wronskian of the row polynomials as an exact sum over the Pluecker
+minors, coherent-state overlap sampling, and the Majorana polynomial of the
+plane's top spin block.  Its roots projected to the sphere are the plane's
+principal constellation: exactly the directions n whose antipodal coherent
+plane fails to be transversal.  Only the sampled route interpolates: values
+at unit-circle nodes (`_circle_nodes`) go to coefficients by one scaled DFT
 (`_circle_coeffs`), whose condition number is 1 at every degree.
 """
 
@@ -18,18 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import decompose_plane, two_s_max
-from .grassmann import KFrame, KPlane, standard_form
+from .grassmann import KFrame, KPlane, _multi_index_array, plucker, standard_form
 from .majorana import (
     ComplexPolynomial,
     Constellation,
+    _sqrt_binomials,
     constellation_of_polynomial,
     majorana_polynomial,
     stereo_to_sphere,
 )
-from .spin_rep import SpinLabel, SpinState, _geodesic_quaternions, _wigner_columns
-
-#: Relative size below which trailing Wronskian coefficients must cancel.
-TRUNCATION_TOL = 1e-6
+from .spin_rep import SpinLabel, _geodesic_quaternions, _wigner_columns
 
 
 @dataclass(frozen=True)
@@ -54,34 +52,29 @@ def _circle_coeffs(vals: np.ndarray, offset: float) -> np.ndarray:
 
 
 def principal_wronskian(frame: KFrame) -> PrincipalResult:
-    """Principal polynomial as the Wronskian of the row polynomials.
+    """Principal polynomial as the Wronskian det [ d^r P_i / d zeta^r ] of
+    the row polynomials, summed exactly over the Pluecker minors P_J.
 
-    W(zeta) = det [ d^r P_i / d zeta^r ], rows i = 1..k, columns r = 0..k-1,
-    evaluated at enough unit-circle nodes to hold its raw degree
-    2s k - k(k-1)/2 and interpolated by one DFT; coefficients above the
-    nominal degree cancel identically and are truncated after a
-    cancellation check.
+    P_i has rows[i, t] (-1)^t sqrt(C(2s, t)) at zeta^(2s-t), and the monomials
+    zeta^(2s-t), t in J, have the Wronskian prod_{a<b} (J_a - J_b) zeta^(e_J),
+    e_J = 2s k - k(k-1)/2 - sum J.  So by Cauchy-Binet the zeta^e coefficient
+    sums P_J prod_{a<b} (J_a - J_b) prod_{t in J} (-1)^t sqrt(C(2s, t)) over
+    e_J = e; the e_J fill exactly 0..d_nom, and nothing is interpolated.
     """
-    k, dim = frame.k, frame.s.dim
-    d_nom = two_s_max(frame.s, k)
-    derivs = np.zeros((k, k, dim), dtype=complex)
-    for i, r in enumerate(frame.rows):
-        derivs[i, 0] = majorana_polynomial(SpinState(frame.s, r)).coeffs
-    for r in range(1, k):
-        derivs[:, r, :-1] = derivs[:, r - 1, 1:] * np.arange(1, dim)
-    n_nodes = (dim - 1) * k - k * (k - 1) // 2 + 1
-    powers = _circle_nodes(n_nodes, 0.0)[:, None] ** np.arange(dim)
-    vals = np.linalg.det(np.einsum("irj,aj->air", derivs, powers))
-    det = _circle_coeffs(vals, 0.0)
-    top = float(np.max(np.abs(det)))
-    tail = float(np.max(np.abs(det[d_nom + 1 :]), initial=0.0))
+    s, k = frame.s, frame.k
+    d_nom = two_s_max(s, k)
+    J = _multi_index_array(s.dim, k)
+    a, b = np.triu_indices(k, 1)
+    # float differences: their integer product overflows int64 from k = 9
+    vandermonde = np.prod((J[:, a] - J[:, b]).astype(float), axis=1)
+    signed = (-1.0) ** np.arange(s.dim) * _sqrt_binomials(s.two_s)
+    terms = plucker(frame).comps * vandermonde * np.prod(signed[J], axis=1)
+    e = s.two_s * k - k * (k - 1) // 2 - J.sum(axis=1)
+    coeffs = np.bincount(e, terms.real, d_nom + 1) + 1j * np.bincount(e, terms.imag, d_nom + 1)
     # written so that NaN, infinite or all-zero coefficients fail it too
-    if not (0 < top < math.inf and tail <= TRUNCATION_TOL * top):
-        raise ArithmeticError(
-            "Wronskian coefficients overflow, underflow or fail to cancel above "
-            "the nominal degree"
-        )
-    poly = ComplexPolynomial(det[: d_nom + 1], d_nom)
+    if not 0 < np.abs(coeffs).max() < math.inf:
+        raise ArithmeticError("Wronskian coefficients overflow or underflow")
+    poly = ComplexPolynomial(coeffs, d_nom)
     return PrincipalResult("wronskian", poly, constellation_of_polynomial(poly))
 
 

@@ -28,9 +28,9 @@ from conftest import random_frame, random_rotation, stereo_from_sphere
 
 def plane_inner(p1: KPlane, p2: KPlane) -> float:
     """Normalized squared overlap |<V|W>|^2 / (<V|V> <W|W>) in [0, 1] (oracle)."""
-    g11 = frame_inner(p1.frame, p1.frame).real
-    g22 = frame_inner(p2.frame, p2.frame).real
-    g12 = frame_inner(p1.frame, p2.frame)
+    g11 = frame_inner(p1, p1).real
+    g22 = frame_inner(p2, p2).real
+    g12 = frame_inner(p1, p2)
     if g11 <= 0 or g22 <= 0:
         raise ValueError("degenerate plane in inner product")
     val = (abs(g12) ** 2) / (g11 * g22)
@@ -39,7 +39,7 @@ def plane_inner(p1: KPlane, p2: KPlane) -> float:
 
 def rotate_plane(plane: KPlane, r) -> KPlane:
     """The plane rotated by D(r), in standard form (oracle)."""
-    return standard_form(rotate_frame(plane.frame, r))
+    return standard_form(rotate_frame(plane, r))
 
 
 def test_multi_indices_lexicographic():
@@ -113,13 +113,13 @@ def test_standard_form_idempotent_and_gauge_invariant():
     plane = standard_form(f)
     k = f.k
     piv = plane.pivot_columns
-    sub = plane.frame.rows[:, list(piv)]
+    sub = plane.rows[:, list(piv)]
     assert np.abs(sub - np.eye(k)).max() < 1e-12
     M = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     scrambled = KFrame(f.s, k, M @ f.rows)
     plane2 = standard_form(scrambled)
     assert plane2.pivot_columns == piv
-    assert np.abs(plane2.frame.rows - plane.frame.rows).max() < 1e-9
+    assert np.abs(plane2.rows - plane.rows).max() < 1e-9
 
 
 def test_standard_form_picks_first_viable_pivot_set():
@@ -147,7 +147,7 @@ def test_coherent_plane_standard_form_oracle():
                 [0.0, 1.0, 2.0 * z, math.sqrt(3.0) * z * z],
             ]
         )
-        assert np.abs(pl.frame.rows - want).max() < 1e-12
+        assert np.abs(pl.rows - want).max() < 1e-12
 
 
 def test_plucker_residual_zero_on_factorizable():
@@ -231,7 +231,7 @@ def test_rotate_frame_keeps_row_span_transformation():
     # rotating then reducing equals reducing then rotating the plane
     a = standard_form(g)
     b = rotate_plane(standard_form(f), r)
-    assert np.abs(a.frame.rows - b.frame.rows).max() < 1e-9
+    assert np.abs(a.rows - b.rows).max() < 1e-9
 
 
 def test_orthogonal_complement():
@@ -239,8 +239,8 @@ def test_orthogonal_complement():
     f = random_frame(rng, 4, 2)
     plane = standard_form(f)
     comp = orthogonal_complement(plane)
-    assert comp.frame.k == 3
-    gram = plane.frame.rows.conj() @ comp.frame.rows.T
+    assert comp.k == 3
+    gram = plane.rows.conj() @ comp.rows.T
     assert np.abs(gram).max() < 1e-10
     back = orthogonal_complement(comp)
     assert plane_inner(back, plane) == pytest.approx(1.0, abs=1e-10)
