@@ -3,140 +3,57 @@
 Majorana constellations of spin states, principal constellations of planes
 (three independent routes), SU(2) block structure of wedge powers, and
 gauge-fixed multiconstellations with their spectator state.
+
+The package is lazy: each public name is imported from its module on first
+access, so `import stellar` alone loads neither a submodule nor numpy.
 """
 
-from .spin_rep import (
-    RotationSpec,
-    SpinLabel,
-    SpinState,
-    coherent_state,
-    geodesic_rotation,
-    so3_matrix,
-    wigner_d,
-)
-from .majorana import (
-    ComplexPolynomial,
-    Constellation,
-    Star,
-    antipodal_constellation,
-    constellation_from_roots,
-    constellation_match_angle,
-    constellation_of_polynomial,
-    constellation_of_state,
-    majorana_polynomial,
-    poly_roots,
-    projective_distance,
-    projective_normalize,
-    rotate_constellation,
-    stereo_to_sphere,
-)
-from .grassmann import (
-    KFrame,
-    KPlane,
-    PluckerVector,
-    coherent_plane,
-    frame_inner,
-    multi_indices,
-    orthogonal_complement,
-    plucker,
-    plucker_residual,
-    rotate_frame,
-    standard_form,
-)
-from .decomp import (
-    BDBasis,
-    ComponentState,
-    Multiplet,
-    MultiplicityTable,
-    bd_basis,
-    decompose_plane,
-    multiplicities_char,
-    multiplicities_from_basis,
-    multiplicities_genfun,
-    two_s_max,
-    wedge_rep,
-)
-from .principal import (
-    PrincipalResult,
-    planes_from_quartic_32,
-    principal,
-    principal_all,
-    principal_sampled,
-    principal_top_component,
-    principal_wronskian,
-    schubert_count,
-)
-from .multicon import (
-    ComponentReport,
-    GaugeFixed,
-    Multiconstellation,
-    PolarizationComponents,
-    gauge_fix_component,
-    multiconstellation,
-    polarization_components,
-    spectator_constellation,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "RotationSpec",
-    "SpinLabel",
-    "SpinState",
-    "coherent_state",
-    "geodesic_rotation",
-    "so3_matrix",
-    "wigner_d",
-    "ComplexPolynomial",
-    "Constellation",
-    "Star",
-    "antipodal_constellation",
-    "constellation_from_roots",
-    "constellation_match_angle",
-    "constellation_of_polynomial",
-    "constellation_of_state",
-    "majorana_polynomial",
-    "poly_roots",
-    "projective_distance",
-    "projective_normalize",
-    "rotate_constellation",
-    "stereo_to_sphere",
-    "KFrame",
-    "KPlane",
-    "PluckerVector",
-    "coherent_plane",
-    "frame_inner",
-    "multi_indices",
-    "orthogonal_complement",
-    "plucker",
-    "plucker_residual",
-    "rotate_frame",
-    "standard_form",
-    "BDBasis",
-    "ComponentState",
-    "Multiplet",
-    "MultiplicityTable",
-    "bd_basis",
-    "decompose_plane",
-    "multiplicities_char",
-    "multiplicities_from_basis",
-    "multiplicities_genfun",
-    "two_s_max",
-    "wedge_rep",
-    "PrincipalResult",
-    "planes_from_quartic_32",
-    "principal",
-    "principal_all",
-    "principal_sampled",
-    "principal_top_component",
-    "principal_wronskian",
-    "schubert_count",
-    "ComponentReport",
-    "GaugeFixed",
-    "Multiconstellation",
-    "PolarizationComponents",
-    "gauge_fix_component",
-    "multiconstellation",
-    "polarization_components",
-    "spectator_constellation",
-]
+#: The public names, by the module that defines them.
+_EXPORTS = {
+    "spin_rep": "RotationSpec SpinLabel SpinState coherent_state geodesic_rotation "
+    "so3_matrix wigner_d",
+    "majorana": "ComplexPolynomial Constellation Star antipodal_constellation "
+    "constellation_from_roots constellation_match_angle constellation_of_polynomial "
+    "constellation_of_state majorana_polynomial poly_roots projective_distance "
+    "projective_normalize rotate_constellation stereo_to_sphere",
+    "grassmann": "KFrame KPlane PluckerVector coherent_plane frame_inner multi_indices "
+    "orthogonal_complement plucker plucker_residual rotate_frame standard_form",
+    "decomp": "BDBasis ComponentState Multiplet MultiplicityTable bd_basis decompose_plane "
+    "multiplicities_char multiplicities_from_basis multiplicities_genfun two_s_max wedge_rep",
+    "principal": "PrincipalResult planes_from_quartic_32 principal principal_all "
+    "principal_sampled principal_top_component principal_wronskian schubert_count",
+    "multicon": "ComponentReport GaugeFixed Multiconstellation PolarizationComponents "
+    "gauge_fix_component multiconstellation polarization_components spectator_constellation",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    """Importing the submodule `principal` binds it onto the package; that
+    binding is refused, so the function of the same name stays visible."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if not (name in _HOME and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

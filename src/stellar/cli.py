@@ -13,8 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from itertools import combinations
+
+# One process handles one small plane or state: OpenBLAS worker threads cost
+# start-up time and gain nothing.  Set before numpy loads; a user setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

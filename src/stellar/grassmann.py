@@ -26,6 +26,9 @@ from .spin_rep import (
 #: Relative singular-value / minor threshold for rank and pivot decisions.
 RANK_TOL = 1e-10
 
+#: Minor matrices per batched det in `plucker`.
+_MINOR_CHUNK = 4096
+
 
 @lru_cache(maxsize=64)
 def multi_indices(n: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -116,11 +119,19 @@ class PluckerVector:
 
 
 def plucker(frame: KFrame) -> PluckerVector:
-    """All k x k minors of the frame, lexicographically ordered."""
+    """All k x k minors of the frame, lexicographically ordered.
+
+    The minor matrices go to the batched det _MINOR_CHUNK at a time, so memory
+    stays bounded at large shapes; det factors each matrix alone, so the
+    chunking does not change a bit of the result.
+    """
     idx = _multi_index_array(frame.s.dim, frame.k)
-    # rows[:, idx][r, c, t] = rows[r, idx[c, t]]: minor c is [:, c, :]
-    mats = frame.rows[:, idx].transpose(1, 0, 2)
-    return PluckerVector(frame.s, frame.k, np.linalg.det(mats))
+    comps = np.empty(len(idx), dtype=complex)
+    for lo in range(0, len(idx), _MINOR_CHUNK):
+        chunk = idx[lo : lo + _MINOR_CHUNK]
+        # rows[:, chunk][r, c, t] = rows[r, chunk[c, t]]: minor c is [:, c, :]
+        comps[lo : lo + len(chunk)] = np.linalg.det(frame.rows[:, chunk].transpose(1, 0, 2))
+    return PluckerVector(frame.s, frame.k, comps)
 
 
 def standard_form(frame: KFrame) -> KPlane:

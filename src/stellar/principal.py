@@ -64,9 +64,10 @@ def principal_wronskian(frame: KFrame) -> PrincipalResult:
     s, k = frame.s, frame.k
     d_nom = two_s_max(s, k)
     J = _multi_index_array(s.dim, k)
-    a, b = np.triu_indices(k, 1)
-    # float differences: their integer product overflows int64 from k = 9
-    vandermonde = np.prod((J[:, a] - J[:, b]).astype(float), axis=1)
+    # a running product in floats: in integers it overflows int64 from k = 9
+    vandermonde = np.ones(len(J))
+    for a, b in zip(*np.triu_indices(k, 1)):
+        vandermonde *= J[:, a] - J[:, b]
     signed = (-1.0) ** np.arange(s.dim) * _sqrt_binomials(s.two_s)
     terms = plucker(frame).comps * vandermonde * np.prod(signed[J], axis=1)
     e = s.two_s * k - k * (k - 1) // 2 - J.sum(axis=1)

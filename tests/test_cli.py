@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,31 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
+
+
+def _blas_after_cli_import(**env) -> str:
+    """OPENBLAS_NUM_THREADS and the thread count of a fresh interpreter that
+    has imported stellar.cli, started with `env` in place of the variable."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    code = (
+        "import os, sys, stellar.cli\n"
+        "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**base, **env}
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_cli_defaults_to_one_blas_thread():
+    # one small plane per process: no OpenBLAS worker threads are started
+    assert _blas_after_cli_import() == "1 1"
+
+
+def test_cli_keeps_an_explicit_blas_setting():
+    assert _blas_after_cli_import(OPENBLAS_NUM_THREADS="2").split()[0] == "2"
 
 
 def test_principal_routes_report_identical_angles():

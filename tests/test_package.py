@@ -3,11 +3,49 @@
 import dataclasses
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import stellar
+
+
+def _fresh(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_import_loads_neither_numpy_nor_a_submodule():
+    code = "import sys, stellar; print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('stellar.')))"
+    assert _fresh(code) == "[]"
+
+
+def test_every_exported_name_is_its_module_object():
+    for name in stellar.__all__:
+        obj = getattr(stellar, name)
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+    assert len(set(stellar.__all__)) == len(stellar.__all__) == 59
+
+
+def test_dir_lists_every_exported_name():
+    assert set(stellar.__all__) <= set(dir(stellar))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stellar.no_such_name
+
+
+@pytest.mark.parametrize("how", ["import stellar.cli", "importlib.import_module('stellar.principal')"])
+def test_importing_the_principal_module_keeps_the_principal_function(how):
+    # the import system binds a loaded submodule onto its package by name
+    code = f"import importlib, stellar; {how}; print(callable(stellar.principal), stellar.principal.__name__)"
+    assert _fresh(code) == "True principal"
+    importlib.import_module("stellar.principal")
+    assert stellar.principal is sys.modules["stellar.principal"].principal
 
 
 def test_every_cache_is_bounded():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -256,6 +259,29 @@ def test_wronskian_stars_are_transversal_at_high_degree(seed):
         res = principal_wronskian(frame)
         assert res.constellation.total == two_s_max(frame.s, k)
         assert max(_transversality_defects(frame, res.constellation)) <= 1e-12, (two_s, k)
+
+
+_RSS_CODE = """
+import resource
+import numpy as np
+from stellar import KFrame, SpinLabel, principal_wronskian
+rng = np.random.default_rng(1909)
+frame = KFrame(SpinLabel(17), 8, rng.standard_normal((8, 18)) + 1j * rng.standard_normal((8, 18)))
+principal_wronskian(KFrame(SpinLabel(4), 2, rng.standard_normal((2, 5))))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+principal_wronskian(frame)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_wronskian_peak_memory_is_bounded_at_17_8():
+    # 43,758 minors of 8 x 8: all their matrices at once grew peak RSS by
+    # about 60 MB; taken in chunks, by about 15 MB
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _RSS_CODE], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 35.0
 
 
 def sampled_oracle(frame: KFrame) -> ComplexPolynomial:
