@@ -5,7 +5,9 @@ numbers encoded as [re, im] pairs.  Input kinds: "state" (two_s, coeffs)
 and "plane" (two_s, k, rows); "plane_pair" (two planes of the same shape)
 is a fixture format the tests read, and every command rejects it.
 Exit codes: 0 success, 2 parse error, 3 numeric failure, 4 a result was
-produced but a not-applicable flag is present.
+produced but a not-applicable flag is present.  Each command returns its
+document and exit code; `main` alone writes the document, to --out when
+given, else to stdout, and an error document always to stdout.
 """
 
 from __future__ import annotations
@@ -89,11 +91,11 @@ def _c2j(z: complex) -> list:
     return [_clean_float(z.real), _clean_float(z.imag)]
 
 
-def _dump(doc: dict) -> str:
+def _dump(doc: dict | int) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
+def _emit(doc: dict | int, out_path: str | None) -> None:
     text = _dump(doc)
     if out_path:
         with open(out_path, "w") as fh:
@@ -119,7 +121,8 @@ def _failure(exc: Exception) -> tuple[dict, int]:
     }, code
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, kind: str) -> tuple[dict, int]:
+    """The document at path, checked to be of this kind, and its two_s."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -134,7 +137,17 @@ def _load_json(path: str) -> dict:
             EXIT_PARSE, "schema-mismatch",
             f"{path}: expected schema {SCHEMA!r}, got {doc.get('schema')!r}",
         )
-    return doc
+    if doc.get("kind") != kind:
+        raise CLIError(
+            EXIT_PARSE, "kind-mismatch",
+            f"{path}: expected kind {kind!r}, got {doc.get('kind')!r}",
+        )
+    two_s = doc.get("two_s")
+    if not isinstance(two_s, int) or isinstance(two_s, bool) or two_s < 0:
+        raise CLIError(
+            EXIT_PARSE, "shape-mismatch", f"{path}: two_s must be a non-negative integer"
+        )
+    return doc, two_s
 
 
 def _parse_complex(v, where: str) -> complex:
@@ -152,16 +165,9 @@ def _parse_complex(v, where: str) -> complex:
     )
 
 
-def _parse_two_s(doc: dict, path: str) -> int:
-    two_s = doc.get("two_s")
-    if not isinstance(two_s, int) or isinstance(two_s, bool) or two_s < 0:
-        raise CLIError(
-            EXIT_PARSE, "shape-mismatch", f"{path}: two_s must be a non-negative integer"
-        )
-    return two_s
-
-
-def _rows_to_frame(two_s: int, k, rows, path: str) -> KFrame:
+def _load_plane(path: str) -> KFrame:
+    doc, two_s = _load(path, "plane")
+    k, rows = doc.get("k"), doc.get("rows")
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise CLIError(EXIT_PARSE, "shape-mismatch", f"{path}: k must be a positive integer")
     dim = two_s + 1
@@ -184,25 +190,8 @@ def _rows_to_frame(two_s: int, k, rows, path: str) -> KFrame:
         raise CLIError(EXIT_PARSE, "shape-mismatch", f"{path}: {e}")
 
 
-def _load_plane(path: str) -> KFrame:
-    doc = _load_json(path)
-    if doc.get("kind") != "plane":
-        raise CLIError(
-            EXIT_PARSE, "kind-mismatch",
-            f"{path}: expected kind 'plane', got {doc.get('kind')!r}",
-        )
-    two_s = _parse_two_s(doc, path)
-    return _rows_to_frame(two_s, doc.get("k"), doc.get("rows"), path)
-
-
 def _load_state(path: str) -> SpinState:
-    doc = _load_json(path)
-    if doc.get("kind") != "state":
-        raise CLIError(
-            EXIT_PARSE, "kind-mismatch",
-            f"{path}: expected kind 'state', got {doc.get('kind')!r}",
-        )
-    two_s = _parse_two_s(doc, path)
+    doc, two_s = _load(path, "state")
     coeffs = doc.get("coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != two_s + 1:
         raise CLIError(
@@ -330,17 +319,15 @@ def _svg_for_groups(groups) -> str:
 # subcommands
 
 
-def _cmd_constellation(args) -> int:
+def _cmd_constellation(args) -> tuple[dict, int]:
     psi = _load_state(args.state_file)
     c = constellation_of_state(psi)
-    doc = {
+    return {
         "schema": SCHEMA,
         "kind": "constellation",
         "two_s": psi.s.two_s,
         **_constellation_doc(c),
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def _route_agreement(results: dict) -> float:
@@ -377,11 +364,9 @@ def _principal_doc_for(path: str, route: str) -> tuple[dict, int]:
     return doc, code
 
 
-def _cmd_principal(args) -> int:
+def _cmd_principal(args) -> tuple[dict, int]:
     if len(args.plane_files) == 1:
-        doc, code = _principal_doc_for(args.plane_files[0], args.route)
-        _emit(doc, args.out)
-        return code
+        return _principal_doc_for(args.plane_files[0], args.route)
     # one failed plane gives its own error entry and leaves the others be
     results, code = {}, EXIT_OK
     for path in args.plane_files:
@@ -390,14 +375,13 @@ def _cmd_principal(args) -> int:
         except _FAILURES as e:
             results[path], c = _failure(e)
         code = max(code, c)
-    _emit({"schema": SCHEMA, "kind": "principal_batch", "results": results}, args.out)
-    return code
+    return {"schema": SCHEMA, "kind": "principal_batch", "results": results}, code
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[dict, int]:
     frame = _load_plane(args.plane_file)
     comps = decompose_plane(frame)
-    doc = {
+    return {
         "schema": SCHEMA,
         "kind": "decomposition",
         "two_s": frame.s.two_s,
@@ -411,16 +395,13 @@ def _cmd_decompose(args) -> int:
             }
             for c in comps
         ],
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_multicon(args) -> int:
+def _cmd_multicon(args) -> tuple[dict, int]:
     frame = _load_plane(args.plane_file)
     mc = multiconstellation(frame)
     doc = _multicon_doc(mc)
-    _emit(doc, args.out)
     if args.svg:
         groups = []
         for r in mc.components:
@@ -432,18 +413,20 @@ def _cmd_multicon(args) -> int:
             groups.append(("spectator", mc.spectator))
         with open(args.svg, "w") as fh:
             fh.write(_svg_for_groups(groups) + "\n")
-    return EXIT_FLAGGED if mc.z_values is None else EXIT_OK
+    return doc, EXIT_FLAGGED if mc.z_values is None else EXIT_OK
 
 
-def _cmd_multiplicities(args) -> int:
-    s = SpinLabel(args.two_s)
-    methods = {
-        "genfun": multiplicities_genfun,
-        "char": multiplicities_char,
-        "basis": multiplicities_from_basis,
-    }
-    table = methods[args.method](s, args.k)
-    doc = {
+#: The multiplicity methods, by their `--method` name.
+_METHODS = {
+    "genfun": multiplicities_genfun,
+    "char": multiplicities_char,
+    "basis": multiplicities_from_basis,
+}
+
+
+def _cmd_multiplicities(args) -> tuple[dict, int]:
+    table = _METHODS[args.method](SpinLabel(args.two_s), args.k)
+    return {
         "schema": SCHEMA,
         "kind": "multiplicities",
         "two_s": args.two_s,
@@ -452,17 +435,14 @@ def _cmd_multiplicities(args) -> int:
         "nonzero": [[tj, m] for tj, m in table.entries],
         "total_dimension": table.total_dimension(),
         "wedge_dimension": math.comb(args.two_s + 1, args.k),
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_schubert(args) -> int:
-    print(schubert_count(SpinLabel(args.two_s), args.k))
-    return EXIT_OK
+def _cmd_schubert(args) -> tuple[int, int]:
+    return schubert_count(SpinLabel(args.two_s), args.k), EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, int]:
     frame = _load_plane(args.plane_file)
     rng = np.random.default_rng(args.seed)
     checks = []
@@ -525,12 +505,9 @@ def _cmd_verify(args) -> int:
         "passed": all(c["passed"] for c in checks),
         "multiconstellation": _multicon_doc(mc),
     }
-    _emit(doc, args.out)
     if not doc["passed"]:
-        return EXIT_NUMERIC
-    if mc.z_values is None:
-        return EXIT_FLAGGED
-    return EXIT_OK
+        return doc, EXIT_NUMERIC
+    return doc, EXIT_FLAGGED if mc.z_values is None else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("constellation", help="Majorana constellation of a state")
     c.add_argument("state_file")
-    c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_constellation)
 
     c = sub.add_parser("principal", help="principal polynomial/constellation")
@@ -562,27 +538,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="accepted for compatibility; it has no effect",
     )
-    c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_principal)
 
     c = sub.add_parser("decompose", help="spin-block components of a plane")
     c.add_argument("plane_file")
-    c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_decompose)
 
     c = sub.add_parser("multicon", help="multiconstellation of a plane")
     c.add_argument("plane_file")
     c.add_argument("--svg", default=None, help="also render an SVG sky map")
-    c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_multicon)
 
     c = sub.add_parser("multiplicities", help="spin-block multiplicity table")
     c.add_argument("two_s", type=int)
     c.add_argument("k", type=int)
-    c.add_argument(
-        "--method", choices=["genfun", "char", "basis"], default="genfun"
-    )
-    c.add_argument("--out", default=None)
+    c.add_argument("--method", choices=list(_METHODS), default="genfun")
     c.set_defaults(func=_cmd_multiplicities)
 
     c = sub.add_parser("schubert", help="planes sharing a generic principal constellation")
@@ -593,21 +563,26 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("verify", help="self-checks on a plane document")
     c.add_argument("plane_file")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_verify)
 
+    # every command but schubert, whose document is a plain integer, can
+    # write its document to a file
+    for name, c in sub.choices.items():
+        if name != "schubert":
+            c.add_argument("--out", default=None)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, code = args.func(args)
+        _emit(doc, getattr(args, "out", None))
     except _FAILURES as e:
+        # an error document always goes to stdout
         doc, code = _failure(e)
         _emit(doc, None)
-        return code
+    return code
 
 
 if __name__ == "__main__":

@@ -25,8 +25,7 @@ from .grassmann import (
     RANK_TOL,
     KFrame,
     _multi_index_array,
-    multi_index_positions,
-    multi_indices,
+    _subset_rank,
     null_space,
     plucker,
 )
@@ -54,17 +53,13 @@ def _wedge_lowering_terms(two_s: int, k: int):
     no antisymmetrization signs appear.
     """
     n = two_s + 1
-    ladder = _ladder(two_s)
-    pos = multi_index_positions(n, k)
-    dst, src, cf = [], [], []
-    for p, I in enumerate(multi_indices(n, k)):
-        occupied = set(I)
-        for t, i in enumerate(I):
-            if i + 1 < n and (i + 1) not in occupied:
-                dst.append(pos[I[:t] + (i + 1,) + I[t + 1 :]])
-                src.append(p)
-                cf.append(ladder[i])
-    return np.array(dst), np.array(src), np.array(cf)
+    I = _multi_index_array(n, k)
+    # index i may step to i + 1 where the next slot (n past the last) is above it
+    above = np.column_stack([I[:, 1:], np.full(len(I), n)])
+    src, t = np.nonzero(I + 1 < above)
+    moved = I[src]
+    moved[np.arange(len(src)), t] += 1
+    return _subset_rank(n, moved), src, _ladder(two_s)[I[src, t]]
 
 
 def _wedge_two_m(two_s: int, k: int) -> np.ndarray:

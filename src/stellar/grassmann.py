@@ -29,25 +29,36 @@ RANK_TOL = 1e-10
 #: Minor matrices per batched det in `plucker`.
 _MINOR_CHUNK = 4096
 
+#: Entries of the relation product per block in `plucker_residual`.
+_PRODUCT_CHUNK = 1 << 20
 
-@lru_cache(maxsize=64)
+
 def multi_indices(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All size-k subsets of range(n) in lexicographic order."""
-    return tuple(combinations(range(n), k))
+    return tuple(map(tuple, _multi_index_array(n, k).tolist()))
 
 
 @lru_cache(maxsize=64)
 def _multi_index_array(n: int, k: int) -> np.ndarray:
-    """multi_indices(n, k) as a read-only (C(n, k), k) integer array."""
-    out = np.array(multi_indices(n, k), dtype=np.intp).reshape(-1, k)
+    """The size-k subsets of range(n), lexicographic, as a read-only
+    (C(n, k), k) integer array."""
+    out = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(math.comb(n, k), k)
     out.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=64)
-def multi_index_positions(n: int, k: int) -> dict:
-    """Map from multi-index tuple to its lexicographic position."""
-    return {I: p for p, I in enumerate(multi_indices(n, k))}
+def _subset_rank(n: int, S: np.ndarray) -> np.ndarray:
+    """Lexicographic position of each sorted index row of S (last axis, of
+    length k) among the size-k subsets of range(n):
+    C(n, k) - 1 - sum_t C(n-1-S_t, k-t)."""
+    k = S.shape[-1]
+    # slot t = k - b holds at least t, so a = n-1-S_t <= n-1-k+b: every entry
+    # read is at most C(n, k), and the others, which may not fit, stay 0
+    binom = np.array(
+        [math.comb(a, b) if a <= n - 1 - k + b else 0 for a in range(n) for b in range(k + 1)],
+        dtype=np.intp,
+    ).reshape(n, k + 1)
+    return math.comb(n, k) - 1 - binom[n - 1 - S, k - np.arange(k)].sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +157,7 @@ def standard_form(frame: KFrame) -> KPlane:
     if top == 0.0:
         raise ValueError("frame is degenerate: all minors vanish")
     pos = int(np.nonzero(mags >= RANK_TOL * top)[0][0])
-    pivots = multi_indices(frame.s.dim, frame.k)[pos]
+    pivots = tuple(_multi_index_array(frame.s.dim, frame.k)[pos].tolist())
     A = frame.rows[:, pivots]
     rep = np.linalg.solve(A, frame.rows)
     rep[:, pivots] = np.eye(frame.k)  # exact identity on the pivot block
@@ -164,10 +175,9 @@ def frame_inner(v: KFrame, w: KFrame) -> complex:
 def _deletion_positions(n: int, m: int) -> np.ndarray:
     """Row S, column t: the position of S minus its t-th element among the
     (m-1)-subsets, for every m-subset S in lexicographic order."""
-    pos = multi_index_positions(n, m - 1)
-    subsets = multi_indices(n, m)
-    out = [pos[S[:t] + S[t + 1 :]] for S in subsets for t in range(m)]
-    return np.array(out, dtype=np.intp).reshape(len(subsets), m)
+    # row t of kept: the slots of S other than t
+    kept = np.arange(m - 1) + (np.arange(m - 1) >= np.arange(m)[:, None])
+    return _subset_rank(n, _multi_index_array(n, m)[:, kept])
 
 
 def plucker_residual(P: PluckerVector) -> float:
@@ -177,7 +187,9 @@ def plucker_residual(P: PluckerVector) -> float:
     sum_t (-1)^t c_{I+J_t} c_{J-J_t}; as a sum over the column j = J_t it is
     the (I, J) entry of A B^T, with A[I, j] = c_{I+j} (signed by where j
     sorts into I) and B[J, J_t] = (-1)^t c_{J-J_t}.  Zero (to tolerance)
-    iff P is a wedge of k vectors; the zero vector returns 0.0.
+    iff P is a wedge of k vectors; the zero vector returns 0.0.  A B^T is
+    taken a block of A's rows at a time, about _PRODUCT_CHUNK entries each,
+    so memory stays bounded at large shapes.
     """
     c = P.comps
     norm2 = float(np.vdot(c, c).real)
@@ -194,7 +206,11 @@ def plucker_residual(P: PluckerVector) -> float:
     B[np.arange(len(J))[:, None], J] = c[_deletion_positions(n, k + 1)] * (
         (-1.0) ** np.arange(k + 1)
     )
-    return float(np.max(np.abs(A @ B.T), initial=0.0)) / norm2
+    step = max(1, _PRODUCT_CHUNK // max(1, len(B)))
+    worst = max(
+        np.max(np.abs(A[lo : lo + step] @ B.T), initial=0.0) for lo in range(0, len(A), step)
+    )
+    return float(worst) / norm2
 
 
 def coherent_plane(s: SpinLabel, k: int, n) -> KPlane:

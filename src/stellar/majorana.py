@@ -328,17 +328,14 @@ def _ordered(directions: np.ndarray, multiplicities: np.ndarray, total: int) -> 
     return Constellation(directions[order], multiplicities[order], total)
 
 
-def constellation_from_roots(roots, total: int | None = None) -> Constellation:
+def constellation_from_roots(roots) -> Constellation:
     """Cluster projected roots into stars (chordal tolerance CLUSTER_TOL).
 
     The roots are a complex array as `poly_roots` returns, or any iterable
-    of complex roots, infinity as complex(inf); total, when given, must be
-    their number.  The one-set case of `_constellations`, which documents
-    the method.
+    of complex roots, infinity as complex(inf).  The one-set case of
+    `_constellations`, which documents the method.
     """
     roots = roots if isinstance(roots, np.ndarray) else list(roots)
-    if total is not None and total != len(roots):
-        raise ValueError("multiplicities must sum to total")
     return _constellations([roots])[0]
 
 

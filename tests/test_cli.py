@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import stellar
 
@@ -33,6 +34,18 @@ def _write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _plane_doc(rows) -> dict:
+    """A plane document with the rows of a complex (k, 2s+1) array."""
+    k, dim = rows.shape
+    return {
+        "schema": "stellar/1",
+        "kind": "plane",
+        "two_s": dim - 1,
+        "k": k,
+        "rows": [[[z.real, z.imag] for z in row] for row in rows],
+    }
 
 
 def test_constellation_of_tetrahedral_state():
@@ -116,15 +129,46 @@ def test_output_is_deterministic():
     assert a.returncode == b.returncode == 0
 
 
-def test_out_flag_writes_file(tmp_path):
+# every command that takes --out, each run to a result and an exit code
+_OUT_RUNS = {
+    "constellation": ("constellation", str(FIXTURES / "tetra_s2.json")),
+    "principal": ("principal", str(FIXTURES / "wtetra_32.json"), "--route", "all"),
+    "principal-batch": ("principal", str(FIXTURES / "wtetra_32.json"), str(FIXTURES / "vw_22.json")),
+    "decompose": ("decompose", str(FIXTURES / "vw_22.json")),
+    "multicon": ("multicon", str(FIXTURES / "s1k2.json")),  # exit 4
+    "multiplicities": ("multiplicities", "7", "4", "--method", "char"),
+    "verify": ("verify", str(FIXTURES / "vw_22.json"), "--seed", "3"),
+}
+
+
+@pytest.mark.parametrize("argv", _OUT_RUNS.values(), ids=_OUT_RUNS.keys())
+def test_out_flag_writes_file(tmp_path, argv):
     out = tmp_path / "result.json"
-    proc = _run(
-        "constellation", str(FIXTURES / "tetra_s2.json"), "--out", str(out)
-    )
-    assert proc.returncode == 0
+    proc = _run(*argv, "--out", str(out))
+    direct = _run(*argv)
+    assert proc.returncode == direct.returncode
     assert proc.stdout == ""
-    direct = _run("constellation", str(FIXTURES / "tetra_s2.json"))
     assert out.read_text() == direct.stdout
+
+
+def test_a_failed_run_prints_its_error_document_and_writes_no_file(tmp_path):
+    rng = np.random.default_rng(46)
+    rows = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    flat = _write(tmp_path, "flat.json", _plane_doc(np.array([[1, 0, 0, 0], [2, 0, 0, 0]]) + 0j))
+    big = _write(tmp_path, "big.json", _plane_doc(1e300 * rows))  # its minors overflow
+    for argv, slug in ((("decompose", flat), "rank-deficient"), (("principal", big), "numeric")):
+        out = tmp_path / "result.json"
+        proc = _run(*argv, "--out", str(out))
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout)["error"] == slug
+        assert not out.exists()
+
+
+def test_schubert_has_no_out_flag():
+    proc = _run("schubert", "3", "2", "--out", "x")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --out x" in proc.stderr
 
 
 def test_principal_route_all_reports_agreement():
@@ -161,18 +205,8 @@ def test_principal_batch_with_jobs():
 def test_a_failed_plane_leaves_the_rest_of_its_batch(tmp_path):
     rng = np.random.default_rng(46)
     rows = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-
-    def plane(scale):
-        return {
-            "schema": "stellar/1",
-            "kind": "plane",
-            "two_s": 3,
-            "k": 2,
-            "rows": [[[z.real, z.imag] for z in row] for row in scale * rows],
-        }
-
-    good = _write(tmp_path, "good.json", plane(1.0))
-    big = _write(tmp_path, "big.json", plane(1e300))  # its minors overflow
+    good = _write(tmp_path, "good.json", _plane_doc(rows))
+    big = _write(tmp_path, "big.json", _plane_doc(1e300 * rows))  # its minors overflow
     proc, doc = _run_json("principal", good, big, "--route", "all")
     assert proc.returncode == 3
     assert doc["kind"] == "principal_batch"

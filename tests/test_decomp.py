@@ -28,7 +28,8 @@ from stellar.decomp import (
     _wedge_lowering_terms,
     _wedge_two_m,
 )
-from stellar.grassmann import RANK_TOL, null_space
+from stellar.grassmann import RANK_TOL, multi_indices, null_space
+from stellar.spin_rep import _ladder
 
 from conftest import compose, random_frame, random_rotation
 
@@ -72,6 +73,24 @@ def wedge_generators(two_s: int, k: int) -> WedgeGenerators:
         np.add.at(Sminus, (dst, src), cf)
     Sz = np.diag(_wedge_two_m(two_s, k) / 2).astype(complex)
     return WedgeGenerators(Sz, Sminus.conj().T, Sminus)
+
+
+def test_wedge_lowering_terms_match_a_loop_over_subsets():
+    # each index steps to the next one when that is free; terms in subset
+    # order, then slot order
+    for two_s in range(10):
+        n = two_s + 1
+        for k in range(1, n + 1):
+            subsets = multi_indices(n, k)
+            pos = {I: p for p, I in enumerate(subsets)}
+            want = [
+                (pos[I[:t] + (i + 1,) + I[t + 1 :]], p, _ladder(two_s)[i])
+                for p, I in enumerate(subsets)
+                for t, i in enumerate(I)
+                if i + 1 < n and i + 1 not in I
+            ]
+            dst, src, cf = _wedge_lowering_terms(two_s, k)
+            assert list(zip(dst.tolist(), src.tolist(), cf.tolist())) == want, (two_s, k)
 
 
 def test_wedge_generator_commutators_and_sz():

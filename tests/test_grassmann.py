@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from stellar import (
     rotate_frame,
     standard_form,
 )
-from stellar.grassmann import multi_indices
+from stellar.grassmann import _deletion_positions, _subset_rank, multi_indices
 
 from conftest import random_frame, random_rotation, stereo_from_sphere
 
@@ -46,6 +49,25 @@ def test_multi_indices_lexicographic():
     assert multi_indices(4, 2) == (
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
     )
+
+
+def test_subset_rank_is_the_lexicographic_position():
+    # at (70, 69) the middle binomials pass int64: C(69, 34) > 2**63
+    shapes = [(n, k) for n in range(11) for k in range(n + 2)] + [(70, 69)]
+    for n, k in shapes:
+        subsets = multi_indices(n, k)
+        S = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
+        assert _subset_rank(n, S).tolist() == list(range(len(subsets))), (n, k)
+
+
+def test_deletion_positions_match_a_lookup_of_each_deleted_subset():
+    for n in range(1, 9):
+        for m in range(1, n + 2):
+            pos = {I: p for p, I in enumerate(multi_indices(n, m - 1))}
+            want = [[pos[S[:t] + S[t + 1 :]] for t in range(m)] for S in multi_indices(n, m)]
+            got = _deletion_positions(n, m)
+            assert got.shape == (math.comb(n, m), m)
+            assert got.tolist() == want, (n, m)
 
 
 def test_kframe_validation():
@@ -198,6 +220,31 @@ def test_plucker_residual_matches_relation_loop(two_s, k):
         want = _plucker_residual_loop(P)
         assert want > 1e-6
         assert plucker_residual(P) == pytest.approx(want, rel=1e-12)
+
+
+_RESIDUAL_RSS_CODE = """
+import resource
+import numpy as np
+from stellar import KFrame, SpinLabel, plucker, plucker_residual
+rng = np.random.default_rng(1909)
+P = plucker(KFrame(SpinLabel(13), 6, rng.standard_normal((6, 14)) + 1j * rng.standard_normal((6, 14))))
+plucker_residual(plucker(KFrame(SpinLabel(4), 2, rng.standard_normal((2, 5)))))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+plucker_residual(P)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_plucker_residual_peak_memory_is_bounded_at_13_6():
+    # the whole 2002 x 3432 relation product at once grew peak RSS by about
+    # 160 MB; taken a block of rows at a time, by about 25 MB
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _RESIDUAL_RSS_CODE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 40.0
 
 
 def test_plucker_residual_of_zero_vector_is_zero():

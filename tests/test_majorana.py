@@ -246,8 +246,8 @@ def test_stars_at_the_poles_report_zero_phi():
         assert phi == 0.0
 
 
-def test_constellation_from_roots_total_override():
-    c = constellation_from_roots([0.0, INF], total=2)
+def test_constellation_from_roots_puts_a_root_at_infinity_at_the_south_pole():
+    c = constellation_from_roots([0.0, INF])
     assert c.total == 2
     zs = sorted(s.direction[2] for s in c.stars)
     assert zs == pytest.approx([-1.0, 1.0])
