@@ -4,10 +4,11 @@ All documents are JSON with a "schema": "stellar/1" marker and complex
 numbers encoded as [re, im] pairs.  Input kinds: "state" (two_s, coeffs)
 and "plane" (two_s, k, rows); "plane_pair" (two planes of the same shape)
 is a fixture format the tests read, and every command rejects it.
-Exit codes: 0 success, 2 parse error, 3 numeric failure, 4 a result was
-produced but a not-applicable flag is present.  Each command returns its
-document and exit code; `main` alone writes the document, to --out when
-given, else to stdout, and an error document always to stdout.
+Exit codes: 0 success, 2 parse error or an unwritable output path, 3
+numeric failure, 4 a result was produced but a not-applicable flag is
+present.  Each command returns its document and exit code; `main` alone
+writes the document, to --out when given, else to stdout, and an error
+document always to stdout.
 """
 
 from __future__ import annotations
@@ -95,11 +96,18 @@ def _dump(doc: dict | int) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as e:
+        raise CLIError(EXIT_PARSE, "unwritable", f"{path}: {e}")
+
+
 def _emit(doc: dict | int, out_path: str | None) -> None:
     text = _dump(doc)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        _write(out_path, text)
     else:
         print(text)
 
@@ -411,8 +419,7 @@ def _cmd_multicon(args) -> tuple[dict, int]:
                 )
         if mc.spectator is not None and mc.spectator.total > 0:
             groups.append(("spectator", mc.spectator))
-        with open(args.svg, "w") as fh:
-            fh.write(_svg_for_groups(groups) + "\n")
+        _write(args.svg, _svg_for_groups(groups))
     return doc, EXIT_FLAGGED if mc.z_values is None else EXIT_OK
 
 

@@ -281,55 +281,53 @@ def _canonical_level_basis(diags: np.ndarray, V: np.ndarray) -> tuple[np.ndarray
     """Rotation-independent ordered basis of a degenerate j-sector.
 
     V holds the sector's vectors as columns on one weight space, diags the
-    Q^(n) diagonals there; returns the canonical vectors as columns.  Each
-    in turn maximizes <Q^(2)>, Q^(2) = sum_r (S_z^(r))^2, ties broken by
-    Q^(3), ..., Q^(k); a residual tie falls back to a coordinate rule and
-    sets the returned flag.
+    Q^(n) diagonals there; returns the canonical vectors as columns.  They
+    are the eigenvectors of the compressed Q^(2) = sum_r (S_z^(r))^2 in
+    descending order of eigenvalue.  A tie, a run of eigenvalues whose gaps
+    are within DEGENERACY_TOL times the largest |Q^(n)| on the level, is
+    ordered in turn by the compressed Q^(3), ..., Q^(k); a tie left after
+    Q^(k) falls back to a coordinate rule and sets the returned flag.
     """
-    # make sure the working columns are orthonormal
-    q, _ = np.linalg.qr(V)
-    work = q[:, : V.shape[1]]
     out = []
     flagged = False
-    while work.shape[1] > 0:
-        if work.shape[1] == 1:
-            v = work[:, 0]
+
+    def refine(C: np.ndarray, n_pow: int) -> None:
+        nonlocal flagged
+        if C.shape[1] == 1:
+            out.append(C[:, 0])
+        elif n_pow == len(diags):
+            flagged = True
+            out.extend(_coordinate_basis(C).T)
         else:
-            cand = work
-            for n_pow in range(2, len(diags)):
-                A = cand.conj().T @ (diags[n_pow][:, None] * cand)
-                A = (A + A.conj().T) / 2
-                evals, evecs = np.linalg.eigh(A)
-                top = evals[-1]
-                tol = DEGENERACY_TOL * max(1.0, abs(top))
-                sel = evals >= top - tol
-                cand = cand @ evecs[:, sel]
-                if cand.shape[1] == 1:
-                    break
-            if cand.shape[1] > 1:
-                flagged = True
-                # fall back: first coordinate with nonzero projection wins
-                B, _ = np.linalg.qr(cand)
-                B = B[:, : cand.shape[1]]
-                v = None
-                for c in range(B.shape[0]):
-                    p = B @ B[c, :].conj()
-                    nrm = np.linalg.norm(p)
-                    if nrm > 1e-6:
-                        v = p / nrm
-                        break
-                if v is None:
-                    raise ArithmeticError("degenerate sector has no usable basis")
-            else:
-                v = cand[:, 0]
-        v = _phase_fixed(v / np.linalg.norm(v))
-        out.append(v)
-        coords = work.conj().T @ v
-        if work.shape[1] == 1:
-            break
-        keep = null_space(coords[None, :].conj(), rcond=RANK_TOL)
-        work = work @ keep
-    return np.column_stack(out), flagged
+            A = C.conj().T @ (diags[n_pow][:, None] * C)
+            evals, evecs = np.linalg.eigh((A + A.conj().T) / 2)
+            tol = DEGENERACY_TOL * np.abs(diags[n_pow]).max()
+            cuts = np.nonzero(-np.diff(evals[::-1]) > tol)[0] + 1
+            for run in np.split(C @ evecs[:, ::-1], cuts, axis=1):
+                refine(run, n_pow + 1)
+
+    # make sure the working columns are orthonormal
+    q, _ = np.linalg.qr(V)
+    refine(q[:, : V.shape[1]], 2)
+    return np.column_stack([_phase_fixed(v / np.linalg.norm(v)) for v in out]), flagged
+
+
+def _coordinate_basis(C: np.ndarray) -> np.ndarray:
+    """Ordered orthonormal basis of the span of C's orthonormal columns.
+
+    Each vector in turn is the normalized projection of the first
+    coordinate vector e_c whose projection onto what the vectors before it
+    leave of the span has norm above 1e-6.
+    """
+    Y = np.zeros((C.shape[1], 0), dtype=complex)
+    # row c of C, conjugated, is the coordinate vector e_c projected onto
+    # the span, in the coordinates of C's columns
+    for x in C.conj():
+        x = x - Y @ (Y.conj().T @ x)
+        nrm = np.linalg.norm(x)
+        if nrm > 1e-6:
+            Y = np.column_stack([Y, x / nrm])
+    return C @ Y
 
 
 @lru_cache(maxsize=32)
@@ -338,6 +336,8 @@ def bd_basis(s: SpinLabel, k: int) -> BDBasis:
 
     Highest-weight vectors, their canonical refinement and their lowering
     ladders are all built in the coordinates of one weight space at a time.
+    Rows are assigned to a multiplet when it is created, and each ladder
+    vector is written to its row as the ladder descends.
     """
     if not 1 <= k <= s.dim:
         raise ValueError("k out of range")
@@ -358,18 +358,25 @@ def bd_basis(s: SpinLabel, k: int) -> BDBasis:
         L[local[dst[sel]], local[src[sel]]] = cf[sel]
         lowering[tm] = L
     diags = _qpower_diagonals(s.two_s, k, max(2, k))
+    level_cols = np.zeros((len(levels), max(map(len, pos.values()))), dtype=np.intp)
+    for lev, tm in enumerate(levels):
+        level_cols[lev, : len(pos[tm])] = pos[tm]
 
-    # each multiplet: its two_j and its vectors for m = j, j-1, ...
-    two_js: list[int] = []
-    ladders: list[list[np.ndarray]] = []
+    # rows hold the vectors themselves until the final conjugation
+    row_level = np.empty(dim, dtype=np.intp)
+    coefs = np.zeros((dim, level_cols.shape[1]), dtype=complex)
+    layout: list[Multiplet] = []
     flagged: list[int] = []
-    for two_mu in levels:
-        # lower every multiplet that reaches this weight, in one product
-        active = [i for i, tj in enumerate(two_js) if tj >= two_mu + 2 >= 2 - tj]
+    for lev, two_mu in enumerate(levels):
+        width = len(pos[two_mu])
+        # lower every multiplet that reaches this weight, in one product;
+        # its m = two_mu / 2 member goes to row lo + (two_j - two_mu) / 2
+        active = [m for m in layout if m.two_j >= -two_mu]
         if active:
-            W = lowering[two_mu + 2] @ np.column_stack([ladders[i][-1] for i in active])
+            rows = np.array([m.row_range[0] + (m.two_j - two_mu) // 2 for m in active])
+            W = lowering[two_mu + 2] @ coefs[rows - 1, : len(pos[two_mu + 2])].T
             # spin j lowers from m = (two_mu + 2) / 2 by entry j - m of its ladder
-            W /= [_ladder(two_js[i])[(two_js[i] - two_mu - 2) // 2] for i in active]
+            W /= [_ladder(m.two_j)[(m.two_j - two_mu - 2) // 2] for m in active]
             # Rounding in a ladder's vector along longer ladders grows as
             # the lowering coefficient shrinks toward the ladder's foot.  QR
             # in creation order (two_j descending) takes it out; the phases
@@ -379,11 +386,11 @@ def bd_basis(s: SpinLabel, k: int) -> BDBasis:
             if dg.min() <= RANK_TOL:
                 raise ArithmeticError(f"lowered ladders at 2m={two_mu} lost rank")
             W = Q * (np.diagonal(R) / dg)
-            for i, w in zip(active, W.T):
-                ladders[i].append(w)
+            coefs[rows, :width] = W.T
+            row_level[rows] = lev
         if two_mu < 0:
             continue
-        n_new = len(pos[two_mu]) - len(active)
+        n_new = width - len(active)
         if n_new < 0:
             raise ArithmeticError("level dimension bookkeeping failed")
         if n_new == 0:
@@ -391,7 +398,7 @@ def bd_basis(s: SpinLabel, k: int) -> BDBasis:
         if active:
             ns = null_space(W.conj().T, rcond=RANK_TOL)
         else:
-            ns = np.eye(len(pos[two_mu]), dtype=complex)
+            ns = np.eye(width, dtype=complex)
         if ns.shape[1] != n_new:
             raise ArithmeticError(
                 f"highest-weight space at 2m={two_mu} has numerical rank "
@@ -401,36 +408,19 @@ def bd_basis(s: SpinLabel, k: int) -> BDBasis:
             ns, flag = _canonical_level_basis(diags[:, pos[two_mu]], ns)
             if flag:
                 flagged.append(two_mu)
-        for v in ns.T:
-            two_js.append(two_mu)
-            ladders.append([_phase_fixed(v / np.linalg.norm(v))])
-    # multiplets were created in descending two_j order; copies keep their
-    # canonical order within each level
-    level_cols = np.zeros((len(levels), max(map(len, pos.values()))), dtype=np.intp)
-    for lev, tm in enumerate(levels):
-        level_cols[lev, : len(pos[tm])] = pos[tm]
-    row_level = np.empty(dim, dtype=np.intp)
-    coefs = np.zeros((dim, level_cols.shape[1]), dtype=complex)
-    layout = []
-    row = 0
-    copy_counter: dict[int, int] = {}
-    for two_j, vecs in zip(two_js, ladders):
-        if len(vecs) != two_j + 1:
-            raise ArithmeticError("incomplete multiplet ladder")
-        copy = copy_counter.get(two_j, 0)
-        copy_counter[two_j] = copy + 1
-        lev0 = (tsm - two_j) // 2
-        for t, v in enumerate(vecs):
-            row_level[row] = lev0 + t
-            coefs[row, : len(v)] = v.conj()
-            row += 1
-        layout.append(Multiplet(two_j, copy, (row - len(vecs), row)))
-    if row != dim:
+        # every copy of this two_j starts here, in canonical order
+        for copy, v in enumerate(ns.T):
+            lo = layout[-1].row_range[1] if layout else 0
+            coefs[lo, :width] = _phase_fixed(v / np.linalg.norm(v))
+            row_level[lo] = lev
+            layout.append(Multiplet(two_mu, copy, (lo, lo + two_mu + 1)))
+    if layout[-1].row_range[1] != dim:
         raise ArithmeticError("block layout does not exhaust the wedge space")
+    coefs = coefs.conj()
     for arr in (level_cols, row_level, coefs):
         arr.setflags(write=False)
     return BDBasis(
-        s, k, level_cols, row_level, coefs, tuple(layout), tuple(sorted(set(flagged)))
+        s, k, level_cols, row_level, coefs, tuple(layout), tuple(sorted(flagged))
     )
 
 

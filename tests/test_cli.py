@@ -164,6 +164,24 @@ def test_a_failed_run_prints_its_error_document_and_writes_no_file(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", str(FIXTURES / "vw_22.json"), "--out"),
+        ("multicon", str(FIXTURES / "vw_22.json"), "--svg"),
+    ],
+    ids=["out", "svg"],
+)
+def test_an_unwritable_output_path_exits_2(tmp_path, argv):
+    path = tmp_path / "nodir" / "result"
+    proc = _run(*argv, str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert (doc["kind"], doc["code"], doc["error"]) == ("error", 2, "unwritable")
+    assert not path.parent.exists()
+
+
 def test_schubert_has_no_out_flag():
     proc = _run("schubert", "3", "2", "--out", "x")
     assert proc.returncode == 2

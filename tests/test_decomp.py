@@ -405,21 +405,40 @@ def canonical_degenerate_basis(s: SpinLabel, k: int, two_j: int, vectors) -> tup
     return list(full.T), flagged
 
 
-def test_canonical_degenerate_basis_deterministic():
+# (7, 4) 2j = 8 is ordered by Q^(2); the 2j = 0 sectors of (9, 4) and (12, 9)
+# stay tied through Q^(k) and take the coordinate rule
+@pytest.mark.parametrize(
+    "two_s,k,two_j,flagged", [(7, 4, 8, False), (9, 4, 0, True), (12, 9, 0, True)]
+)
+def test_canonical_degenerate_basis_deterministic(two_s, k, two_j, flagged):
     rng = np.random.default_rng(46)
-    s, k, two_j = SpinLabel(7), 4, 8
+    s = SpinLabel(two_s)
     basis = bd_basis(s, k)
+    assert (two_j in basis.degenerate_two_j) == flagged
     mults = [m for m in basis.layout if m.two_j == two_j]
-    raw = [basis.U[m.row_range[0]].conj() for m in mults]
+    raw = np.array([basis.U[m.row_range[0]].conj() for m in mults])
     # feed the span back in scrambled gauge: the canonical output is unchanged
-    M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    mixed = [M[0, 0] * raw[0] + M[0, 1] * raw[1], M[1, 0] * raw[0] + M[1, 1] * raw[1]]
-    out, flagged = canonical_degenerate_basis(s, k, two_j, mixed)
-    assert not flagged
+    n = len(raw)
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    out, got_flag = canonical_degenerate_basis(s, k, two_j, M @ raw)
+    assert got_flag == flagged
+    assert len(out) == n
     for got, want in zip(out, raw):
         phase = np.vdot(got, want)
         assert abs(abs(phase) - 1.0) < 1e-9
         assert np.abs(got * (phase / abs(phase)) - want).max() < 1e-8
+
+
+def test_complementary_shapes_flag_the_same_degenerate_sectors():
+    # the k-th and (2s+1-k)-th wedge powers are equivalent representations,
+    # so a sector ties on both or on neither; with a tolerance not scaled by
+    # Q^(n) on the level, rounding in the all-zero spectrum of an odd Q^(n)
+    # settled the 2j = 0 tie of (12, 9), which (12, 4) flags
+    for two_s in range(14):
+        for k in range(1, (two_s + 1) // 2 + 1):
+            want = bd_basis(SpinLabel(two_s), k).degenerate_two_j
+            got = bd_basis(SpinLabel(two_s), two_s + 1 - k).degenerate_two_j
+            assert got == want, (two_s, k)
 
 
 def test_complement_tables_match_basis_built_at_k():
@@ -439,12 +458,15 @@ def test_complement_tables_match_basis_built_at_k():
 # -- the dense construction, kept as an oracle for the per-weight storage -----
 
 
-def _dense_canonical(two_s: int, k: int, vectors: list) -> list:
-    """Canonical refinement on full-dimension vectors (dense oracle)."""
+def _dense_canonical(two_s: int, k: int, two_mu: int, vectors: list) -> list:
+    """Canonical refinement on full-dimension vectors of weight 2m = two_mu,
+    one vector at a time, each from a fresh eigen-solve of what the vectors
+    before it leave (dense oracle)."""
     V = np.array(vectors, dtype=complex).T
     q, _ = np.linalg.qr(V)
     work = q[:, : V.shape[1]]
     diags = _qpower_diagonals(two_s, k, max(2, k))
+    on_level = _wedge_two_m(two_s, k) == two_mu
     out = []
     while work.shape[1] > 0:
         cand = work
@@ -452,7 +474,7 @@ def _dense_canonical(two_s: int, k: int, vectors: list) -> list:
             for n_pow in range(2, len(diags)):
                 A = cand.conj().T @ (diags[n_pow][:, None] * cand)
                 evals, evecs = np.linalg.eigh((A + A.conj().T) / 2)
-                tol = DEGENERACY_TOL * max(1.0, abs(evals[-1]))
+                tol = DEGENERACY_TOL * np.abs(diags[n_pow][on_level]).max()
                 cand = cand @ evecs[:, evals >= evals[-1] - tol]
                 if cand.shape[1] == 1:
                     break
@@ -509,7 +531,7 @@ def dense_bd_basis(two_s: int, k: int) -> np.ndarray:
             v[pos] = ns[:, t]
             new.append(v)
         if n_new > 1:
-            new = _dense_canonical(two_s, k, new)
+            new = _dense_canonical(two_s, k, two_mu, new)
         multiplets += [(two_mu, [_phase_fixed(v / np.linalg.norm(v))]) for v in new]
     return np.array([v.conj() for _, vecs in multiplets for v in vecs])
 
