@@ -29,7 +29,7 @@ _EXPORTS = {
     "principal": "PrincipalResult planes_from_quartic_32 principal principal_all "
     "principal_sampled principal_top_component principal_wronskian schubert_count",
     "multicon": "ComponentReport GaugeFixed Multiconstellation PolarizationComponents "
-    "gauge_fix_component multiconstellation polarization_components spectator_constellation",
+    "multiconstellation polarization_components spectator_constellation",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

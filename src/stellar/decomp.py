@@ -26,7 +26,6 @@ from .grassmann import (
     KFrame,
     _multi_index_array,
     _subset_rank,
-    null_space,
     plucker,
 )
 from .spin_rep import RotationSpec, SpinLabel, SpinState, _ladder, wigner_d
@@ -335,9 +334,10 @@ def bd_basis(s: SpinLabel, k: int) -> BDBasis:
     """Block-diagonalizing basis of the (s, k) wedge space (cached).
 
     Highest-weight vectors, their canonical refinement and their lowering
-    ladders are all built in the coordinates of one weight space at a time.
-    Rows are assigned to a multiplet when it is created, and each ladder
-    vector is written to its row as the ladder descends.
+    ladders are all built in the coordinates of one weight space at a time,
+    with one complete QR of the lowered ladders per level.  Rows are assigned
+    to a multiplet when it is created, and each ladder vector is written to
+    its row as the ladder descends.
     """
     if not 1 <= k <= s.dim:
         raise ValueError("k out of range")
@@ -372,46 +372,35 @@ def bd_basis(s: SpinLabel, k: int) -> BDBasis:
         # lower every multiplet that reaches this weight, in one product;
         # its m = two_mu / 2 member goes to row lo + (two_j - two_mu) / 2
         active = [m for m in layout if m.two_j >= -two_mu]
+        if len(active) > width:
+            raise ArithmeticError("level dimension bookkeeping failed")
+        rows = np.array([m.row_range[0] + (m.two_j - two_mu) // 2 for m in active], dtype=np.intp)
+        W = np.zeros((width, 0))
         if active:
-            rows = np.array([m.row_range[0] + (m.two_j - two_mu) // 2 for m in active])
             W = lowering[two_mu + 2] @ coefs[rows - 1, : len(pos[two_mu + 2])].T
             # spin j lowers from m = (two_mu + 2) / 2 by entry j - m of its ladder
             W /= [_ladder(m.two_j)[(m.two_j - two_mu - 2) // 2] for m in active]
-            # Rounding in a ladder's vector along longer ladders grows as
-            # the lowering coefficient shrinks toward the ladder's foot.  QR
-            # in creation order (two_j descending) takes it out; the phases
-            # of R's diagonal keep each vector's own phase.
-            Q, R = np.linalg.qr(W)
-            dg = np.abs(np.diagonal(R))
-            if dg.min() <= RANK_TOL:
-                raise ArithmeticError(f"lowered ladders at 2m={two_mu} lost rank")
-            W = Q * (np.diagonal(R) / dg)
-            coefs[rows, :width] = W.T
-            row_level[rows] = lev
-        if two_mu < 0:
-            continue
-        n_new = width - len(active)
-        if n_new < 0:
-            raise ArithmeticError("level dimension bookkeeping failed")
-        if n_new == 0:
-            continue
-        if active:
-            ns = null_space(W.conj().T, rcond=RANK_TOL)
-        else:
-            ns = np.eye(width, dtype=complex)
-        if ns.shape[1] != n_new:
-            raise ArithmeticError(
-                f"highest-weight space at 2m={two_mu} has numerical rank "
-                f"{ns.shape[1]}, expected {n_new}"
-            )
-        if n_new > 1:
+        # Rounding in a ladder's vector along longer ladders grows as the
+        # lowering coefficient shrinks toward the ladder's foot.  QR in
+        # creation order (two_j descending) takes it out; the phases of R's
+        # diagonal keep each vector's own phase.  The trailing columns of the
+        # complete Q span the complement of the ladders: the level's
+        # highest-weight space, empty below 2m = 0.
+        Q, R = np.linalg.qr(W, mode="complete")
+        r = np.diagonal(R)
+        if np.any(np.abs(r) <= RANK_TOL):
+            raise ArithmeticError(f"lowered ladders at 2m={two_mu} lost rank")
+        coefs[rows, :width] = (Q[:, : len(active)] * (r / np.abs(r))).T
+        row_level[rows] = lev
+        ns = Q[:, len(active) :]
+        if ns.shape[1] > 1:
             ns, flag = _canonical_level_basis(diags[:, pos[two_mu]], ns)
             if flag:
                 flagged.append(two_mu)
         # every copy of this two_j starts here, in canonical order
         for copy, v in enumerate(ns.T):
             lo = layout[-1].row_range[1] if layout else 0
-            coefs[lo, :width] = _phase_fixed(v / np.linalg.norm(v))
+            coefs[lo, :width] = _phase_fixed(v)
             row_level[lo] = lev
             layout.append(Multiplet(two_mu, copy, (lo, lo + two_mu + 1)))
     if layout[-1].row_range[1] != dim:
@@ -447,8 +436,10 @@ def decompose_plane(frame: KFrame) -> list[ComponentState]:
     Minors whose norm overflows or underflows raise ArithmeticError.
     """
     basis = bd_basis(frame.s, frame.k)
-    P = plucker(frame).comps
-    norm = np.linalg.norm(P)
+    # minors that overflow make the check below raise, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = plucker(frame).comps
+        norm = np.linalg.norm(P)
     if not 0.0 < norm < math.inf:
         raise ArithmeticError("Pluecker minors overflow or underflow")
     P = P / norm

@@ -99,19 +99,6 @@ class KPlane(KFrame):
         return self
 
 
-def null_space(A: np.ndarray, rcond: float | None = None) -> np.ndarray:
-    """Orthonormal columns spanning the null space of A, by SVD.
-
-    Singular values at most rcond times the largest count as zero; the
-    default rcond is max(A.shape) * eps.
-    """
-    _, sv, vh = np.linalg.svd(A, full_matrices=True)
-    if rcond is None:
-        rcond = max(A.shape) * np.finfo(float).eps
-    rank = int(np.count_nonzero(sv > rcond * sv.max()))
-    return vh[rank:].conj().T
-
-
 @dataclass(frozen=True, eq=False)
 class PluckerVector:
     """k x k minors over lexicographic column multi-indices."""
@@ -231,6 +218,7 @@ def rotate_frame(frame: KFrame, r: RotationSpec) -> KFrame:
 
 
 def orthogonal_complement(frame: KFrame) -> KPlane:
-    """The (2s+1-k)-plane of states orthogonal to every state of the frame."""
-    comp = null_space(frame.rows.conj()).T
+    """The (2s+1-k)-plane of states orthogonal to every state of the frame:
+    the trailing 2s+1-k columns of Q in the complete QR of rows^T."""
+    comp = np.linalg.qr(frame.rows.T, mode="complete")[0][:, frame.k :].T
     return standard_form(KFrame(frame.s, frame.s.dim - frame.k, comp))

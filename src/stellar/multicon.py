@@ -121,26 +121,15 @@ class GaugeFixed:
     aligned_polarization: PolarizationComponents | None
 
 
-def gauge_fix_component(psi: SpinState) -> GaugeFixed:
-    """Canonical complex amplitude of a spin-j component (j > 0).
+def _gauge_fix(states: list) -> list[GaugeFixed]:
+    """Canonical complex amplitude of each nonzero spin-j > 0 component.
 
     Rotate the spin expectation to +z, cancel the phase of the first
     non-axial polarization component by a diagonal S_z twist, and read off
-    z = ||psi|| e^{i beta} from the first nonzero coefficient.  The
-    one-component case of `_gauge_fix`.
-    """
-    if psi.s.two_s == 0:
-        raise ValueError("gauge fixing applies to spin j > 0 components")
-    if psi.norm <= 1e-12:
-        raise ValueError("cannot gauge-fix a zero component")
-    return _gauge_fix([psi])[0]
-
-
-def _gauge_fix(states: list) -> list[GaugeFixed]:
-    """`gauge_fix_component` of each nonzero spin-j > 0 component, in one pass:
-    one pass over all roots, norms and spin expectations as reductions over
-    the stacked coefficients, and one `_wigner_columns` call that rotates
-    every spin expectation to +z.  Only `_gauge_of` runs per component.
+    z = ||psi|| e^{i beta} from the first nonzero coefficient.  One pass over
+    all roots, norms and spin expectations as reductions over the stacked
+    coefficients, and one `_wigner_columns` call that rotates every spin
+    expectation to +z; only `_gauge_of` runs per component.
     """
     constellations = _constellations(_roots([majorana_polynomial(psi) for psi in states]))
     two_j = [psi.s.two_s for psi in states]

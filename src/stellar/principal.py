@@ -69,9 +69,13 @@ def principal_wronskian(frame: KFrame) -> PrincipalResult:
     for a, b in zip(*np.triu_indices(k, 1)):
         vandermonde *= J[:, a] - J[:, b]
     signed = (-1.0) ** np.arange(s.dim) * _sqrt_binomials(s.two_s)
-    terms = plucker(frame).comps * vandermonde * np.prod(signed[J], axis=1)
     e = s.two_s * k - k * (k - 1) // 2 - J.sum(axis=1)
-    coeffs = np.bincount(e, terms.real, d_nom + 1) + 1j * np.bincount(e, terms.imag, d_nom + 1)
+    # minors or products that overflow make the check below raise, so numpy
+    # need not warn of them
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = plucker(frame).comps * vandermonde * np.prod(signed[J], axis=1)
+        coeffs = np.bincount(e, terms.real, d_nom + 1)
+        coeffs = coeffs + 1j * np.bincount(e, terms.imag, d_nom + 1)
     # written so that NaN, infinite or all-zero coefficients fail it too
     if not 0 < np.abs(coeffs).max() < math.inf:
         raise ArithmeticError("Wronskian coefficients overflow or underflow")
@@ -116,7 +120,9 @@ def principal_sampled(frame: KFrame) -> PrincipalResult:
     if np.abs(np.linalg.det(A)).min() < 1e-10:
         raise ArithmeticError("could not find nonsingular sampling nodes")
     V = np.linalg.solve(A, rows)
-    vals = nodes**d_nom * np.linalg.det(V.conj() @ frame.rows.T)
+    # overlaps that overflow make the check below raise, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = nodes**d_nom * np.linalg.det(V.conj() @ frame.rows.T)
     if not (np.all(np.isfinite(vals)) and np.any(vals)):
         raise ArithmeticError("overlaps at the sampling nodes overflow or underflow")
     poly = ComplexPolynomial(_circle_coeffs(vals, offset), d_nom)

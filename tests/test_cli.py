@@ -231,6 +231,7 @@ def test_a_failed_plane_leaves_the_rest_of_its_batch(tmp_path):
     assert doc["results"][good]["kind"] == "principal"
     assert doc["results"][big]["kind"] == "error"
     assert doc["results"][big]["code"] == 3
+    assert proc.stderr == ""
     # --jobs has no effect: one file gives one principal document
     proc, doc = _run_json("principal", good, "--jobs", "2")
     assert proc.returncode == 0

@@ -28,7 +28,7 @@ from stellar.decomp import (
     _wedge_lowering_terms,
     _wedge_two_m,
 )
-from stellar.grassmann import RANK_TOL, multi_indices, null_space
+from stellar.grassmann import RANK_TOL, multi_indices
 from stellar.spin_rep import _ladder
 
 from conftest import compose, random_frame, random_rotation
@@ -456,6 +456,15 @@ def test_complement_tables_match_basis_built_at_k():
 
 
 # -- the dense construction, kept as an oracle for the per-weight storage -----
+
+
+def null_space(A: np.ndarray, rcond: float) -> np.ndarray:
+    """Orthonormal columns spanning the null space of A, by SVD (the oracles'
+    own route, independent of the library's QR): singular values at most
+    rcond times the largest count as zero."""
+    _, sv, vh = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.count_nonzero(sv > rcond * sv.max()))
+    return vh[rank:].conj().T
 
 
 def _dense_canonical(two_s: int, k: int, two_mu: int, vectors: list) -> list:

@@ -284,14 +284,18 @@ def test_rotate_frame_keeps_row_span_transformation():
 
 def test_orthogonal_complement():
     rng = np.random.default_rng(39)
-    f = random_frame(rng, 4, 2)
-    plane = standard_form(f)
-    comp = orthogonal_complement(plane)
-    assert comp.k == 3
-    gram = plane.rows.conj() @ comp.rows.T
-    assert np.abs(gram).max() < 1e-10
-    back = orthogonal_complement(comp)
-    assert plane_inner(back, plane) == pytest.approx(1.0, abs=1e-10)
+    # k = 1 and k = 2s, whose complement is a line, included
+    for two_s, k in ((4, 2), (1, 1), (4, 1), (4, 4), (7, 3), (9, 9)):
+        plane = standard_form(random_frame(rng, two_s, k))
+        comp = orthogonal_complement(plane)
+        assert comp.k == two_s + 1 - k
+        gram = plane.rows.conj() @ comp.rows.T
+        assert np.abs(gram).max() < 1e-10
+        back = orthogonal_complement(comp)
+        assert plane_inner(back, plane) == pytest.approx(1.0, abs=1e-10)
+    # the complement of the full space is the zero plane, which is no plane
+    with pytest.raises(ValueError):
+        orthogonal_complement(random_frame(rng, 4, 5))
 
 
 def test_a_plane_is_the_frame_of_its_standard_form():

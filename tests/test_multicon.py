@@ -13,7 +13,6 @@ from stellar import (
     constellation_match_angle,
     constellation_of_state,
     decompose_plane,
-    gauge_fix_component,
     multiconstellation,
     polarization_components,
     rotate_constellation,
@@ -22,7 +21,7 @@ from stellar import (
     standard_form,
 )
 from stellar import majorana
-from stellar.multicon import GAUGE_TOL, _polarization_diagonals
+from stellar.multicon import GAUGE_TOL, _gauge_fix, _polarization_diagonals
 from stellar.spin_rep import geodesic_rotation, wigner_d
 
 from conftest import random_frame, random_rotation, same_bits, spin_matrices
@@ -315,7 +314,7 @@ def _gauge_test_states():
 def test_gauge_fix_matches_the_dense_oracle():
     reasons = set()
     for psi in _gauge_test_states():
-        g, want = gauge_fix_component(psi), dense_gauge_fix(psi)
+        g, want = _gauge_fix([psi])[0], dense_gauge_fix(psi)
         assert np.abs(g.sev - want["sev"]).max() <= 1e-12
         assert (g.applicable, g.reason, g.selected_lm) == (
             want["applicable"], want["reason"], want["selected_lm"],
@@ -352,7 +351,7 @@ def test_gauge_fix_worked_example_spin3():
     from stellar import decompose_plane
 
     comps = decompose_plane(vw_frame())
-    g3 = gauge_fix_component(comps[0].state)
+    g3 = _gauge_fix([comps[0].state])[0]
     assert g3.applicable
     want_sev = np.array([-math.sqrt(3.0 / 50.0), 0.0, 7.0 / 20.0])
     assert np.abs(g3.sev - want_sev).max() < 1e-12
@@ -373,7 +372,7 @@ def test_gauge_fix_worked_example_spin1():
     from stellar import decompose_plane
 
     comps = decompose_plane(vw_frame())
-    g1 = gauge_fix_component(comps[1].state)
+    g1 = _gauge_fix([comps[1].state])[0]
     assert g1.applicable
     assert g1.spin1_warning
     z = complex(g1.z)
@@ -458,7 +457,7 @@ def test_axial_symmetry_not_applicable():
     # a single S_z eigenstate has rotation symmetry about z: SEV along z and
     # every m != 0 polarization vanishes
     psi = SpinState(SpinLabel(4), np.array([1.0, 0, 0, 0, 0]))
-    g = gauge_fix_component(psi)
+    g = _gauge_fix([psi])[0]
     assert not g.applicable
     assert g.reason == "axial symmetry"
 
@@ -466,7 +465,7 @@ def test_axial_symmetry_not_applicable():
 def test_vanishing_sev_reason():
     # equal-weight superposition of extreme m states: SEV = 0
     psi = SpinState(SpinLabel(4), np.array([1.0, 0, 0, 0, 1.0]))
-    g = gauge_fix_component(psi)
+    g = _gauge_fix([psi])[0]
     assert not g.applicable
     assert g.reason == "vanishing spin expectation"
 
@@ -536,15 +535,15 @@ def test_multiconstellation_accepts_plane():
 
 def _blocks_match_the_one_block_path(frame: KFrame) -> list:
     """Check every gauge-fixed block of multiconstellation(frame) against
-    gauge_fix_component and constellation_of_state of its state; return the
-    blocks' GaugeFixed records."""
+    the one-block `_gauge_fix` and constellation_of_state of its state;
+    return the blocks' GaugeFixed records."""
     mc = multiconstellation(frame)
     gauges = []
     for rep, comp in zip(mc.components, decompose_plane(frame)):
         assert (rep.two_j, rep.copy_index) == (comp.two_j, comp.copy_index)
         if rep.gauge is None:
             continue
-        g, want = rep.gauge, gauge_fix_component(comp.state)
+        g, want = rep.gauge, _gauge_fix([comp.state])[0]
         one = constellation_of_state(comp.state)
         for c in (g.constellation, want.constellation):
             assert same_bits(c.directions, one.directions)

@@ -27,7 +27,7 @@ def test_every_exported_name_is_its_module_object():
     for name in stellar.__all__:
         obj = getattr(stellar, name)
         assert obj is getattr(sys.modules[obj.__module__], name), name
-    assert len(set(stellar.__all__)) == len(stellar.__all__) == 59
+    assert len(set(stellar.__all__)) == len(stellar.__all__) == 58
 
 
 def test_dir_lists_every_exported_name():
@@ -88,7 +88,7 @@ INSTANCE_BUILDERS = {
     "MultiplicityTable": lambda: stellar.multiplicities_genfun(stellar.SpinLabel(3), 2),
     "BDBasis": lambda: stellar.bd_basis.__wrapped__(stellar.SpinLabel(3), 2),
     "ComponentState": lambda: stellar.decompose_plane(_frame())[0],
-    "GaugeFixed": lambda: stellar.gauge_fix_component(_state()),
+    "GaugeFixed": lambda: stellar.multiconstellation(_frame()).components[0].gauge,
     "ComponentReport": lambda: stellar.multiconstellation(_frame()).components[0],
     "Multiconstellation": lambda: stellar.multiconstellation(_frame()),
     "PrincipalResult": lambda: stellar.principal(_frame()),
