@@ -435,10 +435,16 @@ def decompose_plane(frame: KFrame) -> list[ComponentState]:
     one stored basis row with the Pluecker entries of its own weight space.
     Minors whose norm overflows or underflows raise ArithmeticError.
     """
-    basis = bd_basis(frame.s, frame.k)
-    # minors that overflow make the check below raise, so numpy need not warn
+    # minors that overflow make _decompose_minors raise, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         P = plucker(frame).comps
+    return _decompose_minors(frame.s, frame.k, P)
+
+
+def _decompose_minors(s: SpinLabel, k: int, P: np.ndarray) -> list[ComponentState]:
+    """`decompose_plane` of the (s, k) plane whose Pluecker minors are P."""
+    basis = bd_basis(s, k)
+    with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(P)
     if not 0.0 < norm < math.inf:
         raise ArithmeticError("Pluecker minors overflow or underflow")

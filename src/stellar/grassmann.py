@@ -136,10 +136,14 @@ def standard_form(frame: KFrame) -> KPlane:
     """Reduced representative: identity on the pivot columns.
 
     Pivots are the lexicographically first column multi-index whose minor has
-    modulus at least RANK_TOL times the largest minor.
+    modulus at least RANK_TOL times the largest minor.  A minor with an
+    infinite part is the largest; one of NaN modulus raises ArithmeticError.
     """
-    P = plucker(frame).comps
-    mags = np.abs(P)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.abs(plucker(frame).comps)
+    # NaN compares false against the threshold, so it could move the pivots
+    if np.isnan(mags).any():
+        raise ArithmeticError("Pluecker minors overflow or underflow")
     top = mags.max()
     if top == 0.0:
         raise ValueError("frame is degenerate: all minors vanish")

@@ -7,23 +7,26 @@ plane's top spin block.  Its roots projected to the sphere are the plane's
 principal constellation: exactly the directions n whose antipodal coherent
 plane fails to be transversal.  Only the sampled route interpolates: values
 at unit-circle nodes (`_circle_nodes`) go to coefficients by one scaled DFT
-(`_circle_coeffs`), whose condition number is 1 at every degree.
+(`_circle_coeffs`), whose condition number is 1 at every degree.  The
+Wronskian weights and the sampled chart are built once per (2s, k).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .decomp import decompose_plane, two_s_max
+from .decomp import _decompose_minors, two_s_max
 from .grassmann import KFrame, KPlane, _multi_index_array, plucker, standard_form
 from .majorana import (
     ComplexPolynomial,
     Constellation,
+    _constellations,
+    _roots,
     _sqrt_binomials,
-    constellation_of_polynomial,
     majorana_polynomial,
     stereo_to_sphere,
 )
@@ -39,6 +42,10 @@ class PrincipalResult:
     constellation: Constellation
 
 
+#: The sampled route's nodes sit half a step off the roots of unity.
+_SAMPLE_OFFSET = 0.5
+
+
 def _circle_nodes(n: int, offset: float) -> np.ndarray:
     """The n unit-circle points exp(2 pi i (a + offset) / n), a = 0..n-1."""
     return np.exp(2j * np.pi * (np.arange(n) + offset) / n)
@@ -51,6 +58,101 @@ def _circle_coeffs(vals: np.ndarray, offset: float) -> np.ndarray:
     return np.fft.fft(vals) / n * np.exp(-2j * np.pi * offset * np.arange(n) / n)
 
 
+@lru_cache(maxsize=64)
+def _wronskian_plan(s: SpinLabel, k: int) -> tuple:
+    """(d_nom, e_J, prod_{a<b} (J_a - J_b), prod_{t in J} (-1)^t sqrt(C(2s, t)))
+    over the minors J of the (s, k) Wronskian sum, the arrays read-only."""
+    J = _multi_index_array(s.dim, k)
+    # a running product in floats: in integers it overflows int64 from k = 9
+    vandermonde = np.ones(len(J))
+    for a, b in zip(*np.triu_indices(k, 1)):
+        vandermonde *= J[:, a] - J[:, b]
+    signed = (-1.0) ** np.arange(s.dim) * _sqrt_binomials(s.two_s)
+    signprod = np.prod(signed[J], axis=1)
+    e = s.two_s * k - k * (k - 1) // 2 - J.sum(axis=1)
+    for arr in (e, vandermonde, signprod):
+        arr.setflags(write=False)
+    return two_s_max(s, k), e, vandermonde, signprod
+
+
+def _wronskian_polynomial(frame: KFrame, P: np.ndarray) -> ComplexPolynomial:
+    d_nom, e, vandermonde, signprod = _wronskian_plan(frame.s, frame.k)
+    # minors or products that overflow make the check below raise, so numpy
+    # need not warn of them
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = P * vandermonde * signprod
+        coeffs = np.bincount(e, terms.real, d_nom + 1)
+        coeffs = coeffs + 1j * np.bincount(e, terms.imag, d_nom + 1)
+    # written so that NaN, infinite or all-zero coefficients fail it too
+    if not 0 < np.abs(coeffs).max() < math.inf:
+        raise ArithmeticError("Wronskian coefficients overflow or underflow")
+    return ComplexPolynomial(coeffs, d_nom)
+
+
+def _top_polynomial(frame: KFrame, P: np.ndarray) -> ComplexPolynomial:
+    top = _decompose_minors(frame.s, frame.k, P)[0]
+    if top.two_j != two_s_max(frame.s, frame.k):
+        raise ArithmeticError("block layout is missing the top spin sector")
+    if top.state.norm <= 1e-12:
+        raise ArithmeticError(
+            "top spin component vanishes; principal polynomial undefined "
+            "through this route"
+        )
+    return majorana_polynomial(top.state)
+
+
+@lru_cache(maxsize=64)
+def _sampled_plan(s: SpinLabel, k: int) -> tuple | None:
+    """(nodes**d_nom, conj(V)) at the (s, k) sampled route's nodes, read-only,
+    V the chart representatives; None where the chart is singular."""
+    d_nom = two_s_max(s, k)
+    nodes = _circle_nodes(d_nom + 1, _SAMPLE_OFFSET)
+    q = _geodesic_quaternions(-stereo_to_sphere(nodes))
+    rows = _wigner_columns(s.two_s, q, k).transpose(0, 2, 1)
+    A = rows[:, :, :k]
+    if np.abs(np.linalg.det(A)).min() < 1e-10:
+        return None
+    power = nodes**d_nom
+    chart = np.linalg.solve(A, rows).conj()
+    power.setflags(write=False)
+    chart.setflags(write=False)
+    return power, chart
+
+
+def _sampled_polynomial(frame: KFrame, P: np.ndarray) -> ComplexPolynomial:
+    plan = _sampled_plan(frame.s, frame.k)
+    if plan is None:
+        raise ArithmeticError("could not find nonsingular sampling nodes")
+    power, chart = plan
+    # overlaps that overflow make the check below raise, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = power * np.linalg.det(chart @ frame.rows.T)
+    if not (np.all(np.isfinite(vals)) and np.any(vals)):
+        raise ArithmeticError("overlaps at the sampling nodes overflow or underflow")
+    return ComplexPolynomial(_circle_coeffs(vals, _SAMPLE_OFFSET), two_s_max(frame.s, frame.k))
+
+
+#: Each route's polynomial from the frame and its minors, in `principal_all` order.
+_ROUTES = {
+    "wronskian": _wronskian_polynomial,
+    "sampled": _sampled_polynomial,
+    "top": _top_polynomial,
+}
+
+
+def _principal(frame: KFrame, routes: tuple) -> dict:
+    """The named routes' results: the minors are taken once, and all the
+    polynomials' roots and stars are found in one pass."""
+    P = None
+    if routes != ("sampled",):  # the one route that reads the rows alone
+        # minors that overflow make a route's check raise, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = plucker(frame).comps
+    polys = [_ROUTES[name](frame, P) for name in routes]
+    stars = _constellations(_roots(polys))
+    return {name: PrincipalResult(name, p, c) for name, p, c in zip(routes, polys, stars)}
+
+
 def principal_wronskian(frame: KFrame) -> PrincipalResult:
     """Principal polynomial as the Wronskian det [ d^r P_i / d zeta^r ] of
     the row polynomials, summed exactly over the Pluecker minors P_J.
@@ -61,41 +163,12 @@ def principal_wronskian(frame: KFrame) -> PrincipalResult:
     sums P_J prod_{a<b} (J_a - J_b) prod_{t in J} (-1)^t sqrt(C(2s, t)) over
     e_J = e; the e_J fill exactly 0..d_nom, and nothing is interpolated.
     """
-    s, k = frame.s, frame.k
-    d_nom = two_s_max(s, k)
-    J = _multi_index_array(s.dim, k)
-    # a running product in floats: in integers it overflows int64 from k = 9
-    vandermonde = np.ones(len(J))
-    for a, b in zip(*np.triu_indices(k, 1)):
-        vandermonde *= J[:, a] - J[:, b]
-    signed = (-1.0) ** np.arange(s.dim) * _sqrt_binomials(s.two_s)
-    e = s.two_s * k - k * (k - 1) // 2 - J.sum(axis=1)
-    # minors or products that overflow make the check below raise, so numpy
-    # need not warn of them
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = plucker(frame).comps * vandermonde * np.prod(signed[J], axis=1)
-        coeffs = np.bincount(e, terms.real, d_nom + 1)
-        coeffs = coeffs + 1j * np.bincount(e, terms.imag, d_nom + 1)
-    # written so that NaN, infinite or all-zero coefficients fail it too
-    if not 0 < np.abs(coeffs).max() < math.inf:
-        raise ArithmeticError("Wronskian coefficients overflow or underflow")
-    poly = ComplexPolynomial(coeffs, d_nom)
-    return PrincipalResult("wronskian", poly, constellation_of_polynomial(poly))
+    return _principal(frame, ("wronskian",))["wronskian"]
 
 
 def principal_top_component(frame: KFrame) -> PrincipalResult:
     """Majorana polynomial of the plane's highest-spin block."""
-    comps = decompose_plane(frame)
-    top = comps[0]
-    if top.two_j != two_s_max(frame.s, frame.k):
-        raise ArithmeticError("block layout is missing the top spin sector")
-    if top.state.norm <= 1e-12:
-        raise ArithmeticError(
-            "top spin component vanishes; principal polynomial undefined "
-            "through this route"
-        )
-    poly = majorana_polynomial(top.state)
-    return PrincipalResult("top", poly, constellation_of_polynomial(poly))
+    return _principal(frame, ("top",))["top"]
 
 
 def principal_sampled(frame: KFrame) -> PrincipalResult:
@@ -104,50 +177,27 @@ def principal_sampled(frame: KFrame) -> PrincipalResult:
     zeta^{k k'} det( conj(V_{-n(zeta)}) W^T ), with V_{-n} the first-columns
     chart representative of the antipodal coherent plane, is a polynomial of
     the nominal degree; sample it at d_nom + 1 unit-circle nodes offset by
-    half a step, all in one batch, and interpolate by one DFT.  The chart
-    block at a node on the unit circle differs from the one at any other
-    such node only by row and column phases, so its determinant depends on
-    (2s, k) alone; where it falls below 1e-10 (first at (2s, k) = (16, 7))
-    no choice of nodes helps, and the route raises.
+    half a step, all in one batch, and interpolate by one DFT; the conj(V)
+    are built once per (2s, k).  The chart block at a node on the unit circle
+    differs from the one at any other such node only by row and column
+    phases, so its determinant depends on (2s, k) alone; where it falls below
+    1e-10 (first at (2s, k) = (16, 7)) no choice of nodes helps, and the
+    route raises.
     """
-    s, k = frame.s, frame.k
-    d_nom = two_s_max(s, k)
-    offset = 0.5
-    nodes = _circle_nodes(d_nom + 1, offset)
-    q = _geodesic_quaternions(-stereo_to_sphere(nodes))
-    rows = _wigner_columns(s.two_s, q, k).transpose(0, 2, 1)
-    A = rows[:, :, :k]
-    if np.abs(np.linalg.det(A)).min() < 1e-10:
-        raise ArithmeticError("could not find nonsingular sampling nodes")
-    V = np.linalg.solve(A, rows)
-    # overlaps that overflow make the check below raise, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = nodes**d_nom * np.linalg.det(V.conj() @ frame.rows.T)
-    if not (np.all(np.isfinite(vals)) and np.any(vals)):
-        raise ArithmeticError("overlaps at the sampling nodes overflow or underflow")
-    poly = ComplexPolynomial(_circle_coeffs(vals, offset), d_nom)
-    return PrincipalResult("sampled", poly, constellation_of_polynomial(poly))
-
-
-_ROUTES = {
-    "wronskian": principal_wronskian,
-    "sampled": principal_sampled,
-    "top": principal_top_component,
-}
+    return _principal(frame, ("sampled",))["sampled"]
 
 
 def principal(frame: KFrame, route: str = "wronskian") -> PrincipalResult:
     """Principal polynomial/constellation by the requested route."""
-    try:
-        fn = _ROUTES[route]
-    except KeyError:
+    if route not in _ROUTES:
         raise ValueError(f"unknown route {route!r}; choose from {sorted(_ROUTES)}")
-    return fn(frame)
+    return _principal(frame, (route,))[route]
 
 
 def principal_all(frame: KFrame) -> dict:
-    """All three routes at once, keyed by route name."""
-    return {name: fn(frame) for name, fn in _ROUTES.items()}
+    """All three routes at once, keyed by route name: one pass over the
+    minors, and one over the three polynomials' roots and stars."""
+    return _principal(frame, tuple(_ROUTES))
 
 
 def schubert_count(s: SpinLabel, k: int) -> int:

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -33,12 +34,14 @@ from stellar.spin_rep import (
 from stellar.principal import (
     _circle_coeffs,
     _circle_nodes,
+    _sampled_plan,
+    _wronskian_plan,
     principal_sampled,
     principal_top_component,
     principal_wronskian,
 )
 
-from conftest import random_frame, random_rotation
+from conftest import random_frame, random_rotation, same_bits
 
 
 def test_closed_form_spin_three_halves_k2():
@@ -331,3 +334,57 @@ def test_sampled_route_raises_where_its_chart_is_singular():
         with pytest.raises(ArithmeticError, match="nonsingular sampling nodes"):
             principal_sampled(random_frame(rng, two_s, k))
     assert principal_sampled(random_frame(rng, 16, 6)).constellation.total == 66
+
+
+ROUTES = ("wronskian", "sampled", "top")
+
+
+def _route_or_error(frame, route):
+    try:
+        return principal(frame, route)
+    except (ArithmeticError, RuntimeWarning) as e:
+        return e
+
+
+def test_principal_all_equals_the_single_routes_bit_for_bit():
+    # one minors pass and one roots pass for all three routes change no bit;
+    # where a route fails alone (from k = 25 its Wronskian weights overflow),
+    # principal_all raises the first such failure
+    rng = np.random.default_rng(62)
+    for two_s in range(36):
+        for k in range(1, two_s + 2):
+            if two_s_max(SpinLabel(two_s), k) > 35:
+                continue
+            frame = random_frame(rng, two_s, k)
+            alone = {r: _route_or_error(frame, r) for r in ROUTES}
+            failed = [e for e in alone.values() if isinstance(e, Exception)]
+            if failed:
+                with pytest.raises(type(failed[0]), match=re.escape(str(failed[0]))):
+                    principal_all(frame)
+                continue
+            together = principal_all(frame)
+            assert list(together) == list(ROUTES)
+            for r, one in alone.items():
+                both = together[r]
+                assert both.route == one.route == r
+                assert same_bits(both.polynomial.coeffs, one.polynomial.coeffs), (two_s, k, r)
+                assert same_bits(both.constellation.directions, one.constellation.directions)
+                assert same_bits(both.constellation.multiplicities, one.constellation.multiplicities)
+    with pytest.raises(ArithmeticError, match="nonsingular sampling nodes"):
+        principal_all(random_frame(rng, 17, 8))
+
+
+def test_shape_plans_are_cached_and_read_only():
+    s = SpinLabel(7)
+    for plan in (_wronskian_plan, _sampled_plan):
+        first = plan(s, 4)
+        hits = plan.cache_info().hits
+        assert plan(s, 4) is first
+        assert plan.cache_info().hits == hits + 1
+        arrays = [a for a in first if isinstance(a, np.ndarray)]
+        assert arrays
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
+    # a singular chart is a verdict kept per shape, too
+    assert _sampled_plan(SpinLabel(16), 7) is None
