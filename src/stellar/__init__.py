@@ -16,18 +16,18 @@ __version__ = "0.1.0"
 
 #: The public names, by the module that defines them.
 _EXPORTS = {
-    "spin_rep": "RotationSpec SpinLabel SpinState coherent_state geodesic_rotation "
-    "so3_matrix wigner_d",
+    "_exact": "MultiplicityTable SpinLabel multiplicities_genfun schubert_count two_s_max",
+    "spin_rep": "RotationSpec SpinState coherent_state geodesic_rotation so3_matrix wigner_d",
     "majorana": "ComplexPolynomial Constellation Star antipodal_constellation "
-    "constellation_from_roots constellation_match_angle constellation_of_polynomial "
-    "constellation_of_state majorana_polynomial poly_roots projective_distance "
-    "projective_normalize rotate_constellation stereo_to_sphere",
+    "constellation_from_roots constellation_match_angle constellation_of_state "
+    "majorana_polynomial poly_roots projective_distance projective_normalize "
+    "rotate_constellation stereo_to_sphere",
     "grassmann": "KFrame KPlane PluckerVector coherent_plane frame_inner multi_indices "
     "orthogonal_complement plucker plucker_residual rotate_frame standard_form",
-    "decomp": "BDBasis ComponentState Multiplet MultiplicityTable bd_basis decompose_plane "
-    "multiplicities_char multiplicities_from_basis multiplicities_genfun two_s_max wedge_rep",
+    "decomp": "BDBasis ComponentState Multiplet bd_basis decompose_plane "
+    "multiplicities_char multiplicities_from_basis wedge_rep",
     "principal": "PrincipalResult planes_from_quartic_32 principal principal_all "
-    "principal_sampled principal_top_component principal_wronskian schubert_count",
+    "principal_sampled principal_top_component principal_wronskian",
     "multicon": "ComponentReport GaugeFixed Multiconstellation PolarizationComponents "
     "multiconstellation polarization_components spectator_constellation",
 }

@@ -9,6 +9,10 @@ numeric failure, 4 a result was produced but a not-applicable flag is
 present.  Each command returns its document and exit code; `main` alone
 writes the document, to --out when given, else to stdout, and an error
 document always to stdout.
+
+Importing this module loads neither numpy nor another `stellar` module:
+each command imports what it calls, so `schubert` and `multiplicities
+--method genfun` never load numpy, and the rest load only their own modules.
 """
 
 from __future__ import annotations
@@ -23,35 +27,6 @@ from itertools import combinations
 # One process handles one small plane or state: OpenBLAS worker threads cost
 # start-up time and gain nothing.  Set before numpy loads; a user setting wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
-
-from .decomp import (
-    decompose_plane,
-    multiplicities_char,
-    multiplicities_from_basis,
-    multiplicities_genfun,
-)
-from .grassmann import (
-    KFrame,
-    orthogonal_complement,
-    plucker,
-    plucker_residual,
-    frame_inner,
-    rotate_frame,
-    standard_form,
-)
-from .majorana import (
-    Constellation,
-    antipodal_constellation,
-    constellation_match_angle,
-    constellation_of_state,
-    projective_distance,
-    rotate_constellation,
-)
-from .multicon import multiconstellation
-from .principal import principal, principal_all, schubert_count
-from .spin_rep import RotationSpec, SpinLabel, SpinState
 
 SCHEMA = "stellar/1"
 EXIT_OK = 0
@@ -174,6 +149,11 @@ def _parse_complex(v, where: str) -> complex:
 
 
 def _load_plane(path: str) -> KFrame:
+    import numpy as np
+
+    from ._exact import SpinLabel
+    from .grassmann import KFrame
+
     doc, two_s = _load(path, "plane")
     k, rows = doc.get("k"), doc.get("rows")
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
@@ -199,6 +179,11 @@ def _load_plane(path: str) -> KFrame:
 
 
 def _load_state(path: str) -> SpinState:
+    import numpy as np
+
+    from ._exact import SpinLabel
+    from .spin_rep import SpinState
+
     doc, two_s = _load(path, "state")
     coeffs = doc.get("coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != two_s + 1:
@@ -328,6 +313,8 @@ def _svg_for_groups(groups) -> str:
 
 
 def _cmd_constellation(args) -> tuple[dict, int]:
+    from .majorana import constellation_of_state
+
     psi = _load_state(args.state_file)
     c = constellation_of_state(psi)
     return {
@@ -340,6 +327,8 @@ def _cmd_constellation(args) -> tuple[dict, int]:
 
 def _route_agreement(results: dict) -> float:
     """Largest projective distance between two routes' polynomials."""
+    from .majorana import projective_distance
+
     return max(
         projective_distance(results[a].polynomial, results[b].polynomial)
         for a, b in combinations(sorted(results), 2)
@@ -347,6 +336,8 @@ def _route_agreement(results: dict) -> float:
 
 
 def _principal_doc_for(path: str, route: str) -> tuple[dict, int]:
+    from .principal import principal, principal_all
+
     frame = _load_plane(path)
     doc = {
         "schema": SCHEMA,
@@ -387,6 +378,8 @@ def _cmd_principal(args) -> tuple[dict, int]:
 
 
 def _cmd_decompose(args) -> tuple[dict, int]:
+    from .decomp import decompose_plane
+
     frame = _load_plane(args.plane_file)
     comps = decompose_plane(frame)
     return {
@@ -407,6 +400,8 @@ def _cmd_decompose(args) -> tuple[dict, int]:
 
 
 def _cmd_multicon(args) -> tuple[dict, int]:
+    from .multicon import multiconstellation
+
     frame = _load_plane(args.plane_file)
     mc = multiconstellation(frame)
     doc = _multicon_doc(mc)
@@ -423,16 +418,20 @@ def _cmd_multicon(args) -> tuple[dict, int]:
     return doc, EXIT_FLAGGED if mc.z_values is None else EXIT_OK
 
 
-#: The multiplicity methods, by their `--method` name.
-_METHODS = {
-    "genfun": multiplicities_genfun,
-    "char": multiplicities_char,
-    "basis": multiplicities_from_basis,
-}
+#: The multiplicity methods' `--method` names; only genfun runs without numpy.
+_METHODS = ("genfun", "char", "basis")
 
 
 def _cmd_multiplicities(args) -> tuple[dict, int]:
-    table = _METHODS[args.method](SpinLabel(args.two_s), args.k)
+    from ._exact import SpinLabel, multiplicities_genfun
+
+    if args.method == "genfun":
+        method = multiplicities_genfun
+    else:
+        from .decomp import multiplicities_char, multiplicities_from_basis
+
+        method = multiplicities_char if args.method == "char" else multiplicities_from_basis
+    table = method(SpinLabel(args.two_s), args.k)
     return {
         "schema": SCHEMA,
         "kind": "multiplicities",
@@ -446,10 +445,28 @@ def _cmd_multiplicities(args) -> tuple[dict, int]:
 
 
 def _cmd_schubert(args) -> tuple[int, int]:
+    from ._exact import SpinLabel, schubert_count
+
     return schubert_count(SpinLabel(args.two_s), args.k), EXIT_OK
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    import numpy as np
+
+    from .grassmann import (
+        KFrame,
+        frame_inner,
+        orthogonal_complement,
+        plucker,
+        plucker_residual,
+        rotate_frame,
+        standard_form,
+    )
+    from .majorana import antipodal_constellation, constellation_match_angle, rotate_constellation
+    from .multicon import multiconstellation
+    from .principal import principal, principal_all
+    from .spin_rep import RotationSpec
+
     frame = _load_plane(args.plane_file)
     rng = np.random.default_rng(args.seed)
     checks = []
@@ -559,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("multiplicities", help="spin-block multiplicity table")
     c.add_argument("two_s", type=int)
     c.add_argument("k", type=int)
-    c.add_argument("--method", choices=list(_METHODS), default="genfun")
+    c.add_argument("--method", choices=_METHODS, default="genfun")
     c.set_defaults(func=_cmd_multiplicities)
 
     c = sub.add_parser("schubert", help="planes sharing a generic principal constellation")

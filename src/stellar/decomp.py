@@ -4,12 +4,12 @@ The Pluecker image of a (s, k) plane lives in the wedge space of dimension
 C(2s+1, k), which splits into spin-j blocks with multiplicities m_j: the
 differences of the coefficients of the Gaussian binomial [2s+1 choose k]_q.
 This module computes those multiplicities by three independent routes: the
-closed-form product in exact integers (`genfun`) and the int64 character
-dynamic program (`char`), each in O(kk L) steps for kk = min(k, 2s+1-k) and
-L = kk(2s+1-kk) + 1, and the explicit highest-weight construction
-(`basis`).  It also builds the unitary change of basis to the block-diagonal
-form, with a canonical, rotation-independent choice inside degenerate
-j-sectors.
+closed-form product in exact integers (`genfun`, defined in `_exact` so that
+it loads no numpy) and the int64 character dynamic program (`char`), each in
+O(kk L) steps for kk = min(k, 2s+1-k) and L = kk(2s+1-kk) + 1, and the
+explicit highest-weight construction (`basis`).  It also builds the unitary
+change of basis to the block-diagonal form, with a canonical,
+rotation-independent choice inside degenerate j-sectors.
 """
 
 from __future__ import annotations
@@ -17,10 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
+from ._exact import (  # multiplicities_genfun: one of this module's three routes
+    MultiplicityTable,
+    _multiplicities_from_gaussian,
+    _table_from_map,
+    multiplicities_genfun,
+    two_s_max,
+)
 from .grassmann import (
     RANK_TOL,
     KFrame,
@@ -32,11 +38,6 @@ from .spin_rep import RotationSpec, SpinLabel, SpinState, _ladder, wigner_d
 
 #: Eigenvalue clusters tighter than this count as ties during refinement.
 DEGENERACY_TOL = 1e-9
-
-
-def two_s_max(s: SpinLabel, k: int) -> int:
-    """Twice the largest spin in the wedge decomposition, k(2s+1-k)."""
-    return k * (s.dim - k)
 
 
 # ---------------------------------------------------------------------------
@@ -76,72 +77,6 @@ def wedge_rep(s: SpinLabel, k: int, r: RotationSpec) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # multiplicity tables
-
-
-@dataclass(frozen=True)
-class MultiplicityTable:
-    """Multiplicities m_j > 0 of the spin-j blocks that occur, two_j descending."""
-
-    s: SpinLabel
-    k: int
-    entries: tuple[tuple[int, int], ...]
-
-    def nonzero(self) -> tuple[tuple[int, int], ...]:
-        return self.entries
-
-    def total_dimension(self) -> int:
-        return sum((tj + 1) * m for tj, m in self.entries)
-
-
-def _table_from_map(s: SpinLabel, k: int, mmap: dict) -> MultiplicityTable:
-    entries = sorted(((tj, m) for tj, m in mmap.items() if m), reverse=True)
-    return MultiplicityTable(s, k, tuple(entries))
-
-
-def _multiplicities_from_gaussian(s: SpinLabel, k: int, c: list) -> MultiplicityTable:
-    """The table from c[e], the q^e coefficients of the Gaussian binomial.
-
-    c[e] counts the k-subsets of the n weights whose sorted index sum
-    exceeds its least value by e: the weight 2m = two_s_max - 2e of the wedge
-    character.  So m_j = c[e] - c[e - 1] at e = (two_s_max - 2j) / 2.
-    """
-    tsm = two_s_max(s, k)
-    mmap = {tsm - 2 * e: c[e] - (c[e - 1] if e else 0) for e in range(tsm // 2 + 1)}
-    return _table_from_map(s, k, mmap)
-
-
-def multiplicities_genfun(s: SpinLabel, k: int) -> MultiplicityTable:
-    """Multiplicities from the closed form of the Gaussian binomial.
-
-    With n = 2s+1 and kk = min(k, n-k) (the k-th and (n-k)-th wedge powers
-    are equivalent representations), the wedge character, read from its
-    top weight down in steps of 2, is the Gaussian binomial
-
-        [n choose kk]_q = prod_{r=1}^{kk} (1 - q^{n-kk+r}) / (1 - q^r),
-
-    built one factor at a time on a list of exact Python ints, never longer
-    than L + kk with L = kk(n-kk) + 1: multiplying by (1 - q^a) is one
-    shifted subtract, dividing by (1 - q^r) one running sum with stride r.
-    The running sum is the power series of the quotient; it is exact only
-    if the r coefficients past the quotient's degree vanish, and an
-    ArithmeticError is raised if they do not.  Each factor costs O(L), the
-    table O(kk L), and no floating point is involved.
-    """
-    if not 1 <= k <= s.dim:
-        raise ValueError("k out of range")
-    n = s.dim
-    kk = min(k, n - k)
-    c = [1]
-    for r in range(1, kk + 1):
-        a = n - kk + r
-        c += [0] * a
-        c[a:] = [x - y for x, y in zip(c[a:], c)]  # times (1 - q^a)
-        for rho in range(r):  # over (1 - q^r): c[t] += c[t - r], left to right
-            c[rho::r] = accumulate(c[rho::r])
-        if any(c[-r:]):
-            raise ArithmeticError("inexact polynomial division")
-        del c[-r:]
-    return _multiplicities_from_gaussian(s, k, c)
 
 
 def _wedge_character(n: int, kk: int) -> list | None:

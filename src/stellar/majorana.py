@@ -385,10 +385,6 @@ def constellation_of_state(psi: SpinState) -> Constellation:
     return constellation_from_roots(poly_roots(majorana_polynomial(psi)))
 
 
-def constellation_of_polynomial(p: ComplexPolynomial) -> Constellation:
-    return constellation_from_roots(poly_roots(p))
-
-
 def rotate_constellation(c: Constellation, r: RotationSpec) -> Constellation:
     """Every star rotated by r and normalized, in one array pass.
 

@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .decomp import _decompose_minors, two_s_max
+from ._exact import schubert_count, two_s_max  # schubert_count stays importable from here
+from .decomp import _decompose_minors
 from .grassmann import KFrame, KPlane, _multi_index_array, plucker, standard_form
 from .majorana import (
     ComplexPolynomial,
@@ -58,17 +59,37 @@ def _circle_coeffs(vals: np.ndarray, offset: float) -> np.ndarray:
     return np.fft.fft(vals) / n * np.exp(-2j * np.pi * offset * np.arange(n) / n)
 
 
+#: log2 bounds on the Wronskian weights: a shape whose largest weight stays
+#: below 2^_WEIGHT_LOG2_LIMIT (up to (26, 24), at 2^968.2) uses them as they
+#: are.  Beyond it, from (24, 25) at 2^988, a Gaussian frame's minors (about
+#: 2^55 there) would take the terms past the double range, so the weights are
+#: scaled by the power of two that brings the largest to 2^_WEIGHT_LOG2_TOP;
+#: a weight of 1 then stays a normal double up to a largest of 2^1534.
+_WEIGHT_LOG2_LIMIT, _WEIGHT_LOG2_TOP = 970, 512
+
+
 @lru_cache(maxsize=64)
 def _wronskian_plan(s: SpinLabel, k: int) -> tuple:
-    """(d_nom, e_J, prod_{a<b} (J_a - J_b), prod_{t in J} (-1)^t sqrt(C(2s, t)))
-    over the minors J of the (s, k) Wronskian sum, the arrays read-only."""
+    """(d_nom, e_J, 2^-t prod_{a<b} (J_a - J_b), prod_{t in J} (-1)^t sqrt(C(2s, t)))
+    over the minors J of the (s, k) Wronskian sum, the arrays read-only.
+
+    The scale 2^-t (see _WEIGHT_LOG2_LIMIT) is exactly 1 unless the weights
+    would leave the minors no room; the polynomial is projective, so it
+    changes no root.
+    """
     J = _multi_index_array(s.dim, k)
-    # a running product in floats: in integers it overflows int64 from k = 9
-    vandermonde = np.ones(len(J))
-    for a, b in zip(*np.triu_indices(k, 1)):
-        vandermonde *= J[:, a] - J[:, b]
     signed = (-1.0) ** np.arange(s.dim) * _sqrt_binomials(s.two_s)
     signprod = np.prod(signed[J], axis=1)
+    # a running product in floats, held as mantissa and exponent so that it
+    # cannot overflow: in integers it overflows int64 from k = 9, and as one
+    # double from k = 28
+    mantissa, exponent = np.ones(len(J)), np.zeros(len(J), dtype=np.intc)
+    for a, b in zip(*np.triu_indices(k, 1)):
+        mantissa, step = np.frexp(mantissa * (J[:, a] - J[:, b]))
+        exponent += step
+    log2_top = np.max(exponent + np.log2(np.abs(mantissa)) + np.log2(np.abs(signprod)))
+    t = math.ceil(log2_top) - _WEIGHT_LOG2_TOP if log2_top > _WEIGHT_LOG2_LIMIT else 0
+    vandermonde = np.ldexp(mantissa, exponent - t)
     e = s.two_s * k - k * (k - 1) // 2 - J.sum(axis=1)
     for arr in (e, vandermonde, signprod):
         arr.setflags(write=False)
@@ -198,24 +219,6 @@ def principal_all(frame: KFrame) -> dict:
     """All three routes at once, keyed by route name: one pass over the
     minors, and one over the three polynomials' roots and stars."""
     return _principal(frame, tuple(_ROUTES))
-
-
-def schubert_count(s: SpinLabel, k: int) -> int:
-    """Number of (s, k) planes sharing a generic principal constellation.
-
-    The degree of the Grassmannian Gr(k, 2s+1) in its Pluecker embedding:
-    (k k')! prod_{i=1}^{k-1} i! / prod_{i=k'}^{2s} i!, with k' = 2s+1-k.
-    """
-    if not 1 <= k <= s.dim:
-        raise ValueError("k out of range")
-    k_perp = s.dim - k
-    num = math.factorial(k * k_perp)
-    for i in range(1, k):
-        num *= math.factorial(i)
-    den = 1
-    for i in range(k_perp, s.two_s + 1):
-        den *= math.factorial(i)
-    return num // den
 
 
 def planes_from_quartic_32(p: ComplexPolynomial) -> list[KPlane]:

@@ -20,29 +20,7 @@ from itertools import groupby
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class SpinLabel:
-    """Spin quantum number, stored as 2s so half-integers stay exact."""
-
-    two_s: int
-
-    def __post_init__(self) -> None:
-        if int(self.two_s) != self.two_s or self.two_s < 0:
-            raise ValueError("two_s must be a non-negative integer")
-        object.__setattr__(self, "two_s", int(self.two_s))
-
-    @property
-    def s(self) -> float:
-        return self.two_s / 2
-
-    @property
-    def dim(self) -> int:
-        return self.two_s + 1
-
-    def m_values(self) -> np.ndarray:
-        """S_z eigenvalues, ordered s, s-1, ..., -s."""
-        return (self.two_s - 2 * np.arange(self.dim)) / 2
+from ._exact import SpinLabel
 
 
 @dataclass(frozen=True, eq=False)

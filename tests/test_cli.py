@@ -15,6 +15,7 @@ import pytest
 import stellar
 
 FIXTURES = Path(stellar.__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run(*args):
@@ -81,10 +82,13 @@ def test_import_loads_no_scipy():
 
 def _blas_after_cli_import(**env) -> str:
     """OPENBLAS_NUM_THREADS and the thread count of a fresh interpreter that
-    has imported stellar.cli, started with `env` in place of the variable."""
+    has imported stellar.cli and then numpy, the order a numpy command takes,
+    started with `env` in place of the variable."""
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     code = (
         "import os, sys, stellar.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import numpy\n"
         "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)"
     )
@@ -102,6 +106,64 @@ def test_cli_defaults_to_one_blas_thread():
 
 def test_cli_keeps_an_explicit_blas_setting():
     assert _blas_after_cli_import(OPENBLAS_NUM_THREADS="2").split()[0] == "2"
+
+
+def _main_in_fresh_interpreter(argv) -> tuple[int, str, set]:
+    """Exit code and stdout of stellar.cli.main(argv) in a fresh interpreter,
+    and the numpy and stellar modules it loaded."""
+    code = (
+        "import contextlib, io, json, sys, stellar.cli\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        f"    code = stellar.cli.main({argv!r})\n"
+        "loaded = [m for m in sys.modules if m == 'numpy' or m.startswith('stellar.')]\n"
+        "print(json.dumps([code, buf.getvalue(), loaded]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, stdout, loaded = json.loads(proc.stdout)
+    return exit_code, stdout, set(loaded)
+
+
+def test_import_loads_no_numpy_and_no_library_module():
+    code = "import sys, stellar.cli; print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('stellar.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['stellar.cli']"
+
+
+def test_schubert_runs_without_numpy():
+    code, stdout, loaded = _main_in_fresh_interpreter(["schubert", "8", "4"])
+    assert (code, stdout) == (0, "1662804\n")
+    assert loaded == {"stellar.cli", "stellar._exact"}
+
+
+_LIBRARY = {"grassmann", "decomp", "majorana", "principal", "multicon"}
+
+
+@pytest.mark.parametrize(
+    "case, library",
+    [
+        ("multiplicities-29-7-genfun", ""),
+        ("multiplicities-7-4-char", "grassmann decomp"),
+        ("multiplicities-7-4-basis", "grassmann decomp"),
+        ("constellation-tetra_s2", "majorana"),
+        ("decompose-vw_22", "grassmann decomp"),
+        ("principal-vw_22", "grassmann decomp majorana principal"),
+        ("multicon-vw_22", "grassmann decomp majorana multicon"),
+        ("verify-vw_22", "grassmann decomp majorana principal multicon"),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_calls(case, library):
+    # genfun loads no numpy; every other command loads it with spin_rep
+    golden = json.loads((GOLDEN / f"{case}.json").read_text())
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in golden["argv"]]
+    code, stdout, loaded = _main_in_fresh_interpreter(argv)
+    assert code == golden["exit_code"]
+    if golden["argv"][0] == "multiplicities":  # integers only: equal, not close
+        assert json.loads(stdout) == golden["stdout"]
+    assert {m for m in _LIBRARY if f"stellar.{m}" in loaded} == set(library.split())
+    assert ("numpy" in loaded) == ("stellar.spin_rep" in loaded) == bool(library)
 
 
 def test_principal_routes_report_identical_angles():

@@ -52,6 +52,7 @@ CASES = {
         f"multiplicities-7-4-{m}": ["multiplicities", "7", "4", "--method", m]
         for m in ("genfun", "char", "basis")
     },
+    "multiplicities-29-7-genfun": ["multiplicities", "29", "7"],
 }
 
 

@@ -15,7 +15,6 @@ from stellar import (
     antipodal_constellation,
     coherent_state,
     constellation_match_angle,
-    constellation_of_polynomial,
     constellation_of_state,
     majorana_polynomial,
     poly_roots,
@@ -94,7 +93,7 @@ def test_leading_zero_coefficients_give_infinite_roots():
     finite = roots[~np.isinf(roots)]
     assert len(finite) == 1
     assert abs(finite[0] - (-1.0)) < 1e-12
-    c = constellation_of_polynomial(p)
+    c = constellation_from_roots(poly_roots(p))
     assert c.total == 3
     south = [s for s in c.stars if s.direction[2] < -0.99]
     assert south and south[0].multiplicity == 2
@@ -205,7 +204,7 @@ def test_projective_normalize_and_distance():
 def test_double_root_clustering():
     # (z - 1)^2 (z + 2) = z^3 - 3 z + 2
     p = ComplexPolynomial(np.array([2.0, -3.0, 0.0, 1.0]), 3)
-    c = constellation_of_polynomial(p)
+    c = constellation_from_roots(poly_roots(p))
     mults = sorted(s.multiplicity for s in c.stars)
     assert mults == [1, 2]
     doubled = [s for s in c.stars if s.multiplicity == 2][0]

@@ -27,7 +27,29 @@ def test_every_exported_name_is_its_module_object():
     for name in stellar.__all__:
         obj = getattr(stellar, name)
         assert obj is getattr(sys.modules[obj.__module__], name), name
-    assert len(set(stellar.__all__)) == len(stellar.__all__) == 58
+    assert len(set(stellar.__all__)) == len(stellar.__all__) == 57
+
+
+def test_the_exact_names_load_no_numpy():
+    code = (
+        "import sys, stellar\n"
+        "table = stellar.multiplicities_genfun(stellar.SpinLabel(7), 4)\n"
+        "count = stellar.schubert_count(stellar.SpinLabel(8), 4)\n"
+        "print(table.total_dimension(), count, 'numpy' in sys.modules)"
+    )
+    assert _fresh(code) == "70 1662804 False"
+
+
+def test_the_exact_names_resolve_in_the_modules_that_use_them():
+    # `from stellar import principal` would give the function of that name
+    _exact, decomp, principal, spin_rep = (
+        importlib.import_module(f"stellar.{m}") for m in ("_exact", "decomp", "principal", "spin_rep")
+    )
+    assert spin_rep.SpinLabel is decomp.SpinLabel is _exact.SpinLabel
+    assert decomp.multiplicities_genfun is _exact.multiplicities_genfun
+    assert decomp.MultiplicityTable is _exact.MultiplicityTable
+    assert decomp.two_s_max is principal.two_s_max is _exact.two_s_max
+    assert principal.schubert_count is _exact.schubert_count
 
 
 def test_dir_lists_every_exported_name():

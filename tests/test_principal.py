@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from stellar import (
     standard_form,
 )
 from stellar.decomp import two_s_max
+from stellar.grassmann import _multi_index_array
 from stellar.majorana import stereo_to_sphere
 from stellar.spin_rep import (
     _geodesic_quaternions,
@@ -348,8 +350,8 @@ def _route_or_error(frame, route):
 
 def test_principal_all_equals_the_single_routes_bit_for_bit():
     # one minors pass and one roots pass for all three routes change no bit;
-    # where a route fails alone (from k = 25 its Wronskian weights overflow),
-    # principal_all raises the first such failure
+    # where a route fails alone (as the sampled route does on its singular
+    # chart, the last case), principal_all raises the first such failure
     rng = np.random.default_rng(62)
     for two_s in range(36):
         for k in range(1, two_s + 2):
@@ -388,3 +390,37 @@ def test_shape_plans_are_cached_and_read_only():
                 a[(0,) * a.ndim] = 1
     # a singular chart is a verdict kept per shape, too
     assert _sampled_plan(SpinLabel(16), 7) is None
+
+
+@pytest.mark.parametrize("two_s, k", [(24, 25), (25, 25), (26, 26), (27, 27), (30, 29)])
+def test_wronskian_matches_top_where_its_weights_outgrow_a_double(two_s, k):
+    # the weights reach 2^988 to 2^1483 here, past what a minor of a Gaussian
+    # frame leaves room for; scaled by a power of two they raise no warning
+    frame = random_frame(np.random.default_rng(100 * two_s + k), two_s, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wronskian, top = principal(frame, "wronskian"), principal(frame, "top")
+    assert wronskian.constellation.total == top.constellation.total == k * (two_s + 1 - k)
+    assert constellation_match_angle(wronskian.constellation, top.constellation) <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "two_s, k, scaled",
+    [(3, 2, False), (9, 4, False), (13, 6, False), (20, 12, False), (23, 24, False),
+     (26, 24, False), (24, 25, True), (25, 25, True), (26, 26, True)],
+)
+def test_wronskian_weights_are_scaled_only_where_they_outgrow_a_double(two_s, k, scaled):
+    # below 2^970 the Vandermonde factor is the plain running product, bit
+    # for bit (up to (26, 24), at 2^968.2); above, it is that product times
+    # one power of two
+    J = _multi_index_array(two_s + 1, k)
+    plain = np.ones(len(J))
+    for a, b in zip(*np.triu_indices(k, 1)):
+        plain *= J[:, a] - J[:, b]
+    vandermonde = _wronskian_plan(SpinLabel(two_s), k)[2]
+    if not scaled:
+        assert same_bits(vandermonde, plain)
+        return
+    ratio = vandermonde / plain
+    assert np.all(ratio == ratio[0]) and ratio[0] < 1
+    assert np.frexp(ratio[0])[0] == 0.5
