@@ -5,11 +5,11 @@ C(2s+1, k), which splits into spin-j blocks with multiplicities m_j: the
 differences of the coefficients of the Gaussian binomial [2s+1 choose k]_q.
 This module computes those multiplicities by three independent routes: the
 closed-form product in exact integers (`genfun`, defined in `_exact` so that
-it loads no numpy) and the int64 character dynamic program (`char`), each in
-O(kk L) steps for kk = min(k, 2s+1-k) and L = kk(2s+1-kk) + 1, and the
-explicit highest-weight construction (`basis`).  It also builds the unitary
-change of basis to the block-diagonal form, with a canonical,
-rotation-independent choice inside degenerate j-sectors.
+it loads no numpy) in O(kk L) steps for kk = min(k, 2s+1-k) and L =
+kk(2s+1-kk) + 1, the int64 character dynamic program (`char`) in kk numpy
+cumulative sums, and the explicit highest-weight construction (`basis`).  It
+also builds the unitary change of basis to the block-diagonal form, with a
+canonical, rotation-independent choice inside degenerate j-sectors.
 """
 
 from __future__ import annotations
@@ -80,27 +80,30 @@ def wedge_rep(s: SpinLabel, k: int, r: RotationSpec) -> np.ndarray:
 
 
 def _wedge_character(n: int, kk: int) -> list | None:
-    """Coefficients of the Gaussian binomial [n choose kk]_q, or None on overflow.
+    """The lower half of the Gaussian binomial [n choose kk]_q, or None on overflow.
 
-    The int64 dynamic program for e_kk over the weights: row j holds the
-    j-subsets of the indices seen so far, by index sum less its least value
-    j(j-1)/2, so adding index i shifts row j-1 by i-(j-1) >= 0 into row j
-    and every row fits the one-sided width L = kk(n-kk) + 1.  The program
-    only adds, so int64 wraparound leaves every entry right modulo 2^64; the
-    true entries are non-negative and sum to C(n, kk), which the stored ones
-    reach only if none of them wrapped.  The table is dropped before the
-    caller sees the result, so an error raised over it keeps no array alive.
+    c[e] for e <= (L-1)/2, L = kk(n-kk) + 1, e the index sum less its least
+    value; the SU(2) character is palindromic, so this is all a table reads.
+    Row u of pass j's int64 history counts the j-subsets of indices 0..j+u-1
+    (u < N = n-kk+1: later rows never reach kk) and is the sum over v <= u of
+    pass j-1's row v shifted by v: one cumsum down a zero-padded buffer read
+    with rows one entry short, which shifts row v by v, trimmed to the
+    j(N-1) + 1 columns that can be nonzero.  Sums wrap modulo 2^64, so each
+    entry is at most its true, non-negative value, and the row is exact iff
+    its symmetric sum 2 sum(half) - (centre if L is odd) reaches C(n, kk).
+    The buffer is dropped before the caller sees the result, so an error
+    raised over it keeps no array alive.
     """
-    L = kk * (n - kk) + 1
-    E = np.zeros((kk + 1, L), dtype=np.int64)
-    E[0, 0] = 1
-    for i in range(n):
-        # row j still reaches row kk only if the n - 1 - i indices left suffice
-        for j in range(min(kk, i + 1), max(0, kk - n + i), -1):
-            sh = i - (j - 1)
-            E[j, sh:] += E[j - 1, : L - sh]
-    row = E[kk].tolist()
-    return row if sum(row) == math.comb(n, kk) else None
+    L, N = kk * (n - kk) + 1, n - kk + 1
+    H = (L + 1) // 2
+    B = np.zeros((N, H + N), dtype=np.int64)
+    B[:, 0] = 1
+    shifted = B.reshape(-1)[: N * (H + N - 1)].reshape(N, H + N - 1)
+    for j in range(1, kk + 1):
+        w = min(H, j * (N - 1) + 1)
+        B[:, :w] = np.cumsum(shifted[:, :w], axis=0)
+    half = B[-1, :H].tolist()
+    return half if 2 * sum(half) - (half[-1] if L % 2 else 0) == math.comb(n, kk) else None
 
 
 def multiplicities_char(s: SpinLabel, k: int) -> MultiplicityTable:
@@ -109,11 +112,11 @@ def multiplicities_char(s: SpinLabel, k: int) -> MultiplicityTable:
     The wedge character chi is the elementary symmetric polynomial e_k of
     the weights q^{2m}, built by an int64 dynamic program at kk =
     min(k, 2s+1-k) (the two wedge powers are equivalent representations)
-    on the one-sided index-sum support of width L = kk(2s+1-kk) + 1: at
-    most kk (2s+1) row additions of length at most L, O(kk L) per index.
+    on the lower half of its palindromic index-sum support of width L =
+    kk(2s+1-kk) + 1: kk cumulative sums over a (2s+2-kk) x ceil(L/2) history.
     Pairing with the spin-j character telescopes to m_j = chi(2j) -
     chi(2j+2), with chi(e) the coefficient of q^e.
-    Overflow is detected once, on the final row, by its sum (see
+    Overflow is detected once, on the half row, by its symmetric sum (see
     _wedge_character); an ArithmeticError is then raised from a frame that
     holds no array, so a kept traceback keeps no table alive.
     """

@@ -163,6 +163,33 @@ def test_multiplicities_char_raises_beyond_int64():
         multiplicities_char(SpinLabel(74), 38)
 
 
+# the k at which char raises, first to last, at each n = 2s + 1 in 72 .. 82
+_CHAR_OVERFLOW_BAND = {
+    75: (34, 41), 76: (32, 44), 77: (31, 46), 78: (30, 48),
+    79: (29, 50), 80: (28, 52), 81: (28, 53), 82: (27, 55),
+}
+
+
+def test_char_raises_exactly_where_the_central_coefficient_passes_int64():
+    # The Gaussian coefficients are palindromic and unimodal, so the largest
+    # is the central one, and the table telescopes to it: sum_j m_j.  char
+    # checks only the lower half of the row, so this pins its verdict at
+    # every shape around the boundary, both edges of each band included.
+    raised = {}
+    for n in range(72, 83):
+        s = SpinLabel(n - 1)
+        for k in range(1, n):
+            want = multiplicities_genfun(s, k).entries
+            if sum(m for _, m in want) >= 2**63:
+                with pytest.raises(ArithmeticError, match="overflows int64"):
+                    multiplicities_char(s, k)
+                raised.setdefault(n, []).append(k)
+            else:
+                assert multiplicities_char(s, k).entries == want, (n, k)
+    assert {n: (ks[0], ks[-1]) for n, ks in raised.items()} == _CHAR_OVERFLOW_BAND
+    assert all(len(ks) == ks[-1] - ks[0] + 1 for ks in raised.values())
+
+
 def gaussian_binomial(n: int, k: int) -> list:
     """Coefficients of [n choose k]_q by [m, j] = [m-1, j-1] + q^j [m-1, j] (oracle)."""
     row = [[1]] + [[0]] * k  # row[j] holds [m choose j]_q, here at m = 0
