@@ -26,8 +26,7 @@ _EXPORTS = {
     "orthogonal_complement plucker plucker_residual rotate_frame standard_form",
     "decomp": "BDBasis ComponentState Multiplet bd_basis decompose_plane "
     "multiplicities_char multiplicities_from_basis wedge_rep",
-    "principal": "PrincipalResult planes_from_quartic_32 principal principal_all "
-    "principal_sampled principal_top_component principal_wronskian",
+    "principal": "PrincipalResult planes_from_quartic_32 principal principal_all",
     "multicon": "ComponentReport GaugeFixed Multiconstellation PolarizationComponents "
     "multiconstellation polarization_components spectator_constellation",
 }

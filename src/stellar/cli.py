@@ -48,7 +48,7 @@ class CLIError(Exception):
 
 
 #: The exceptions a command or a batch entry reports as an error document.
-_FAILURES = (CLIError, ArithmeticError, ValueError)
+_FAILURES = (CLIError, ArithmeticError, MemoryError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,8 @@ def _failure(exc: Exception) -> tuple[dict, int]:
         code, slug = exc.code, exc.slug
     elif isinstance(exc, ArithmeticError):
         code, slug = EXIT_NUMERIC, "numeric"
+    elif isinstance(exc, MemoryError):
+        code, slug = EXIT_NUMERIC, "out-of-memory"
     else:
         code, slug = EXIT_PARSE, "invalid-value"
     return {

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from ._cache import cached
 from ._exact import (  # multiplicities_genfun: one of this module's three routes
     MultiplicityTable,
     _multiplicities_from_gaussian,
@@ -267,9 +267,9 @@ def _coordinate_basis(C: np.ndarray) -> np.ndarray:
     return C @ Y
 
 
-@lru_cache(maxsize=32)
+@cached
 def bd_basis(s: SpinLabel, k: int) -> BDBasis:
-    """Block-diagonalizing basis of the (s, k) wedge space (cached).
+    """Block-diagonalizing basis of the (s, k) wedge space (in the table cache).
 
     Highest-weight vectors, their canonical refinement and their lowering
     ladders are all built in the coordinates of one weight space at a time,
@@ -343,11 +343,8 @@ def bd_basis(s: SpinLabel, k: int) -> BDBasis:
             layout.append(Multiplet(two_mu, copy, (lo, lo + two_mu + 1)))
     if layout[-1].row_range[1] != dim:
         raise ArithmeticError("block layout does not exhaust the wedge space")
-    coefs = coefs.conj()
-    for arr in (level_cols, row_level, coefs):
-        arr.setflags(write=False)
     return BDBasis(
-        s, k, level_cols, row_level, coefs, tuple(layout), tuple(sorted(flagged))
+        s, k, level_cols, row_level, coefs.conj(), tuple(layout), tuple(sorted(flagged))
     )
 
 

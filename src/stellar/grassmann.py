@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
+from ._cache import cached
 from .spin_rep import (
     RotationSpec,
     SpinLabel,
@@ -38,13 +38,13 @@ def multi_indices(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, _multi_index_array(n, k).tolist()))
 
 
-@lru_cache(maxsize=64)
+@cached
 def _multi_index_array(n: int, k: int) -> np.ndarray:
     """The size-k subsets of range(n), lexicographic, as a read-only
     (C(n, k), k) integer array."""
-    out = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(math.comb(n, k), k)
-    out.setflags(write=False)
-    return out
+    count = math.comb(n, k)
+    flat = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.intp, count * k)
+    return flat.reshape(count, k)  # not (-1, k): at k = 0 there is one empty subset
 
 
 def _subset_rank(n: int, S: np.ndarray) -> np.ndarray:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
+from ._cache import cached
 from .spin_rep import RotationSpec, SpinState, so3_matrix
 
 #: Relative magnitude, after binomial weighting, below which a coefficient
@@ -32,12 +33,10 @@ ROOT_TOL = 1e-10
 CLUSTER_TOL = 1e-6
 
 
-@lru_cache(maxsize=64)
+@cached
 def _sqrt_binomials(n: int) -> np.ndarray:
     """The read-only row sqrt(C(n, j)), j = 0, ..., n."""
-    row = np.array([math.sqrt(math.comb(n, j)) for j in range(n + 1)])
-    row.setflags(write=False)
-    return row
+    return np.array([math.sqrt(math.comb(n, j)) for j in range(n + 1)])
 
 
 @dataclass(frozen=True, eq=False)

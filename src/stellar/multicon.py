@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
+from ._cache import cached
 from .decomp import decompose_plane
 from .grassmann import KFrame
 from .majorana import (
@@ -33,7 +33,7 @@ GAUGE_TOL = 1e-9
 _NO_STARS = Constellation(np.zeros((0, 3)), np.zeros(0, dtype=int), 0)
 
 
-@lru_cache(maxsize=64)
+@cached
 def _polarization_diagonals(two_j: int) -> tuple:
     """Polarization operators T_{lm}, m >= 0, of the spin-j space.
 
@@ -56,7 +56,6 @@ def _polarization_diagonals(two_j: int) -> tuple:
         C += np.diag(off, 1) + np.diag(off, -1)
         W = np.linalg.eigh(C)[1]
         W *= (-1.0) ** m * np.sign(W[0])
-        W.setflags(write=False)
         out.append(W)
     return tuple(out)
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from ._cache import cached
 from ._exact import schubert_count, two_s_max  # schubert_count stays importable from here
 from .decomp import _decompose_minors
 from .grassmann import KFrame, KPlane, _multi_index_array, plucker, standard_form
@@ -68,14 +68,18 @@ def _circle_coeffs(vals: np.ndarray, offset: float) -> np.ndarray:
 _WEIGHT_LOG2_LIMIT, _WEIGHT_LOG2_TOP = 970, 512
 
 
-@lru_cache(maxsize=64)
+@cached
 def _wronskian_plan(s: SpinLabel, k: int) -> tuple:
     """(d_nom, e_J, 2^-t prod_{a<b} (J_a - J_b), prod_{t in J} (-1)^t sqrt(C(2s, t)))
     over the minors J of the (s, k) Wronskian sum, the arrays read-only.
 
-    The scale 2^-t (see _WEIGHT_LOG2_LIMIT) is exactly 1 unless the weights
-    would leave the minors no room; the polynomial is projective, so it
-    changes no root.
+    Row i of a frame is the polynomial P_i with rows[i, t] (-1)^t sqrt(C(2s, t))
+    at zeta^(2s-t), and the monomials zeta^(2s-t), t in J, have the Wronskian
+    prod_{a<b} (J_a - J_b) zeta^(e_J); so by Cauchy-Binet the zeta^e coefficient
+    of the Wronskian det [ d^r P_i / d zeta^r ] sums the minors P_J times the
+    last two factors over e_J = e, which fill exactly 0..d_nom: nothing is
+    interpolated.  The scale 2^-t is exactly 1 unless the weights would leave
+    the minors no room; the polynomial is projective, so it changes no root.
     """
     J = _multi_index_array(s.dim, k)
     signed = (-1.0) ** np.arange(s.dim) * _sqrt_binomials(s.two_s)
@@ -91,8 +95,6 @@ def _wronskian_plan(s: SpinLabel, k: int) -> tuple:
     t = math.ceil(log2_top) - _WEIGHT_LOG2_TOP if log2_top > _WEIGHT_LOG2_LIMIT else 0
     vandermonde = np.ldexp(mantissa, exponent - t)
     e = s.two_s * k - k * (k - 1) // 2 - J.sum(axis=1)
-    for arr in (e, vandermonde, signprod):
-        arr.setflags(write=False)
     return two_s_max(s, k), e, vandermonde, signprod
 
 
@@ -122,10 +124,15 @@ def _top_polynomial(frame: KFrame, P: np.ndarray) -> ComplexPolynomial:
     return majorana_polynomial(top.state)
 
 
-@lru_cache(maxsize=64)
+@cached
 def _sampled_plan(s: SpinLabel, k: int) -> tuple | None:
     """(nodes**d_nom, conj(V)) at the (s, k) sampled route's nodes, read-only,
-    V the chart representatives; None where the chart is singular."""
+    V the first-columns chart representatives of the antipodal coherent
+    planes, whose zeta^{k k'} det( conj(V) W^T ) is the principal polynomial;
+    None where the chart is singular.  The chart block at a node on the unit
+    circle differs from another's only by row and column phases, so its
+    determinant depends on (2s, k) alone: where it falls below 1e-10 (first
+    at (16, 7)) no choice of nodes helps."""
     d_nom = two_s_max(s, k)
     nodes = _circle_nodes(d_nom + 1, _SAMPLE_OFFSET)
     q = _geodesic_quaternions(-stereo_to_sphere(nodes))
@@ -133,11 +140,7 @@ def _sampled_plan(s: SpinLabel, k: int) -> tuple | None:
     A = rows[:, :, :k]
     if np.abs(np.linalg.det(A)).min() < 1e-10:
         return None
-    power = nodes**d_nom
-    chart = np.linalg.solve(A, rows).conj()
-    power.setflags(write=False)
-    chart.setflags(write=False)
-    return power, chart
+    return nodes**d_nom, np.linalg.solve(A, rows).conj()
 
 
 def _sampled_polynomial(frame: KFrame, P: np.ndarray) -> ComplexPolynomial:
@@ -172,40 +175,6 @@ def _principal(frame: KFrame, routes: tuple) -> dict:
     polys = [_ROUTES[name](frame, P) for name in routes]
     stars = _constellations(_roots(polys))
     return {name: PrincipalResult(name, p, c) for name, p, c in zip(routes, polys, stars)}
-
-
-def principal_wronskian(frame: KFrame) -> PrincipalResult:
-    """Principal polynomial as the Wronskian det [ d^r P_i / d zeta^r ] of
-    the row polynomials, summed exactly over the Pluecker minors P_J.
-
-    P_i has rows[i, t] (-1)^t sqrt(C(2s, t)) at zeta^(2s-t), and the monomials
-    zeta^(2s-t), t in J, have the Wronskian prod_{a<b} (J_a - J_b) zeta^(e_J),
-    e_J = 2s k - k(k-1)/2 - sum J.  So by Cauchy-Binet the zeta^e coefficient
-    sums P_J prod_{a<b} (J_a - J_b) prod_{t in J} (-1)^t sqrt(C(2s, t)) over
-    e_J = e; the e_J fill exactly 0..d_nom, and nothing is interpolated.
-    """
-    return _principal(frame, ("wronskian",))["wronskian"]
-
-
-def principal_top_component(frame: KFrame) -> PrincipalResult:
-    """Majorana polynomial of the plane's highest-spin block."""
-    return _principal(frame, ("top",))["top"]
-
-
-def principal_sampled(frame: KFrame) -> PrincipalResult:
-    """Principal polynomial from coherent-plane overlaps.
-
-    zeta^{k k'} det( conj(V_{-n(zeta)}) W^T ), with V_{-n} the first-columns
-    chart representative of the antipodal coherent plane, is a polynomial of
-    the nominal degree; sample it at d_nom + 1 unit-circle nodes offset by
-    half a step, all in one batch, and interpolate by one DFT; the conj(V)
-    are built once per (2s, k).  The chart block at a node on the unit circle
-    differs from the one at any other such node only by row and column
-    phases, so its determinant depends on (2s, k) alone; where it falls below
-    1e-10 (first at (2s, k) = (16, 7)) no choice of nodes helps, and the
-    route raises.
-    """
-    return _principal(frame, ("sampled",))["sampled"]
 
 
 def principal(frame: KFrame, route: str = "wronskian") -> PrincipalResult:

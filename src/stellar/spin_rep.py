@@ -15,11 +15,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
 
+from ._cache import cached
 from ._exact import SpinLabel
 
 
@@ -82,7 +82,7 @@ class RotationSpec:
         return np.concatenate(([math.cos(h)], math.sin(h) * self.axis))
 
 
-@lru_cache(maxsize=64)
+@cached
 def _ladder(two_s: int) -> np.ndarray:
     """The read-only <m+1|S_+|m> = sqrt(s(s+1) - m(m+1)), m = s-1, ..., -s.
 
@@ -91,12 +91,10 @@ def _ladder(two_s: int) -> np.ndarray:
     """
     s = two_s / 2
     m = s - 1 - np.arange(two_s)
-    out = np.sqrt(s * (s + 1) - m * (m + 1))
-    out.setflags(write=False)
-    return out
+    return np.sqrt(s * (s + 1) - m * (m + 1))
 
 
-@lru_cache(maxsize=64)
+@cached
 def _sy_eigenbasis(two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """2m = 2s, 2s - 2, ..., -2s, and V, V^dagger with S_y = V diag(m) V^dagger.
 
@@ -119,10 +117,7 @@ def _sy_eigenbasis(two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     comb = K[:, 0]
     P = np.exp(-0.25j * math.pi * ((n - 2 * i) % 8))
     V = P[:, None] * np.sqrt(comb[None, :] / comb[:, None]) * 2.0 ** (-n / 2) * K
-    out = (n - 2 * i, V, V.conj().T)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    return n - 2 * i, V, V.conj().T
 
 
 def _wigner_columns(two_s, q: np.ndarray, x) -> np.ndarray:

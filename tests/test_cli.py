@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -375,6 +376,25 @@ def test_multiplicities_char_overflow_exits_3():
     assert proc.returncode == 3
     assert doc["kind"] == "error"
     assert "(75, 37)" in doc["message"]
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+def test_a_table_too_large_for_memory_exits_3():
+    # the (31, 15) wedge index table asks for 33.6 GiB at once; the child runs
+    # under a 1 GiB address-space cap, so the request fails however much the
+    # machine has
+    proc = subprocess.run(
+        [sys.executable, "-m", "stellar.cli", "multiplicities", "30", "15", "--method", "basis"],
+        capture_output=True, text=True, preexec_fn=_cap_address_space, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["kind"], doc["code"], doc["error"]) == ("error", 3, "out-of-memory")
+    assert proc.stderr == ""
 
 
 def test_schubert_prints_plain_integer():
