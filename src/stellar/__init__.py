@@ -1,7 +1,7 @@
 """Stellar representations of spin-s k-planes.
 
 Majorana constellations of spin states, principal constellations of planes
-(three independent routes), SU(2) block structure of wedge powers, and
+(a closed form and two checks), SU(2) block structure of wedge powers, and
 gauge-fixed multiconstellations with their spectator state.
 
 The package is lazy: each public name is imported from its module on first

@@ -287,14 +287,7 @@ def bd_basis(s: SpinLabel, k: int) -> BDBasis:
     local = np.empty(dim, dtype=np.intp)
     for p in pos.values():
         local[p] = np.arange(len(p))
-    # the lowering operator from weight tm to tm - 2, in level coordinates
     dst, src, cf = _wedge_lowering_terms(s.two_s, k)
-    lowering = {}
-    for tm in levels[:-1]:
-        sel = two_m[src] == tm
-        L = np.zeros((len(pos[tm - 2]), len(pos[tm])))
-        L[local[dst[sel]], local[src[sel]]] = cf[sel]
-        lowering[tm] = L
     diags = _qpower_diagonals(s.two_s, k, max(2, k))
     level_cols = np.zeros((len(levels), max(map(len, pos.values()))), dtype=np.intp)
     for lev, tm in enumerate(levels):
@@ -315,7 +308,11 @@ def bd_basis(s: SpinLabel, k: int) -> BDBasis:
         rows = np.array([m.row_range[0] + (m.two_j - two_mu) // 2 for m in active], dtype=np.intp)
         W = np.zeros((width, 0))
         if active:
-            W = lowering[two_mu + 2] @ coefs[rows - 1, : len(pos[two_mu + 2])].T
+            # the lowering operator from the level above, in level coordinates
+            sel = two_m[src] == two_mu + 2
+            L = np.zeros((width, len(pos[two_mu + 2])))
+            L[local[dst[sel]], local[src[sel]]] = cf[sel]
+            W = L @ coefs[rows - 1, : len(pos[two_mu + 2])].T
             # spin j lowers from m = (two_mu + 2) / 2 by entry j - m of its ladder
             W /= [_ladder(m.two_j)[(m.two_j - two_mu - 2) // 2] for m in active]
         # Rounding in a ladder's vector along longer ladders grows as the
@@ -343,8 +340,9 @@ def bd_basis(s: SpinLabel, k: int) -> BDBasis:
             layout.append(Multiplet(two_mu, copy, (lo, lo + two_mu + 1)))
     if layout[-1].row_range[1] != dim:
         raise ArithmeticError("block layout does not exhaust the wedge space")
+    np.conjugate(coefs, out=coefs)
     return BDBasis(
-        s, k, level_cols, row_level, coefs.conj(), tuple(layout), tuple(sorted(flagged))
+        s, k, level_cols, row_level, coefs, tuple(layout), tuple(sorted(flagged))
     )
 
 

@@ -4,8 +4,9 @@ gauge-fixed complex amplitudes tying the blocks together.
 Each spin-j component of the decomposed Pluecker vector carries a
 constellation (2j stars) and, after a canonical alignment procedure, a single
 complex number z; the vector Z of all z's behaves as one extra "spectator"
-spin state whose own constellation completes a faithful, rotation-covariant
-picture of the plane.
+spin state.  The picture is rotation-covariant but not faithful in general:
+at (5,3), negating the spin-5/2 block gives another plane with the same
+multiconstellation.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Principal polynomial and principal constellation of a spin-s k-plane.
 
-Three independent routes compute the same degree-k(2s+1-k) polynomial (up to
-scale): the Wronskian of the row polynomials as an exact sum over the Pluecker
-minors, coherent-state overlap sampling, and the Majorana polynomial of the
-plane's top spin block.  Its roots projected to the sphere are the plane's
-principal constellation: exactly the directions n whose antipodal coherent
-plane fails to be transversal.  Only the sampled route interpolates: values
-at unit-circle nodes (`_circle_nodes`) go to coefficients by one scaled DFT
-(`_circle_coeffs`), whose condition number is 1 at every degree.  The
+Three routes compute the same degree-k(2s+1-k) polynomial (up to scale).
+`wronskian` is the closed form: the rows' Wronskian as an exact sum over the
+Pluecker minors.  `top`, the Majorana polynomial of the top spin block, is
+the same map of the minors read through `bd_basis`, so it checks that basis.
+`sampled` alone evaluates the polynomial without the minors: coherent-state
+overlaps at unit-circle nodes (`_circle_nodes`) go to coefficients by one
+scaled DFT (`_circle_coeffs`), of condition number 1 at every degree.  The
+roots on the sphere are the plane's principal constellation: exactly the
+directions n whose antipodal coherent plane fails to be transversal.  The
 Wronskian weights and the sampled chart are built once per (2s, k).
 """
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, fields
 from itertools import zip_longest
@@ -28,7 +31,8 @@ from stellar.decomp import (
     _wedge_lowering_terms,
     _wedge_two_m,
 )
-from stellar.grassmann import RANK_TOL, multi_indices
+from stellar.grassmann import RANK_TOL, _multi_index_array, _subset_rank, multi_indices
+from stellar.principal import _wronskian_plan
 from stellar.spin_rep import _ladder
 
 from conftest import compose, random_frame, random_rotation
@@ -632,3 +636,95 @@ def test_bd_basis_matches_dense_oracle(two_s, k):
         assert diff < 2e-12
         rot = random_rotation(np.random.default_rng(48))
         assert _off_block(basis, rot) < 1e-14
+
+
+def _level_positions(basis) -> np.ndarray:
+    """Each wedge column's position within its weight level's level_cols row."""
+    two_s, k = basis.s.two_s, basis.k
+    level = (two_s_max(basis.s, k) - _wedge_two_m(two_s, k)) // 2
+    local = np.empty(len(level), dtype=np.intp)
+    for lev, cols in enumerate(basis.level_cols):
+        width = np.count_nonzero(level == lev)
+        local[cols[:width]] = np.arange(width)
+    return local
+
+
+def test_bd_basis_top_block_is_the_wronskian_weights():
+    # row t of the top multiplet is c (-1)^t w_J / sqrt(C(d, t)) on the minors
+    # J with e_J = d - t, w the Wronskian weights and c one constant per
+    # shape: an exact oracle for the numerically built rows, at the cost of
+    # one plan per shape
+    for two_s in range(1, 14):
+        for k in range(1, two_s + 1):
+            s = SpinLabel(two_s)
+            basis = bd_basis(s, k)
+            d, e, vandermonde, signprod = _wronskian_plan(s, k)
+            assert basis.layout[0].two_j == d
+            t = np.arange(d + 1)
+            got = np.zeros((d + 1, len(e)), dtype=complex)
+            np.add.at(got, (t[:, None], basis.level_cols[basis.row_level[t]]), basis.coefs[t])
+            want = np.where(e == d - t[:, None], vandermonde * signprod, 0.0)
+            want *= ((-1.0) ** t / np.sqrt([math.comb(d, i) for i in t]))[:, None]
+            c = np.vdot(want, got) / np.vdot(want, want)
+            # every row has unit norm, so this error is relative
+            assert np.linalg.norm(got - c * want, axis=1).max() <= 1e-14, (two_s, k)
+
+
+def test_bd_basis_rows_obey_the_condon_shortley_mirror():
+    # e^(-i pi J_y) |j, m> = (-1)^(j-m) |j, -m>: row lo + 2j - t of a multiplet
+    # is (-1)^t F(row lo + t), F the rotation by pi about y on the wedge
+    # space, which sends subset J to reversed(2s - J) with the sign
+    # (-1)^(sum J + k(k-1)/2)
+    for two_s in range(14):
+        for k in range(1, two_s + 2):
+            basis = bd_basis(SpinLabel(two_s), k)
+            n = two_s + 1
+            I = _multi_index_array(n, k)
+            flip = _subset_rank(n, (two_s - I)[:, ::-1])
+            sign = (-1.0) ** (I.sum(axis=1) + k * (k - 1) // 2)
+            local = _level_positions(basis)
+            # row lo + t goes to row lo + 2j - t = hi - 1 - t, for every t <= j
+            src, dst, t = [], [], []
+            for mult in basis.layout:
+                lo, hi = mult.row_range
+                half = np.arange(mult.two_j // 2 + 1)
+                src.append(lo + half)
+                dst.append(hi - 1 - half)
+                t.append(half)
+            src, dst, t = map(np.concatenate, (src, dst, t))
+            # both sides on the level positions of the rows they fill; padded
+            # entries carry a zero coefficient, so where they land is moot
+            have = np.zeros(basis.coefs.shape, dtype=complex)
+            at_dst = local[basis.level_cols[basis.row_level[dst]]]
+            np.add.at(have, (dst[:, None], at_dst), basis.coefs[dst])
+            cols = basis.level_cols[basis.row_level[src]]
+            mirrored = np.zeros(basis.coefs.shape, dtype=complex)
+            np.add.at(
+                mirrored,
+                (dst[:, None], local[flip[cols]]),
+                ((-1.0) ** t)[:, None] * sign[cols] * basis.coefs[src],
+            )
+            assert np.abs(have - mirrored).max() <= 1e-14, (two_s, k)
+
+
+_BASIS_RSS_CODE = """
+import resource
+from stellar import SpinLabel, bd_basis
+bd_basis(SpinLabel(5), 3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+basis = bd_basis(SpinLabel(14), 7)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / basis.coefs.nbytes)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_bd_basis_peak_memory_is_bounded_at_14_7():
+    # 28 MiB of rows: holding every level's lowering matrix and a conjugated
+    # copy of the rows grows peak RSS by 2.6 times the rows; one level's
+    # matrix at a time and an in-place conjugation, by 1.6 times
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _BASIS_RSS_CODE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 2.0

@@ -7,13 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from stellar import (
     KFrame,
+    PluckerVector,
     SpinLabel,
     SpinState,
     coherent_plane,
     constellation_match_angle,
+    bd_basis,
     constellation_of_state,
     decompose_plane,
+    multi_indices,
     multiconstellation,
+    plucker,
+    plucker_residual,
     polarization_components,
     rotate_constellation,
     rotate_frame,
@@ -608,6 +613,51 @@ def test_multiconstellation_raises_when_a_block_root_fails_its_check(monkeypatch
     monkeypatch.setattr(majorana, "ROOT_TOL", 0.0)
     with pytest.raises(ArithmeticError, match="backward error"):
         multiconstellation(frame)
+
+
+def frame_from_minors(s: SpinLabel, k: int, P: np.ndarray) -> KFrame:
+    """A frame whose Pluecker vector is P: the standard form on the largest
+    minor's columns, read off the minors, with its first row scaled by that
+    minor."""
+    subsets = multi_indices(s.dim, k)
+    pivots = subsets[int(np.argmax(np.abs(P)))]
+    rows = np.zeros((k, s.dim), dtype=complex)
+    for i in range(k):
+        for c in range(s.dim):
+            J = list(pivots)
+            J[i] = c
+            if len(set(J)) == k:
+                sign = np.linalg.det(np.eye(k)[np.argsort(J)])
+                rows[i, c] = sign * P[subsets.index(tuple(sorted(J)))]
+    rows[1:] /= P[subsets.index(pivots)]
+    return KFrame(s, k, rows)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10")
+def test_multiconstellation_tells_apart_the_53_twin_planes():
+    # negating the spin-5/2 block of a (5,3) plane's Pluecker vector gives
+    # the Pluecker vector of another plane; z keeps a block's phase only
+    # modulo the residual gauge twists, so today both planes read the same
+    s = SpinLabel(5)
+    U = bd_basis(s, 3).U
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        frame = KFrame(s, 3, rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)))
+        comps = decompose_plane(frame)
+        psi = np.concatenate([(-1 if c.two_j == 5 else 1) * c.state.coeffs for c in comps])
+        twin_minors = U.conj().T @ psi
+        assert plucker_residual(PluckerVector(s, 3, twin_minors)) <= 8.5e-17, seed
+        P = plucker(frame).comps
+        assert 1 - abs(np.vdot(P, twin_minors)) / np.linalg.norm(P) >= 0.3, seed
+        twin = frame_from_minors(s, 3, twin_minors)
+        assert np.abs(plucker(twin).comps - twin_minors).max() <= 1e-14, seed
+        a, b = multiconstellation(frame), multiconstellation(twin)
+        dz = max(abs(x - y) for x, y in zip(a.z_values, b.z_values))
+        dstars = max(
+            constellation_match_angle(x.constellation, y.constellation)
+            for x, y in zip(a.components, b.components)
+        )
+        assert max(dz, dstars) > 1e-6, seed
 
 
 Z_SHAPES = [(3, 2), (4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (7, 3), (7, 4), (8, 3), (8, 4), (9, 4)]

@@ -201,16 +201,18 @@ def test_planes_from_quartic_random_inversion():
 
 
 def test_wronskian_matches_plucker_top_block():
-    # the exact Cauchy-Binet sum against the independent block-diagonalizing
-    # route, at every shape with 2s <= 13 and a nonconstant polynomial; the
+    # the exact Cauchy-Binet sum against the same linear map of the minors
+    # read through bd_basis's top block, so a check of the numerically built
+    # basis, at every shape with 2s <= 13 and a nonconstant polynomial; the
     # integer product of the Vandermonde differences would overflow from k = 9
     rng = np.random.default_rng(58)
     for two_s in range(14):
         for k in range(1, two_s + 1):
             frame = random_frame(rng, two_s, k)
-            a = principal(frame, "top").polynomial
-            b = principal(frame, "wronskian").polynomial
-            assert projective_distance(a, b) <= 1e-12, (two_s, k)
+            a = principal(frame, "top")
+            b = principal(frame, "wronskian")
+            assert projective_distance(a.polynomial, b.polynomial) <= 1e-13, (two_s, k)
+            assert constellation_match_angle(a.constellation, b.constellation) <= 1e-12, (two_s, k)
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.5, 0.87])
