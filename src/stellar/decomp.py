@@ -374,17 +374,20 @@ def decompose_plane(frame: KFrame) -> list[ComponentState]:
     return _decompose_minors(frame.s, frame.k, P)
 
 
-def _decompose_minors(s: SpinLabel, k: int, P: np.ndarray) -> list[ComponentState]:
-    """`decompose_plane` of the (s, k) plane whose Pluecker minors are P."""
+def _decompose_minors(s: SpinLabel, k: int, P: np.ndarray, blocks=None) -> list[ComponentState]:
+    """`decompose_plane` of the (s, k) plane whose Pluecker minors are P; with
+    `blocks`, only the first that many multiplets, from their own rows."""
     basis = bd_basis(s, k)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(P)
     if not 0.0 < norm < math.inf:
         raise ArithmeticError("Pluecker minors overflow or underflow")
     P = P / norm
-    psi = np.einsum("rc,rc->r", basis.coefs, P[basis.level_cols][basis.row_level])
+    layout = basis.layout[:blocks]
+    rows = slice(0, layout[-1].row_range[1])
+    psi = np.einsum("rc,rc->r", basis.coefs[rows], P[basis.level_cols][basis.row_level[rows]])
     out = []
-    for mult in basis.layout:
+    for mult in layout:
         lo, hi = mult.row_range
         out.append(
             ComponentState(

@@ -34,9 +34,10 @@ CLUSTER_TOL = 1e-6
 
 
 @cached
-def _sqrt_binomials(n: int) -> np.ndarray:
-    """The read-only row sqrt(C(n, j)), j = 0, ..., n."""
-    return np.array([math.sqrt(math.comb(n, j)) for j in range(n + 1)])
+def _sqrt_binomials(n: int) -> tuple:
+    """The read-only rows sqrt(C(n, j)) and (-1)^j sqrt(C(n, j)), j = 0, ..., n."""
+    row = np.array([math.sqrt(math.comb(n, j)) for j in range(n + 1)])
+    return row, (-1.0) ** np.arange(n + 1) * row
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +56,7 @@ class ComplexPolynomial:
         c = np.array(self.coeffs, dtype=complex)
         if c.ndim != 1 or len(c) != self.d_nom + 1:
             raise ValueError(f"expected {self.d_nom + 1} coefficients, got {c.shape}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -68,12 +69,12 @@ class ComplexPolynomial:
         a rotation-invariant comparison.  Unweighted, the binomial factors
         alone span sqrt(C(80, 40)) ~ 1e11.5 at 2s = 80.
         """
-        mags = np.abs(self.coeffs) / _sqrt_binomials(self.d_nom)
+        mags = np.abs(self.coeffs) / _sqrt_binomials(self.d_nom)[0]
         top = mags.max()
         if top == 0.0:
             raise ValueError("zero polynomial has no degree")
-        nz = np.nonzero(mags > COEFF_TOL * top)[0]
-        return int(nz[-1])
+        cut = COEFF_TOL * top
+        return self.d_nom if mags[-1] > cut else int(np.flatnonzero(mags > cut)[-1])
 
 
 def projective_normalize(p: ComplexPolynomial) -> ComplexPolynomial:
@@ -188,12 +189,11 @@ class Constellation:
 def majorana_polynomial(psi: SpinState) -> ComplexPolynomial:
     """Polynomial whose roots stereographically project to the state's stars."""
     c = psi.coeffs
-    if not np.any(c):
+    if not c.any():
         raise ValueError("zero state has no Majorana polynomial")
     n = psi.s.two_s
     # coefficient index i runs over m = s - i; degree is n - i
-    signs = (-1.0) ** np.arange(n + 1)
-    return ComplexPolynomial((signs * _sqrt_binomials(n) * c)[::-1], n)
+    return ComplexPolynomial((_sqrt_binomials(n)[1] * c)[::-1], n)
 
 
 def poly_roots(p: ComplexPolynomial) -> np.ndarray:
@@ -206,15 +206,17 @@ def poly_roots(p: ComplexPolynomial) -> np.ndarray:
 
 
 def _roots(polys) -> list[np.ndarray]:
-    """`poly_roots` of each polynomial, in one pass per actual degree.
+    """`poly_roots` of each polynomial: per actual degree, one LAPACK
+    `eigvals` and a fixed number of array calls, however many polynomials
+    share that degree.
 
     The finite roots are the eigenvalues of the companion matrix, which
     LAPACK balances before its QR iteration (backward stable: Edelman and
-    Murakami, Math. Comp. 64 (1995)); the companions of all polynomials of
-    one actual degree go to one stacked `eigvals`.  Each root z is then
-    checked on the disc: w = z, or w = 1/z on the reversed coefficients when
-    |z| > 1, must give |P(w)| <= ROOT_TOL * sum |a_j|, or ArithmeticError is
-    raised.
+    Murakami, Math. Comp. 64 (1995)); the companions of one actual degree are
+    stacked.  Each root z is then checked on the disc: w = z, or w = 1/z on
+    the reversed coefficients when |z| > 1, must give |P(w)| <= ROOT_TOL *
+    sum |a_j|, or ArithmeticError is raised.  The powers of w are one running
+    product, as `np.vander` forms them.
     """
     degrees = [p.degree() for p in polys]
     out = [None if d else np.full(p.d_nom, math.inf, dtype=complex) for p, d in zip(polys, degrees)]
@@ -225,10 +227,12 @@ def _roots(polys) -> list[np.ndarray]:
         companion.reshape(len(idx), -1)[:, deg :: deg + 1] = 1.0  # the subdiagonal
         np.divide(c[:, :-1], -c[:, -1:], out=companion[:, :, -1])
         z = np.linalg.eigvals(companion)
-        inside = np.abs(z) <= 1.0
-        w = np.divide(1.0, z, out=z.copy(), where=~inside)
-        powers = np.vander(w.ravel(), deg + 1, increasing=True).reshape(*z.shape, deg + 1)
-        at_w = np.where(inside[..., None], powers @ c[..., None], powers @ c[:, ::-1, None])
+        outside = np.abs(z) > 1.0
+        powers = np.empty((*z.shape, deg + 1), dtype=complex)
+        powers[..., 0] = 1.0
+        powers[..., 1:] = np.divide(1.0, z, out=z.copy(), where=outside)[..., None]
+        np.multiply.accumulate(powers[..., 1:], axis=-1, out=powers[..., 1:])
+        at_w = np.where(outside[..., None], powers @ c[:, ::-1, None], powers @ c[..., None])
         worst = float((np.abs(at_w[..., 0]) / np.abs(c).sum(1)[:, None]).max())  # NaN if a root is
         if not worst <= ROOT_TOL:
             raise ArithmeticError(
@@ -256,20 +260,20 @@ def stereo_to_sphere(zeta) -> np.ndarray:
     # hypot(inf, nan) is inf, so only a NaN point off infinity gives NaN.
     a = np.hypot(x, y)
     # past 1e150 a point is numerically the south pole; NaN fails this too
-    near = a <= 1e150
-    all_near = near.all()
-    if not all_near:
+    far = None if a.max(initial=0.0) <= 1e150 else a > 1e150
+    if far is not None:
         if np.isnan(a).any():
             raise ValueError("stereographic points must not be NaN")
-        x, y, a = (np.where(near, v, 0.0) for v in (x, y, a))
-    a2 = a * a
-    d = 1.0 + a2
+        x, y, a = (np.where(far, 0.0, v) for v in (x, y, a))
     pts = np.empty((len(a), 3))
-    np.divide(2 * x, d, out=pts[:, 0])
-    np.divide(2 * y, d, out=pts[:, 1])
-    np.divide(1.0 - a2, d, out=pts[:, 2])
-    if not all_near:
-        pts[~near] = (0.0, 0.0, -1.0)
+    np.multiply(2.0, x, out=pts[:, 0])
+    np.multiply(2.0, y, out=pts[:, 1])
+    a2 = np.multiply(a, a, out=pts[:, 2])
+    d = 1.0 + a2
+    np.subtract(1.0, a2, out=a2)
+    pts /= d[:, None]
+    if far is not None:
+        pts[far] = (0.0, 0.0, -1.0)
     return pts
 
 
@@ -291,7 +295,7 @@ def _in_star_order(directions: np.ndarray, *sets: np.ndarray) -> np.ndarray:
     theta = np.arccos(np.minimum(np.maximum(z, -1.0), 1.0))
     phi = np.arctan2(y, x) % (2 * math.pi)
     phi[np.hypot(x, y) <= CLUSTER_TOL] = 0.0
-    return np.lexsort((phi, np.round(theta / CLUSTER_TOL), *sets))
+    return np.lexsort((phi, np.rint(theta / CLUSTER_TOL), *sets))
 
 
 def _clustered(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,39 +343,45 @@ def constellation_from_roots(roots) -> Constellation:
 
 
 def _constellations(root_sets) -> list[Constellation]:
-    """`constellation_from_roots` of each root set, in one array pass.
+    """`constellation_from_roots` of each root set: a fixed number of numpy
+    calls for the whole batch, however many sets it holds, and one
+    `_clustered` pass for each set two of whose points lie within
+    2 CLUSTER_TOL in z (a chord is at least its z gap).
 
-    All roots are projected at once.  A set is clustered (greedily in root
-    order, see `_clustered`) only if two of its points lie within
-    2 CLUSTER_TOL in z, since a chord is at least its z gap; a star sits at
-    the mean of its roots' points.  Every row is normalized once, each set's
-    stars are listed in the order of `_in_star_order` by one sort keyed on
-    the set, and the rows are validated (finite, nonzero) by one sum.
+    All roots are projected at once and every row is normalized once and
+    validated (finite, nonzero) by one sum; one sort keyed on the set lists
+    each set's stars in the order of `_in_star_order`.  A crowded set is
+    clustered greedily in root order, each star at the mean of its points.
     """
     totals = [len(r) for r in root_sets]
-    sets = np.arange(len(totals)).repeat(totals)
-    pts = stereo_to_sphere(np.concatenate(root_sets))
-    counts = np.ones(len(pts), dtype=np.intp)
-    # z + 4 * set keeps each set's points together, 2 apart from the next
-    z = np.sort(pts[:, 2] + 4.0 * sets)
-    crowded = set(sets[1:][z[1:] - z[:-1] <= 2 * CLUSTER_TOL].tolist())
-    sizes = totals
-    if crowded:
+    one = len(totals) == 1  # a lone set needs no concatenation, set offsets or split
+    pts = stereo_to_sphere(root_sets[0] if one else np.concatenate(root_sets))
+    # set i adds 4 i to z, so one sort keeps each set's points together
+    key = np.zeros(len(pts)) if one else np.arange(0.0, 4 * len(totals), 4.0).repeat(totals)
+    z = pts[:, 2] + key
+    z.sort()
+    gaps = z[1:] - z[:-1] <= 2 * CLUSTER_TOL
+    sizes, counts = totals, None
+    if gaps.any():
+        crowded = {int(k) // 4 for k in key[1:][gaps].tolist()}
         bounds = list(accumulate(totals, initial=0))
         parts = [
-            _clustered(pts[a:b]) if i in crowded else (pts[a:b], counts[a:b])
+            _clustered(pts[a:b]) if i in crowded else (pts[a:b], np.ones(b - a, np.intp))
             for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
         ]
         pts, counts = (np.concatenate(v) for v in zip(*parts))
         sizes = [len(m) for _, m in parts]
-        sets = np.arange(len(sizes)).repeat(sizes)
+        key = np.arange(0.0, 4 * len(sizes), 4.0).repeat(sizes)
     rows = _unit_rows(pts)
-    if not np.isfinite(rows.sum()):  # a row that was zero or not finite is NaN now
+    if not math.isfinite(rows.sum()):  # a row that was zero or not finite is NaN now
         raise ValueError("directions must be finite and nonzero")
-    order = _in_star_order(rows, sets)
-    rows, counts = rows[order], counts[order]
+    order = _in_star_order(rows, key)
+    rows = rows.take(order, 0)
+    counts = np.ones(len(rows), np.intp) if counts is None else counts[order]
     rows.setflags(write=False)
     counts.setflags(write=False)
+    if one:
+        return [Constellation._of_rows(rows, counts, totals[0])]
     bounds = list(accumulate(sizes, initial=0))
     return [
         Constellation._of_rows(rows[a:b], counts[a:b], total)

@@ -83,8 +83,7 @@ def _wronskian_plan(s: SpinLabel, k: int) -> tuple:
     the minors no room; the polynomial is projective, so it changes no root.
     """
     J = _multi_index_array(s.dim, k)
-    signed = (-1.0) ** np.arange(s.dim) * _sqrt_binomials(s.two_s)
-    signprod = np.prod(signed[J], axis=1)
+    signprod = np.prod(_sqrt_binomials(s.two_s)[1][J], axis=1)
     # a running product in floats, held as mantissa and exponent so that it
     # cannot overflow: in integers it overflows int64 from k = 9, and as one
     # double from k = 28
@@ -114,7 +113,7 @@ def _wronskian_polynomial(frame: KFrame, P: np.ndarray) -> ComplexPolynomial:
 
 
 def _top_polynomial(frame: KFrame, P: np.ndarray) -> ComplexPolynomial:
-    top = _decompose_minors(frame.s, frame.k, P)[0]
+    (top,) = _decompose_minors(frame.s, frame.k, P, blocks=1)
     if top.two_j != two_s_max(frame.s, frame.k):
         raise ArithmeticError("block layout is missing the top spin sector")
     if top.state.norm <= 1e-12:

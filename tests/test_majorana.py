@@ -173,7 +173,7 @@ def test_rotation_covariance_of_state_constellation():
         )
         got = constellation_of_state(rotated)
         want = rotate_constellation(constellation_of_state(psi), r)
-        assert constellation_match_angle(got, want) < 1e-7
+        assert constellation_match_angle(got, want) < 1e-12
 
 
 def test_antipodal_constellation_negates_directions():
@@ -667,6 +667,34 @@ def test_batched_roots_equal_poly_roots_bit_for_bit():
     for p, roots in zip(polys, batched):
         assert same_bits(roots, poly_roots(p))
     assert [int(np.isinf(r).sum()) for r in batched[-4:]] == [1, 2, 4, 2]
+
+
+def _roots_oracle(c: np.ndarray, lost: int) -> np.ndarray:
+    """`poly_roots` of coefficients c whose top `lost` entries are zero, one
+    polynomial at a time: the column companion filled entry by entry, its
+    eigenvalues, and complex(inf) once per lost root (oracle)."""
+    deg = len(c) - 1 - lost
+    companion = np.zeros((deg, deg), dtype=complex)
+    for i in range(deg):
+        if i:
+            companion[i, i - 1] = 1.0
+        companion[i, deg - 1] = c[i] / -c[deg]
+    finite = np.linalg.eigvals(companion) if deg else np.zeros(0, dtype=complex)
+    return np.array([INF] * lost + finite.tolist(), dtype=complex)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d_nom=st.integers(0, 48), lost=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(d_nom=0, lost=0, seed=0)
+@example(d_nom=3, lost=3, seed=0)
+@example(d_nom=48, lost=0, seed=0)
+@example(d_nom=48, lost=3, seed=0)
+def test_poly_roots_equal_the_per_polynomial_eigvals_bit_for_bit(d_nom, lost, seed):
+    lost = min(lost, d_nom)
+    rng = np.random.default_rng(seed)
+    c = (rng.standard_normal(d_nom + 1) + 1j * rng.standard_normal(d_nom + 1)) * 10.0 ** rng.uniform(-100, 100)
+    c[d_nom + 1 - lost :] = 0.0
+    assert same_bits(poly_roots(ComplexPolynomial(c, d_nom)), _roots_oracle(c, lost))
 
 
 def test_batched_roots_raise_when_any_polynomial_fails_its_check():

@@ -439,7 +439,7 @@ def test_component_covariance():
         if rep_base.constellation is None:
             continue
         want = rotate_constellation(rep_base.constellation, r)
-        assert constellation_match_angle(rep_rot.constellation, want) < 1e-7
+        assert constellation_match_angle(rep_rot.constellation, want) < 1e-12
 
 
 def test_negative_control_vanishing_sev():
