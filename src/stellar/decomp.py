@@ -29,6 +29,7 @@ from ._exact import (  # multiplicities_genfun: one of this module's three route
 )
 from .grassmann import (
     RANK_TOL,
+    _PRODUCT_CHUNK,
     KFrame,
     _multi_index_array,
     _subset_rank,
@@ -384,8 +385,12 @@ def _decompose_minors(s: SpinLabel, k: int, P: np.ndarray, blocks=None) -> list[
         raise ArithmeticError("Pluecker minors overflow or underflow")
     P = P / norm
     layout = basis.layout[:blocks]
-    rows = slice(0, layout[-1].row_range[1])
-    psi = np.einsum("rc,rc->r", basis.coefs[rows], P[basis.level_cols][basis.row_level[rows]])
+    end = layout[-1].row_range[1]
+    levels, step = P[basis.level_cols], max(1, _PRODUCT_CHUNK // basis.coefs.shape[1])
+    psi = np.empty(end, dtype=complex)
+    for lo in range(0, end, step):  # each row's level of P, gathered a bounded block at a time
+        hi = min(lo + step, end)
+        psi[lo:hi] = np.einsum("rc,rc->r", basis.coefs[lo:hi], levels[basis.row_level[lo:hi]])
     out = []
     for mult in layout:
         lo, hi = mult.row_range

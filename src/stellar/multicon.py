@@ -6,13 +6,15 @@ constellation (2j stars) and, after a canonical alignment procedure, a single
 complex number z; the vector Z of all z's behaves as one extra "spectator"
 spin state.  The picture is rotation-covariant but not faithful in general:
 at (5,3), negating the spin-5/2 block gives another plane with the same
-multiconstellation.
+multiconstellation.  A plane costs one `_wigner_columns` call, a gauge scan
+of a few array steps per ell, and one root pass over all its blocks and the
+spectator together.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -21,7 +23,7 @@ from ._cache import cached
 from .decomp import decompose_plane
 from .grassmann import KFrame
 from .majorana import (
-    Constellation, _constellations, _roots, constellation_of_state, majorana_polynomial,
+    Constellation, _constellations, _roots, majorana_polynomial,
 )
 from .spin_rep import (
     SpinLabel, SpinState, _geodesic_quaternions, _ladder, _sy_eigenbasis, _wigner_columns,
@@ -74,6 +76,8 @@ class PolarizationComponents:
     def get(self, ell: int, m: int) -> complex:
         if not (0 <= ell <= self.two_j and -ell <= m <= ell):
             raise KeyError((ell, m))
+        if self._rho.ndim == 1:  # given as a ket psi: rho = psi psi^dagger, formed now
+            self._rho = np.outer(self._rho, self._rho.conj())
         if m not in self._rows:
             # T_{l,m} = (-1)^m T_{l,-m}^T for m < 0
             W = (-1) ** min(m, 0) * _polarization_diagonals(self.two_j)[abs(m)]
@@ -115,108 +119,134 @@ class GaugeFixed:
     reason: str | None
     spin1_warning: bool
     sev: np.ndarray
-    selected_lm: tuple | None
-    alpha: float | None
-    beta: float | None
-    aligned_polarization: PolarizationComponents | None
+    selected_lm: tuple | None = None
+    alpha: float | None = None
+    beta: float | None = None
+    aligned_polarization: PolarizationComponents | None = None
 
 
 def _gauge_fix(states: list) -> list[GaugeFixed]:
-    """Canonical complex amplitude of each nonzero spin-j > 0 component.
+    """Canonical complex amplitude of each nonzero spin-j > 0 component, with
+    the constellation left None for the caller's root pass.
 
     Rotate the spin expectation to +z, cancel the phase of the first
     non-axial polarization component by a diagonal S_z twist, and read off
-    z = ||psi|| e^{i beta} from the first nonzero coefficient.  One pass over
-    all roots, norms and spin expectations as reductions over the stacked
-    coefficients, and one `_wigner_columns` call that rotates every spin
-    expectation to +z; only `_gauge_of` runs per component.
+    z = ||psi|| e^{i beta} from the first nonzero coefficient.  Norms and
+    spin expectations are reductions over the stacked coefficients, one
+    `_wigner_columns` call rotates them all, and the scan (per ell), twist
+    and beta_0 are array steps over all the zero-padded rotated kets; only
+    the beta quotient and the record run per component.
     """
-    constellations = _constellations(_roots([majorana_polynomial(psi) for psi in states]))
     two_j = [psi.s.two_s for psi in states]
+    tables = {n: (_ladder(n), _sy_eigenbasis(n)[0]) for n in set(two_j)}
     dims = [n + 1 for n in two_j]
     starts = list(accumulate(dims, initial=0))[:-1]
     c = np.concatenate([psi.coeffs for psi in states])
     weight = c.real**2 + c.imag**2
-    nrm = np.sqrt(np.add.reduceat(weight, starts)).tolist()
+    nrm = np.sqrt(np.add.reduceat(weight, starts))
     # <S_+> = sum_i conj(c_i) <i|S_+|i+1> c_{i+1}, <S_x> + i <S_y> = <S_+>;
     # a 0 after each component's ladder drops the pair across components
-    ladder = np.concatenate([x for n in two_j for x in (_ladder(n), (0.0,))])[:-1]
+    ladder = np.concatenate([x for n in two_j for x in (tables[n][0], (0.0,))])[:-1]
     s_plus = np.add.reduceat(ladder * (c[:-1].conj() * c[1:]), starts)
-    two_m = np.concatenate([_sy_eigenbasis(n)[0] for n in two_j])
+    two_m = np.concatenate([tables[n][1] for n in two_j])
     sev = np.empty((len(states), 3))
     sev[:, 0], sev[:, 1] = s_plus.real, s_plus.imag
     sev[:, 2] = np.add.reduceat(two_m * weight, starts) / 2
     sev_norm = np.sqrt((sev * sev).sum(1))
-    live = [
-        b for b, (size, n, r) in enumerate(zip(sev_norm.tolist(), two_j, nrm))
-        if size > GAUGE_TOL * n / 2 * r * r
+    gauges = [
+        GaugeFixed(n, None, None, False, "vanishing spin expectation", n == 2, s)
+        for n, s in zip(two_j, sev)
     ]
-    psi1 = {}
-    if live:
-        q = _geodesic_quaternions(sev[live] / sev_norm[live, None])
-        q[:, 1:] *= -1.0  # the inverse rotation: expectation now along +z
-        x = np.concatenate([states[b].coeffs for b in live])[:, None]
-        rotated = _wigner_columns([two_j[b] for b in live], q, x)[:, 0]
-        ends = accumulate(dims[b] for b in live)
-        psi1 = {b: rotated[e - dims[b] : e] for b, e in zip(live, ends)}
-    return [
-        _gauge_of(psi1.get(b), two_j[b], nrm[b], constellations[b], sev[b])
-        for b in range(len(states))
-    ]
-
-
-def _gauge_of(psi1, two_j: int, nrm: float, constellation: Constellation, sev) -> GaugeFixed:
-    """The polarization scan, alpha twist and beta quotient of one component,
-    rotated so that its spin expectation is along +z (psi1 None: it has none)."""
-    spin, pol, selected = SpinLabel(two_j), None, None
-    if psi1 is not None:
-        pol = polarization_components(np.outer(psi1, psi1.conj()), spin)
-        # Scan ell ascending, m descending within each ell, matching the storage
-        # order of PolarizationComponents.  The residual-orbit quotient below
-        # makes the final amplitude independent of this direction.
-        lms = ((ell, m) for ell in range(1, two_j + 1) for m in range(ell, -ell - 1, -1) if m)
-        selected = next((lm for lm in lms if abs(pol.get(*lm)) > GAUGE_TOL * nrm * nrm), None)
-    if selected is None:
-        reason = "vanishing spin expectation" if pol is None else "axial symmetry"
-        return GaugeFixed(
-            two_j, None, constellation, False, reason, two_j == 2, sev, None, None, None, pol,
-        )
-    ell0, m0 = selected
-    v0 = pol.get(ell0, m0)
+    live = np.flatnonzero(sev_norm > GAUGE_TOL * np.array(two_j) / 2 * nrm * nrm)
+    if not len(live):
+        return gauges
+    q = _geodesic_quaternions(sev[live] / sev_norm[live, None])
+    q[:, 1:] *= -1.0  # the inverse rotation: expectation now along +z
+    spins = np.array([two_j[b] for b in live])
+    x = np.concatenate([states[b].coeffs for b in live])[:, None]
+    B, D = len(live), max(3, int(spins.max()) + 1)  # D > 2: the scan reads ell = 2 at any spin
+    R = np.zeros((B, D), dtype=complex)  # row i: component live[i], zero-padded
+    R[np.arange(D) < spins[:, None] + 1] = _wigner_columns(spins.tolist(), q, x)[:, 0]
+    # Scan ell ascending, m descending within each ell (the storage order of
+    # PolarizationComponents), all rows at once: rho_{ell m} is a weighted
+    # sum over diagonal m of psi psi^dagger, and each ell adds a diagonal.
+    # rho_{1,+-1} ~ <S_-+> are rounding after the rotation (about
+    # j^2 eps ||psi||^2), so the scan starts at ell = 2; |rho_{ell,-m}| =
+    # |rho_{ell m}|, so an m < 0 is never first.  The residual-orbit
+    # quotient below makes the amplitude independent of this direction.
+    Rc, tol = R.conj(), GAUGE_TOL * nrm[live, None] * nrm[live, None]
+    diagonals = np.zeros((D, B, D), dtype=complex)  # [m, i, p]: psi_p conj(psi_{p+m}) of row i
+    np.multiply(R[:, :-1], Rc[:, 1:], out=diagonals[1, :, :-1])
+    distinct = sorted(set(spins.tolist()))
+    diagonal_tables = [_polarization_diagonals(n) for n in distinct]
+    spin_index = np.searchsorted(distinct, spins)
+    above, values, labels = [], [], []
+    for ell in range(2, D):
+        np.multiply(R[:, : D - ell], Rc[:, ell:], out=diagonals[ell, :, : D - ell])
+        W = np.zeros((ell, len(distinct), D))  # [m - 1, u, p]: <p|T_{ell m}|p + m>, spin u
+        for u, n in enumerate(distinct):
+            for m in range(1, ell + 1) if n >= ell else ():
+                W[m - 1, u, : n + 1 - m] = diagonal_tables[u][m][:, ell - m]
+        values.append(np.add.reduce(W[:, spin_index] * diagonals[1 : ell + 1], axis=2).T[:, ::-1])
+        above.append(np.abs(values[-1]) > tol)
+        labels += [(ell, m) for m in range(ell, 0, -1)]
+        if np.concatenate(above, 1).any(1).all():
+            break
+    above = np.concatenate(above, 1)
+    first = above.argmax(1)
+    selected = [labels[f] if hit else None for f, hit in zip(first.tolist(), above.any(1).tolist())]
+    v0 = np.concatenate(values, 1)[np.arange(B), first]
     # alpha lives on [0, 2*pi) so the branch cut sits on the positive real
     # axis, away from negative-real selected components; noise that lands
     # just below the cut is folded back to 0, because a twist by 2*pi/m is
-    # not the identity and would flip the phase of z.
-    alpha = math.atan2(v0.imag, v0.real) % (2.0 * math.pi)
-    if 2.0 * math.pi - alpha < 1e-9:
-        alpha = 0.0
-    m_values = spin.m_values()
-    psi2 = np.exp(-1j * alpha * m_values / m0) * psi1
+    # not the identity and would flip the phase of z.  Axial rows twist by 1.
+    m0 = np.array([1 if lm is None else lm[1] for lm in selected])[:, None]
+    alpha = np.arctan2(v0.imag, v0.real) % (2.0 * math.pi)
+    alpha[2.0 * math.pi - alpha < 1e-9] = 0.0
+    m_values = (spins[:, None] - 2 * np.arange(D)) / 2
+    psi2 = np.exp(-1j * alpha[:, None] * m_values / m0) * R
     mags = np.abs(psi2)
-    lead_idx = int(np.nonzero(mags > 1e-12 * mags.max())[0][0])
-    lead = psi2[lead_idx]
-    beta0 = math.atan2(lead.imag, lead.real) % (2 * math.pi)
-    # Making the selected polarization component real positive only fixes
-    # the z-twist modulo 2*pi/|m0| (modulo 4*pi/|m0| for half-integer j,
-    # where a 2*pi rotation contributes a global sign).  Frames that are
-    # rotations of each other can land on different members of that residual
-    # orbit, so quotient it out: of all residual twists, keep the one that
-    # minimizes beta.  This leaves the amplitude invariant under rotations
-    # of the input while reproducing the same value on symmetric states
-    # whose leading coefficient is already real positive.
-    m_lead = m_values[lead_idx]
-    t_count = abs(m0) if two_j % 2 == 0 else 2 * abs(m0)
-    beta = None
-    for t in range(t_count):
-        cand = (beta0 - 2.0 * math.pi * t * m_lead / m0) % (2.0 * math.pi)
-        if 2 * math.pi - cand < 1e-9:
-            cand = 0.0
-        if beta is None or cand < beta:
-            beta = cand
-    z = nrm * complex(math.cos(beta), math.sin(beta))
-    return GaugeFixed(
-        two_j, z, constellation, True, None, two_j == 2, sev, (ell0, m0), alpha, beta, pol,
-    )
+    lead_idx = (mags > 1e-12 * mags.max(1, keepdims=True)).argmax(1)
+    lead = psi2[np.arange(B), lead_idx]
+    beta0 = np.arctan2(lead.imag, lead.real) % (2 * math.pi)
+    m_lead = m_values[np.arange(B), lead_idx]
+    for i, (b, lm, a, b0, ml) in enumerate(
+        zip(live.tolist(), selected, alpha.tolist(), beta0.tolist(), m_lead.tolist())
+    ):
+        n = two_j[b]
+        pol = PolarizationComponents(n, R[i, : n + 1])  # the ket of psi psi^dagger
+        if lm is None:
+            gauges[b] = replace(gauges[b], reason="axial symmetry", aligned_polarization=pol)
+            continue
+        # Making the selected polarization component real positive only fixes
+        # the z-twist modulo 2*pi/|m0| (modulo 4*pi/|m0| for half-integer j,
+        # where a 2*pi rotation contributes a global sign).  Frames that are
+        # rotations of each other can land on different members of that residual
+        # orbit, so quotient it out: of all residual twists, keep the one that
+        # minimizes beta.  This leaves the amplitude invariant under rotations
+        # of the input while reproducing the same value on symmetric states
+        # whose leading coefficient is already real positive.
+        twists = abs(lm[1]) if n % 2 == 0 else 2 * abs(lm[1])
+        cands = ((b0 - 2.0 * math.pi * t * ml / lm[1]) % (2.0 * math.pi) for t in range(twists))
+        beta = min(0.0 if 2 * math.pi - cand < 1e-9 else cand for cand in cands)
+        z = float(nrm[b]) * complex(math.cos(beta), math.sin(beta))
+        gauges[b] = GaugeFixed(n, z, None, True, None, n == 2, sev[b], lm, a, beta, pol)
+    return gauges
+
+
+def _stars(states: list) -> list:
+    """Each state's constellation (None for None): one root and one stars pass."""
+    polys = [majorana_polynomial(psi) for psi in states if psi is not None and psi.s.two_s]
+    found = iter(_constellations(_roots(polys)) if polys else ())
+    return [None if psi is None else next(found) if psi.s.two_s else _NO_STARS for psi in states]
+
+
+def _spectator_state(z_values) -> SpinState:
+    """Z with L entries as a spin-(L-1)/2 ket, entries ordered like m = s_Z, ..., -s_Z."""
+    Z = np.asarray(z_values, dtype=complex)
+    if Z.ndim != 1 or len(Z) == 0:
+        raise ValueError("Z must be a nonempty vector")
+    return SpinState(SpinLabel(len(Z) - 1), Z)
 
 
 def spectator_constellation(z_values) -> Constellation:
@@ -225,12 +255,7 @@ def spectator_constellation(z_values) -> Constellation:
     Z with L entries is read as a spin-(L-1)/2 ket (entries ordered like
     m = s_Z, ..., -s_Z); a single entry has spin 0 and no stars.
     """
-    Z = np.asarray(z_values, dtype=complex)
-    if Z.ndim != 1 or len(Z) == 0:
-        raise ValueError("Z must be a nonempty vector")
-    if len(Z) == 1:
-        return _NO_STARS
-    return constellation_of_state(SpinState(SpinLabel(len(Z) - 1), Z))
+    return _stars([_spectator_state(z_values)])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,30 +297,36 @@ def multiconstellation(frame: KFrame) -> Multiconstellation:
     comps = decompose_plane(frame)
     norms = [comp.state.norm for comp in comps]
     live = [comp.state for comp, nrm in zip(comps, norms) if comp.two_j > 0 and nrm > GAUGE_TOL]
-    gauges = iter(_gauge_fix(live) if live else ())
+    gauges = _gauge_fix(live) if live else []
+    zs = iter([g.z for g in gauges])
+    amplitudes = tuple(
+        0.0 if nrm <= GAUGE_TOL else complex(comp.state.coeffs[0]) if comp.two_j == 0 else next(zs)
+        for comp, nrm in zip(comps, norms)
+    )
+    z_values = None if any(not g.applicable for g in gauges) else amplitudes
+    spectator = None if z_values is None else _spectator_state(z_values)
+    *stars, spectator = _stars([*live, spectator])
+    for g, c in zip(gauges, stars):
+        object.__setattr__(g, "constellation", c)  # the one field the root pass fills
+    gauges = iter(gauges)
     reports = []
-    z_ok = True
     all_flags = []
-    for comp, nrm in zip(comps, norms):
+    for comp, nrm, amplitude in zip(comps, norms, amplitudes):
         tag = (comp.two_j, comp.copy_index)
         if nrm <= GAUGE_TOL:
             reports.append(ComponentReport(*tag, 0.0, True, None, None, ("absent",)))
             continue
         if comp.two_j == 0:
-            amplitude = complex(comp.state.coeffs[0])
             reports.append(ComponentReport(*tag, amplitude, False, _NO_STARS, None, ()))
             continue
         g = next(gauges)
         flags = []
         if not g.applicable:
             flags.append(f"gauge not applicable: {g.reason}")
-            z_ok = False
         if g.spin1_warning:
             flags.append("spin-1 block: z and constellation underdetermine it")
         reports.append(ComponentReport(*tag, g.z, False, g.constellation, g, tuple(flags)))
         all_flags.extend(flags)
-    z_values = tuple(r.amplitude for r in reports) if z_ok else None
-    spectator = None if z_values is None else spectator_constellation(z_values)
     return Multiconstellation(
         frame.s, frame.k, tuple(reports), z_values, spectator, tuple(all_flags)
     )

@@ -23,9 +23,11 @@ from stellar import (
     wedge_rep,
     wigner_d,
 )
+from stellar import decomp
 from stellar.decomp import (
     DEGENERACY_TOL,
     _canonical_level_basis,
+    _decompose_minors,
     _phase_fixed,
     _qpower_diagonals,
     _wedge_lowering_terms,
@@ -728,3 +730,51 @@ def test_bd_basis_peak_memory_is_bounded_at_14_7():
     )
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) <= 2.0
+
+
+_DECOMPOSE_RSS_CODE = """
+import resource
+import numpy as np
+from stellar import KFrame, SpinLabel, bd_basis, decompose_plane
+rows = np.random.default_rng(147).standard_normal((7, 15, 2))
+decompose_plane(KFrame(SpinLabel(5), 3, rows[:3, :6, 0] + 0j))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+decompose_plane(KFrame(SpinLabel(14), 7, rows[..., 0] + 1j * rows[..., 1]))
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(grown * 1024 / bd_basis(SpinLabel(14), 7).coefs.nbytes)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_decompose_plane_peak_memory_is_bounded_at_14_7():
+    # a cold decomposition builds the basis (1.6 times its rows, above) and
+    # then multiplies each row by the Pluecker entries of its level: gathered
+    # for all rows at once, those entries are one more copy of the rows (2.4
+    # times in all); a bounded block of rows at a time, 1.8 times
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _DECOMPOSE_RSS_CODE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 2.0
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_decompose_minors_in_blocks_of_rows_is_bit_identical(monkeypatch, chunk):
+    # the gather runs a bounded block of rows at a time; each row's product
+    # is the same einsum over the same entries, whatever the block
+    rng = np.random.default_rng(73)
+    shapes = [(3, 2), (5, 3), (7, 3), (8, 4)]
+    minors = {
+        shape: rng.standard_normal(math.comb(shape[0] + 1, shape[1])) + 0.5j for shape in shapes
+    }
+    want = {
+        (shape, blocks): _decompose_minors(SpinLabel(shape[0]), shape[1], P, blocks)
+        for shape, P in minors.items() for blocks in (None, 1)
+    }
+    monkeypatch.setattr(decomp, "_PRODUCT_CHUNK", chunk)
+    for (shape, blocks), comps in want.items():
+        got = _decompose_minors(SpinLabel(shape[0]), shape[1], minors[shape], blocks)
+        assert [c.two_j for c in got] == [c.two_j for c in comps]
+        for a, b in zip(got, comps):
+            assert a.state.coeffs.tobytes() == b.state.coeffs.tobytes(), (shape, blocks)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stellar import (
     KFrame,
@@ -25,7 +25,7 @@ from stellar import (
     spectator_constellation,
     standard_form,
 )
-from stellar import majorana
+from stellar import majorana, multicon
 from stellar.multicon import GAUGE_TOL, _gauge_fix, _polarization_diagonals
 from stellar.spin_rep import geodesic_rotation, wigner_d
 
@@ -549,11 +549,12 @@ def _blocks_match_the_one_block_path(frame: KFrame) -> list:
         if rep.gauge is None:
             continue
         g, want = rep.gauge, _gauge_fix([comp.state])[0]
+        assert want.constellation is None  # the gauge pass reads no roots
         one = constellation_of_state(comp.state)
-        for c in (g.constellation, want.constellation):
-            assert same_bits(c.directions, one.directions)
-            assert same_bits(c.multiplicities, one.multiplicities)
-            assert c.total == one.total
+        assert rep.constellation is g.constellation
+        assert same_bits(g.constellation.directions, one.directions)
+        assert same_bits(g.constellation.multiplicities, one.multiplicities)
+        assert g.constellation.total == one.total
         assert (g.applicable, g.reason, g.selected_lm, g.spin1_warning) == (
             want.applicable, want.reason, want.selected_lm, want.spin1_warning,
         )
@@ -673,3 +674,105 @@ def test_spectator_amplitudes_are_rotation_invariant(shape, seed):
     for _ in range(3):
         mc = multiconstellation(rotate_frame(frame, random_rotation(rng)))
         assert max(abs(a - b) for a, b in zip(mc.z_values, base.z_values)) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# one root pass per plane: the spectator's polynomial rides with the blocks'
+
+
+def _count_root_passes(monkeypatch) -> list:
+    """Record the polynomials of every root pass multicon makes."""
+    passes = []
+
+    def roots(polys):
+        passes.append(list(polys))
+        return majorana._roots(polys)
+
+    monkeypatch.setattr(multicon, "_roots", roots)
+    return passes
+
+
+@pytest.mark.parametrize("shape", Z_SHAPES + [(11, 5)])
+def test_spectator_is_the_constellation_of_z_from_the_blocks_root_pass(monkeypatch, shape):
+    passes = _count_root_passes(monkeypatch)
+    rng = np.random.default_rng(2000 + 16 * shape[0] + shape[1])
+    for _ in range(3):
+        passes.clear()
+        mc = multiconstellation(random_frame(rng, *shape))
+        blocks = [c for c in mc.components if c.gauge is not None]
+        assert len(passes) == 1
+        if shape == (11, 5):
+            # the spin-1/2 block is axial: Z is withheld, and no spectator
+            # polynomial joins the blocks'
+            assert mc.z_values is None and mc.spectator is None
+            assert len(passes[0]) == len(blocks)
+            continue
+        assert mc.z_values is not None and len(passes[0]) == len(blocks) + 1
+        want = spectator_constellation(mc.z_values)
+        assert same_bits(mc.spectator.directions, want.directions)
+        assert same_bits(mc.spectator.multiplicities, want.multiplicities)
+        assert mc.spectator.total == want.total == len(mc.z_values) - 1
+
+
+# ---------------------------------------------------------------------------
+# the gauge pass against the dense oracle, on frames whose scan stops at
+# ell = 2 (Gaussian), passes it (weight-vector rows: axial blocks; rows on
+# every third column: only m = 0 mod 3 survives) or reads an axial block
+# (coherent planes)
+
+GAUGE_SHAPES = [
+    (two_s, k) for two_s in range(1, 12) for k in range(1, two_s + 2) if k * (two_s + 1 - k) <= 35
+]
+
+
+def gauge_test_frame(kind: str, shape: tuple, seed: int):
+    two_s, k = shape
+    n = two_s + 1
+    rng = np.random.default_rng(seed)
+    if kind == "weight":
+        return KFrame(SpinLabel(two_s), k, np.eye(n, dtype=complex)[rng.permutation(n)[:k]])
+    if kind == "coherent":
+        d = rng.standard_normal(3)
+        return coherent_plane(SpinLabel(two_s), k, d / np.linalg.norm(d))
+    cols = np.arange(n)  # "gaussian"; "stride": columns 0, 3, 6, ..., then others as k needs
+    if kind == "stride":
+        cols = np.argsort(cols % 3, kind="stable")[: max(k, len(cols[::3]))]
+    rows = np.zeros((k, n), dtype=complex)
+    rows[:, cols] = rng.standard_normal((k, len(cols))) + 1j * rng.standard_normal((k, len(cols)))
+    return KFrame(SpinLabel(two_s), k, rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["gaussian", "weight", "stride", "coherent"]),
+    shape=st.sampled_from(GAUGE_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="stride", shape=(8, 2), seed=7)  # every block selects (3, 3)
+@example(kind="stride", shape=(11, 3), seed=5)
+@example(kind="weight", shape=(9, 4), seed=0)  # axial blocks: the scan runs to the top ell
+@example(kind="coherent", shape=(11, 5), seed=1)  # one axial block, the rest absent
+@example(kind="gaussian", shape=(11, 5), seed=2)
+def test_every_block_matches_the_dense_gauge_oracle(kind, shape, seed):
+    frame = gauge_test_frame(kind, shape, seed)
+    mc = multiconstellation(frame)
+    for rep, comp in zip(mc.components, decompose_plane(frame)):
+        if rep.gauge is None:
+            continue
+        g, want = rep.gauge, dense_gauge_fix(comp.state)
+        assert (g.selected_lm, g.reason) == (want["selected_lm"], want["reason"])
+        for got, ref in ((g.z, want["z"]), (g.alpha, want["alpha"]), (g.beta, want["beta"])):
+            assert (got is None) == (ref is None)
+            assert got is None or abs(got - ref) <= 1e-12
+
+
+def test_the_dense_oracle_frames_take_the_scan_past_ell_2():
+    # the examples above reach selections above ell = 2 and axial blocks
+    selected, reasons = set(), set()
+    for kind, shape, seed in (("stride", (8, 2), 7), ("stride", (11, 3), 5), ("weight", (9, 4), 0)):
+        frame = gauge_test_frame(kind, shape, seed)
+        for rep in multiconstellation(frame).components:
+            if rep.gauge is not None:
+                selected.add(rep.gauge.selected_lm)
+                reasons.add(rep.gauge.reason)
+    assert (3, 3) in selected and "axial symmetry" in reasons
