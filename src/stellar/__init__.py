@@ -28,7 +28,7 @@ _EXPORTS = {
     "multiplicities_char multiplicities_from_basis wedge_rep",
     "principal": "PrincipalResult planes_from_quartic_32 principal principal_all",
     "multicon": "ComponentReport GaugeFixed Multiconstellation PolarizationComponents "
-    "multiconstellation polarization_components spectator_constellation",
+    "multiconstellation spectator_constellation",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

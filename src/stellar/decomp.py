@@ -372,33 +372,26 @@ def decompose_plane(frame: KFrame) -> list[ComponentState]:
     # minors that overflow make _decompose_minors raise, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         P = plucker(frame).comps
-    return _decompose_minors(frame.s, frame.k, P)
+    c = _decompose_minors(frame.s, frame.k, P)
+    return [
+        ComponentState(m.two_j, m.copy_index, SpinState(SpinLabel(m.two_j), c[slice(*m.row_range)]))
+        for m in bd_basis(frame.s, frame.k).layout
+    ]
 
 
-def _decompose_minors(s: SpinLabel, k: int, P: np.ndarray, blocks=None) -> list[ComponentState]:
-    """`decompose_plane` of the (s, k) plane whose Pluecker minors are P; with
-    `blocks`, only the first that many multiplets, from their own rows."""
+def _decompose_minors(s: SpinLabel, k: int, P: np.ndarray, blocks=None) -> np.ndarray:
+    """The flat components, each multiplet's in its basis rows, of the (s, k)
+    plane with Pluecker minors P; with `blocks`, of the first that many only."""
     basis = bd_basis(s, k)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(P)
     if not 0.0 < norm < math.inf:
         raise ArithmeticError("Pluecker minors overflow or underflow")
     P = P / norm
-    layout = basis.layout[:blocks]
-    end = layout[-1].row_range[1]
+    end = basis.layout[:blocks][-1].row_range[1]
     levels, step = P[basis.level_cols], max(1, _PRODUCT_CHUNK // basis.coefs.shape[1])
     psi = np.empty(end, dtype=complex)
     for lo in range(0, end, step):  # each row's level of P, gathered a bounded block at a time
         hi = min(lo + step, end)
         psi[lo:hi] = np.einsum("rc,rc->r", basis.coefs[lo:hi], levels[basis.row_level[lo:hi]])
-    out = []
-    for mult in layout:
-        lo, hi = mult.row_range
-        out.append(
-            ComponentState(
-                mult.two_j,
-                mult.copy_index,
-                SpinState(SpinLabel(mult.two_j), psi[lo:hi]),
-            )
-        )
-    return out
+    return psi

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._cache import cached
 from .spin_rep import (
+    _PRODUCT_CHUNK,
     RotationSpec,
     SpinLabel,
     geodesic_rotation,
@@ -28,9 +29,6 @@ RANK_TOL = 1e-10
 
 #: Minor matrices per batched det in `plucker`.
 _MINOR_CHUNK = 4096
-
-#: Entries of the relation product per block in `plucker_residual`.
-_PRODUCT_CHUNK = 1 << 20
 
 
 def multi_indices(n: int, k: int) -> tuple[tuple[int, ...], ...]:

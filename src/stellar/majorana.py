@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from ._cache import cached
-from .spin_rep import RotationSpec, SpinState, so3_matrix
+from .spin_rep import _PRODUCT_CHUNK, RotationSpec, SpinState, so3_matrix
 
 #: Relative magnitude, after binomial weighting, below which a coefficient
 #: counts as zero (see ComplexPolynomial.degree).
@@ -31,6 +31,9 @@ ROOT_TOL = 1e-10
 
 #: Chordal distance below which numerically split roots merge into one star.
 CLUSTER_TOL = 1e-6
+
+#: Largest companion order `_roots` pads to: ZHSEQR's NMIN crossover to ZLAHQR.
+_PAD_ORDER = 75
 
 
 @cached
@@ -76,6 +79,14 @@ class ComplexPolynomial:
             raise ValueError("zero polynomial has no degree")
         cut = COEFF_TOL * top
         return self.d_nom if mags[-1] > cut else int(np.flatnonzero(mags > cut)[-1])
+
+
+def _degrees(coeffs: np.ndarray, binomials: np.ndarray) -> np.ndarray:
+    """`ComplexPolynomial.degree` of each nonzero row of coeffs, binomials
+    holding its sqrt(C(d_nom, j)), padded with any positive number."""
+    mags = np.abs(coeffs) / binomials
+    above = mags > COEFF_TOL * np.maximum.reduce(mags, axis=1, keepdims=True)
+    return above.shape[1] - 1 - above[:, ::-1].argmax(1)
 
 
 def projective_normalize(p: ComplexPolynomial) -> ComplexPolynomial:
@@ -206,45 +217,69 @@ def poly_roots(p: ComplexPolynomial) -> np.ndarray:
 
     The one-polynomial case of `_roots`, which documents the method.
     """
-    return _roots([p])[0]
+    return _roots(p.coeffs[None], [p.degree()], [p.d_nom])[0]
 
 
-def _roots(polys) -> list[np.ndarray]:
-    """`poly_roots` of each polynomial: per actual degree, one LAPACK
-    `eigvals` and a fixed number of array calls, however many polynomials
-    share that degree.
+def _roots(coeffs: np.ndarray, degrees: list, d_noms: list) -> list[np.ndarray]:
+    """`poly_roots` of the polynomials whose ascending coefficients are the
+    rows of coeffs up to degrees[i], of nominal degree d_noms[i]: a fixed
+    number of array calls and one LAPACK `eigvals` per chunk.
 
     The finite roots are the eigenvalues of the companion matrix, which
     LAPACK balances before its QR iteration (backward stable: Edelman and
-    Murakami, Math. Comp. 64 (1995)); the companions of one actual degree are
-    stacked.  Each root z is then checked on the disc: w = z, or w = 1/z on
-    the reversed coefficients when |z| > 1, must give |P(w)| <= ROOT_TOL *
-    sum |a_j|, or ArithmeticError is raised.  The powers of w are one running
-    product, as `np.vander` forms them.
+    Murakami, Math. Comp. 64 (1995)).  Companions are stacked by ascending
+    degree, each chunk zero-padded to its largest: balancing isolates the
+    padding and, up to order _PAD_ORDER, ZLAHQR runs on the rest, so no root
+    changes a bit; a larger order shares a chunk only with its own.  Each
+    root z is then checked on the disc: w = z, or w = 1/z on the reversed
+    coefficients when |z| > 1, must give |P(w)| <= ROOT_TOL * sum |a_j|, or
+    ArithmeticError names the batch's largest error.  The powers of w are
+    one running product, as `np.vander` forms them.
     """
-    degrees = [p.degree() for p in polys]
-    out = [None if d else np.full(p.d_nom, math.inf, dtype=complex) for p, d in zip(polys, degrees)]
-    for deg in set(degrees) - {0}:
-        idx = [i for i, d in enumerate(degrees) if d == deg]
-        c = np.array([polys[i].coeffs[: deg + 1] for i in idx])
-        companion = np.zeros((len(idx), deg, deg), dtype=complex)
-        companion.reshape(len(idx), -1)[:, deg :: deg + 1] = 1.0  # the subdiagonal
-        np.divide(c[:, :-1], -c[:, -1:], out=companion[:, :, -1])
+    out = [None] * len(degrees)
+    chunks: list = []  # indices, in ascending degree
+    for i in sorted(range(len(degrees)), key=degrees.__getitem__):
+        d = degrees[i]
+        if not d:  # every root lost
+            out[i] = np.full(d_noms[i], math.inf, dtype=complex)
+        elif chunks and (len(chunks[-1]) + 1) * d * d <= _PRODUCT_CHUNK and (
+            d <= _PAD_ORDER or d == degrees[chunks[-1][0]]
+        ):
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+    worst = []  # each chunk's largest backward error
+    for idx in chunks:
+        n, D = len(idx), degrees[idx[-1]]
+        one = degrees[idx[0]] == D  # one degree: nothing is padded
+        c = coeffs.take(idx, 0)[:, : D + 1]
+        companion = np.zeros((n, D, D), dtype=complex)
+        if one:
+            companion.reshape(n, -1)[:, D :: D + 1] = 1.0  # the subdiagonal
+            np.divide(c[:, :-1], -c[:, -1:], out=companion[:, :, -1])
+            back = c[:, ::-1]
+        else:  # companion i in the top left, its last column -a_t / a_d in column d_i - 1
+            cols, deg = np.arange(D + 1), np.array([degrees[i] for i in idx])
+            companion.reshape(n, -1)[:, D :: D + 1] = cols[: D - 1] < deg[:, None] - 1
+            last = np.where(cols[:D] < deg[:, None], c[:, :D] / -c[np.arange(n), deg][:, None], 0.0)
+            companion[np.arange(n)[:, None], cols[:D], deg[:, None] - 1] = last
+            c[cols > deg[:, None]] = 0.0
+            back = np.take_along_axis(c, (deg[:, None] - cols) % (D + 1), 1)  # each row reversed
         z = np.linalg.eigvals(companion)
         outside = np.abs(z) > 1.0
-        powers = np.empty((*z.shape, deg + 1), dtype=complex)
+        powers = np.empty((n, D, D + 1), dtype=complex)
         powers[..., 0] = 1.0
         powers[..., 1:] = np.divide(1.0, z, out=z.copy(), where=outside)[..., None]
         np.multiply.accumulate(powers[..., 1:], axis=-1, out=powers[..., 1:])
-        at_w = np.where(outside[..., None], powers @ c[:, ::-1, None], powers @ c[..., None])
-        worst = float((np.abs(at_w[..., 0]) / np.abs(c).sum(1)[:, None]).max())  # NaN if a root is
-        if not worst <= ROOT_TOL:
-            raise ArithmeticError(
-                f"root backward error {worst:.3g} exceeds ROOT_TOL = {ROOT_TOL:g}"
-            )
+        at_w = np.where(outside[..., None], powers @ back[..., None], powers @ c[..., None])
+        ratio = np.abs(at_w[..., 0]) / np.abs(c).sum(1)[:, None]
+        worst.append((ratio if one else ratio[cols[:D] < deg[:, None]]).max())  # NaN if a root is
         for i, roots in zip(idx, z):
-            lost = polys[i].d_nom - deg
-            out[i] = roots if not lost else np.concatenate((np.full(lost, math.inf), roots))
+            lost, roots = d_noms[i] - degrees[i], roots[: degrees[i]]
+            out[i] = np.concatenate((np.full(lost, math.inf), roots)) if lost else roots
+    worst = max(worst, default=0.0, key=lambda w: math.inf if math.isnan(w) else w)
+    if not worst <= ROOT_TOL:
+        raise ArithmeticError(f"root backward error {worst:.3g} exceeds ROOT_TOL = {ROOT_TOL:g}")
     return out
 
 

@@ -6,27 +6,27 @@ constellation (2j stars) and, after a canonical alignment procedure, a single
 complex number z; the vector Z of all z's behaves as one extra "spectator"
 spin state.  The picture is rotation-covariant but not faithful in general:
 at (5,3), negating the spin-5/2 block gives another plane with the same
-multiconstellation.  A plane costs one `_wigner_columns` call, a gauge scan
-of a few array steps per ell, and one root pass over all its blocks and the
-spectator together.
+multiconstellation.  A plane's blocks are the rows of one padded array: a
+plane costs a few array steps (per ell of the gauge scan), one
+`_wigner_columns` call and one `_roots` call for its blocks and spectator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import accumulate
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._cache import cached
-from .decomp import decompose_plane
-from .grassmann import KFrame
+from .decomp import _decompose_minors, bd_basis
+from .grassmann import KFrame, plucker
 from .majorana import (
-    Constellation, _constellations, _roots, majorana_polynomial,
+    Constellation, _constellations, _degrees, _roots, _sqrt_binomials, constellation_of_state,
 )
 from .spin_rep import (
-    SpinLabel, SpinState, _geodesic_quaternions, _ladder, _sy_eigenbasis, _wigner_columns,
+    SpinLabel, SpinState, _geodesic_quaternions, _ladder, _wigner_columns,
 )
 
 #: Relative threshold for treating amplitudes/expectations as zero.
@@ -64,7 +64,7 @@ def _polarization_diagonals(two_j: int) -> tuple:
 
 
 class PolarizationComponents:
-    """rho_{lm} = Tr(rho T_{lm}^dagger), l ascending, m descending l..-l.
+    """rho_{lm} = Tr(rho T_{lm}^dagger), stored l ascending, m descending l..-l.
 
     Entry (l, m) lies on diagonal m of rho, which is expanded over the T_{lm}
     of every l on first use: `get` reads only the diagonals it asks for.
@@ -83,23 +83,6 @@ class PolarizationComponents:
             W = (-1) ** min(m, 0) * _polarization_diagonals(self.two_j)[abs(m)]
             self._rows[m] = W.T @ np.diagonal(self._rho, m)
         return complex(self._rows[m][ell - abs(m)])
-
-    @property
-    def values(self) -> tuple:
-        """Every (ell, m, rho_{lm}), in storage order."""
-        return tuple(
-            (ell, m, self.get(ell, m))
-            for ell in range(self.two_j + 1)
-            for m in range(ell, -ell - 1, -1)
-        )
-
-
-def polarization_components(rho: np.ndarray, s: SpinLabel) -> PolarizationComponents:
-    """Expand a (not necessarily normalized) density matrix over T_{lm}."""
-    r = np.array(rho, dtype=complex)
-    if r.shape != (s.dim, s.dim):
-        raise ValueError(f"rho must be {s.dim} x {s.dim}")
-    return PolarizationComponents(s.two_s, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,48 +108,62 @@ class GaugeFixed:
     aligned_polarization: PolarizationComponents | None = None
 
 
-def _gauge_fix(states: list) -> list[GaugeFixed]:
-    """Canonical complex amplitude of each nonzero spin-j > 0 component, with
-    the constellation left None for the caller's root pass.
+#: The padded tables of a shape's blocks (see `_multicon_plan`).
+_Plan = namedtuple("_Plan", "two_j ket poly ladder signed binomial spins spin_index")
+
+
+@cached
+def _multicon_plan(s: SpinLabel, k: int) -> _Plan:
+    """The (s, k) blocks in layout order as rows of (B, D) arrays, D = max(3,
+    2j_max + 1) (the scan reads ell = 2 at any spin): entry p of block b's ket
+    is flat component ket[b, p], and entry t of its Majorana polynomial is
+    signed[b, t] times component poly[b, t], cut by binomial[b, t] =
+    sqrt(C(2j, t)).  Padding indexes a 0 appended to the components."""
+    layout = bd_basis(s, k).layout
+    two_j, lo = np.array([(m.two_j, m.row_range[0]) for m in layout]).T
+    B, D, end = len(layout), max(3, int(two_j.max()) + 1), layout[-1].row_range[1]
+    p, inside = np.arange(D), np.arange(D) <= two_j[:, None]
+    spins, spin_index = np.unique(two_j, return_inverse=True)
+    ladder, signed, binomial = np.zeros((B, D - 1)), np.zeros((B, D)), np.ones((B, D))
+    for u, n in enumerate(spins.tolist()):  # ladder and signed are 0 past a block, binomial 1
+        rows, (root, sign) = spin_index == u, _sqrt_binomials(n)
+        ladder[rows, :n], binomial[rows, : n + 1] = _ladder(n), root
+        signed[rows, : n + 1] = sign[::-1]
+    ket = np.where(inside, lo[:, None] + p, end)
+    poly = np.where(inside, (lo + two_j)[:, None] - p, end)
+    return _Plan(two_j, ket, poly, ladder, signed, binomial, spins, spin_index)
+
+
+def _gauge_fix(plan: _Plan, rows: np.ndarray, kets: np.ndarray) -> list[GaugeFixed]:
+    """Canonical complex amplitude of the nonzero spin-j > 0 blocks `rows` of
+    the plan, whose zero-padded kets are the rows of kets; the constellation
+    is left None for the caller's root pass.
 
     Rotate the spin expectation to +z, cancel the phase of the first
     non-axial polarization component by a diagonal S_z twist, and read off
-    z = ||psi|| e^{i beta} from the first nonzero coefficient.  Norms and
-    spin expectations are reductions over the stacked coefficients, one
-    `_wigner_columns` call rotates them all, and the scan (per ell), twist
-    and beta_0 are array steps over all the zero-padded rotated kets; only
-    the beta quotient and the record run per component.
+    z = ||psi|| e^{i beta} from the first nonzero coefficient.  All but the
+    beta quotient and the record are array steps over all the rows.
     """
-    two_j = [psi.s.two_s for psi in states]
-    tables = {n: (_ladder(n), _sy_eigenbasis(n)[0]) for n in set(two_j)}
-    dims = [n + 1 for n in two_j]
-    starts = list(accumulate(dims, initial=0))[:-1]
-    c = np.concatenate([psi.coeffs for psi in states])
-    weight = c.real**2 + c.imag**2
-    nrm = np.sqrt(np.add.reduceat(weight, starts))
-    # <S_+> = sum_i conj(c_i) <i|S_+|i+1> c_{i+1}, <S_x> + i <S_y> = <S_+>;
-    # a 0 after each component's ladder drops the pair across components
-    ladder = np.concatenate([x for n in two_j for x in (tables[n][0], (0.0,))])[:-1]
-    s_plus = np.add.reduceat(ladder * (c[:-1].conj() * c[1:]), starts)
-    two_m = np.concatenate([tables[n][1] for n in two_j])
-    sev = np.empty((len(states), 3))
-    sev[:, 0], sev[:, 1] = s_plus.real, s_plus.imag
-    sev[:, 2] = np.add.reduceat(two_m * weight, starts) / 2
+    two_j = plan.two_j[rows]
+    two_m = two_j[:, None] - 2 * np.arange(kets.shape[1])  # read where the kets are nonzero
+    weight = kets.real**2 + kets.imag**2
+    nrm = np.sqrt(weight.sum(1))
+    # <S_+> = sum_i conj(c_i) <i|S_+|i+1> c_{i+1}, <S_x> + i <S_y> = <S_+>
+    s_plus = (plan.ladder[rows] * (kets[:, :-1].conj() * kets[:, 1:])).sum(1)
+    sev = np.column_stack((s_plus.real, s_plus.imag, (two_m * weight).sum(1) / 2))
     sev_norm = np.sqrt((sev * sev).sum(1))
-    gauges = [
-        GaugeFixed(n, None, None, False, "vanishing spin expectation", n == 2, s)
-        for n, s in zip(two_j, sev)
+    on = sev_norm > GAUGE_TOL * two_j / 2 * nrm * nrm
+    gauges = [  # each live block's record is made below
+        None if o else GaugeFixed(n, None, None, False, "vanishing spin expectation", n == 2, v)
+        for n, v, o in zip(two_j.tolist(), sev, on.tolist())
     ]
-    live = np.flatnonzero(sev_norm > GAUGE_TOL * np.array(two_j) / 2 * nrm * nrm)
+    live = np.flatnonzero(on)
     if not len(live):
         return gauges
     q = _geodesic_quaternions(sev[live] / sev_norm[live, None])
     q[:, 1:] *= -1.0  # the inverse rotation: expectation now along +z
-    spins = np.array([two_j[b] for b in live])
-    x = np.concatenate([states[b].coeffs for b in live])[:, None]
-    B, D = len(live), max(3, int(spins.max()) + 1)  # D > 2: the scan reads ell = 2 at any spin
-    R = np.zeros((B, D), dtype=complex)  # row i: component live[i], zero-padded
-    R[np.arange(D) < spins[:, None] + 1] = _wigner_columns(spins.tolist(), q, x)[:, 0]
+    R = _wigner_columns(two_j[live], q, kets[live, :, None])[:, :, 0]
+    B, D = R.shape
     # Scan ell ascending, m descending within each ell (the storage order of
     # PolarizationComponents), all rows at once: rho_{ell m} is a weighted
     # sum over diagonal m of psi psi^dagger, and each ell adds a diagonal.
@@ -177,20 +174,21 @@ def _gauge_fix(states: list) -> list[GaugeFixed]:
     Rc, tol = R.conj(), GAUGE_TOL * nrm[live, None] * nrm[live, None]
     diagonals = np.zeros((D, B, D), dtype=complex)  # [m, i, p]: psi_p conj(psi_{p+m}) of row i
     np.multiply(R[:, :-1], Rc[:, 1:], out=diagonals[1, :, :-1])
-    distinct = sorted(set(spins.tolist()))
-    diagonal_tables = [_polarization_diagonals(n) for n in distinct]
-    spin_index = np.searchsorted(distinct, spins)
-    above, values, labels = [], [], []
+    spin_index = plan.spin_index[rows[live]]
+    tables = [(u, n, _polarization_diagonals(n)) for u, n in enumerate(plan.spins) if n > 1]
+    above, values, labels, hit = [], [], [], np.zeros(B, dtype=bool)
     for ell in range(2, D):
         np.multiply(R[:, : D - ell], Rc[:, ell:], out=diagonals[ell, :, : D - ell])
-        W = np.zeros((ell, len(distinct), D))  # [m - 1, u, p]: <p|T_{ell m}|p + m>, spin u
-        for u, n in enumerate(distinct):
+        # [m - 1, u, p]: <p|T_{ell m}|p + m> at plan spin u; kept for every ell, they grow as j^3
+        W = np.zeros((ell, len(plan.spins), D))
+        for u, n, diagonal_table in tables:
             for m in range(1, ell + 1) if n >= ell else ():
-                W[m - 1, u, : n + 1 - m] = diagonal_tables[u][m][:, ell - m]
+                W[m - 1, u, : n + 1 - m] = diagonal_table[m][:, ell - m]
         values.append(np.add.reduce(W[:, spin_index] * diagonals[1 : ell + 1], axis=2).T[:, ::-1])
         above.append(np.abs(values[-1]) > tol)
+        hit |= above[-1].any(1)
         labels += [(ell, m) for m in range(ell, 0, -1)]
-        if np.concatenate(above, 1).any(1).all():
+        if (hit | (two_j[live] <= ell)).all():  # a row selects only a T_{ell m}, ell <= 2j
             break
     above = np.concatenate(above, 1)
     first = above.argmax(1)
@@ -203,20 +201,21 @@ def _gauge_fix(states: list) -> list[GaugeFixed]:
     m0 = np.array([1 if lm is None else lm[1] for lm in selected])[:, None]
     alpha = np.arctan2(v0.imag, v0.real) % (2.0 * math.pi)
     alpha[2.0 * math.pi - alpha < 1e-9] = 0.0
-    m_values = (spins[:, None] - 2 * np.arange(D)) / 2
+    m_values = two_m[live] / 2
     psi2 = np.exp(-1j * alpha[:, None] * m_values / m0) * R
     mags = np.abs(psi2)
     lead_idx = (mags > 1e-12 * mags.max(1, keepdims=True)).argmax(1)
     lead = psi2[np.arange(B), lead_idx]
     beta0 = np.arctan2(lead.imag, lead.real) % (2 * math.pi)
     m_lead = m_values[np.arange(B), lead_idx]
-    for i, (b, lm, a, b0, ml) in enumerate(
-        zip(live.tolist(), selected, alpha.tolist(), beta0.tolist(), m_lead.tolist())
+    for i, (b, lm, a, b0, ml, v) in enumerate(
+        zip(live.tolist(), selected, alpha.tolist(), beta0.tolist(), m_lead.tolist(), sev[live])
     ):
-        n = two_j[b]
+        n = int(two_j[b])
         pol = PolarizationComponents(n, R[i, : n + 1])  # the ket of psi psi^dagger
         if lm is None:
-            gauges[b] = replace(gauges[b], reason="axial symmetry", aligned_polarization=pol)
+            axial = (n, None, None, False, "axial symmetry", n == 2, v)
+            gauges[b] = GaugeFixed(*axial, aligned_polarization=pol)
             continue
         # Making the selected polarization component real positive only fixes
         # the z-twist modulo 2*pi/|m0| (modulo 4*pi/|m0| for half-integer j,
@@ -230,23 +229,8 @@ def _gauge_fix(states: list) -> list[GaugeFixed]:
         cands = ((b0 - 2.0 * math.pi * t * ml / lm[1]) % (2.0 * math.pi) for t in range(twists))
         beta = min(0.0 if 2 * math.pi - cand < 1e-9 else cand for cand in cands)
         z = float(nrm[b]) * complex(math.cos(beta), math.sin(beta))
-        gauges[b] = GaugeFixed(n, z, None, True, None, n == 2, sev[b], lm, a, beta, pol)
+        gauges[b] = GaugeFixed(n, z, None, True, None, n == 2, v, lm, a, beta, pol)
     return gauges
-
-
-def _stars(states: list) -> list:
-    """Each state's constellation (None for None): one root and one stars pass."""
-    polys = [majorana_polynomial(psi) for psi in states if psi is not None and psi.s.two_s]
-    found = iter(_constellations(_roots(polys)) if polys else ())
-    return [None if psi is None else next(found) if psi.s.two_s else _NO_STARS for psi in states]
-
-
-def _spectator_state(z_values) -> SpinState:
-    """Z with L entries as a spin-(L-1)/2 ket, entries ordered like m = s_Z, ..., -s_Z."""
-    Z = np.asarray(z_values, dtype=complex)
-    if Z.ndim != 1 or len(Z) == 0:
-        raise ValueError("Z must be a nonempty vector")
-    return SpinState(SpinLabel(len(Z) - 1), Z)
 
 
 def spectator_constellation(z_values) -> Constellation:
@@ -255,7 +239,10 @@ def spectator_constellation(z_values) -> Constellation:
     Z with L entries is read as a spin-(L-1)/2 ket (entries ordered like
     m = s_Z, ..., -s_Z); a single entry has spin 0 and no stars.
     """
-    return _stars([_spectator_state(z_values)])[0]
+    Z = np.asarray(z_values, dtype=complex)
+    if Z.ndim != 1 or len(Z) == 0:
+        raise ValueError("Z must be a nonempty vector")
+    return constellation_of_state(SpinState(SpinLabel(len(Z) - 1), Z)) if len(Z) > 1 else _NO_STARS
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,29 +281,43 @@ def multiconstellation(frame: KFrame) -> Multiconstellation:
     The frame's overall phase is part of the gauge, so rotating the rows
     coherently rotates every piece of the answer without re-fixing phases.
     """
-    comps = decompose_plane(frame)
-    norms = [comp.state.norm for comp in comps]
-    live = [comp.state for comp, nrm in zip(comps, norms) if comp.two_j > 0 and nrm > GAUGE_TOL]
-    gauges = _gauge_fix(live) if live else []
-    zs = iter([g.z for g in gauges])
-    amplitudes = tuple(
-        0.0 if nrm <= GAUGE_TOL else complex(comp.state.coeffs[0]) if comp.two_j == 0 else next(zs)
-        for comp, nrm in zip(comps, norms)
-    )
-    z_values = None if any(not g.applicable for g in gauges) else amplitudes
-    spectator = None if z_values is None else _spectator_state(z_values)
-    *stars, spectator = _stars([*live, spectator])
+    # minors that overflow make _decompose_minors raise, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = plucker(frame).comps
+    flat = np.append(_decompose_minors(frame.s, frame.k, P), 0.0)
+    plan = _multicon_plan(frame.s, frame.k)
+    kets = flat[plan.ket]
+    absent = np.sqrt((kets.real**2 + kets.imag**2).sum(1)) <= GAUGE_TOL
+    rows = np.flatnonzero(~absent & (plan.two_j > 0))
+    gauges = _gauge_fix(plan, rows, kets[rows]) if len(rows) else []
+    amplitudes, given = np.where(absent, 0.0, kets[:, 0]), all(g.applicable for g in gauges)
+    if given:  # else only the spin-0 blocks' amplitudes are read
+        amplitudes[rows] = [g.z for g in gauges]
+    z_values = tuple(amplitudes.tolist()) if given else None
+    # one root pass: the blocks' Majorana polynomials, then, when Z is given
+    # and n > 0, the spectator's, Z read as a spin-n/2 ket
+    n, L, D = len(amplitudes) - 1, len(rows), kets.shape[1]
+    spectate = given and n > 0
+    coeffs = np.zeros((L + spectate, max(D, n + 1)), dtype=complex)
+    binomials = np.ones(coeffs.shape)
+    np.multiply(plan.signed[rows], flat[plan.poly[rows]], out=coeffs[:L, :D])
+    binomials[:L, :D] = plan.binomial[rows]
+    if spectate:
+        root, sign = _sqrt_binomials(n)
+        coeffs[L, : n + 1], binomials[L, : n + 1] = (sign * amplitudes)[::-1], root
+    d_noms = plan.two_j[rows].tolist() + [n] * spectate
+    degrees = _degrees(coeffs, binomials).tolist()
+    stars = _constellations(_roots(coeffs, degrees, d_noms)) if d_noms else []
+    spectator = stars.pop() if spectate else None if z_values is None else _NO_STARS
     for g, c in zip(gauges, stars):
         object.__setattr__(g, "constellation", c)  # the one field the root pass fills
-    gauges = iter(gauges)
-    reports = []
-    all_flags = []
-    for comp, nrm, amplitude in zip(comps, norms, amplitudes):
-        tag = (comp.two_j, comp.copy_index)
-        if nrm <= GAUGE_TOL:
+    gauges, reports, all_flags = iter(gauges), [], []
+    for m, gone, amplitude in zip(bd_basis(frame.s, frame.k).layout, absent, amplitudes.tolist()):
+        tag = (m.two_j, m.copy_index)
+        if gone:
             reports.append(ComponentReport(*tag, 0.0, True, None, None, ("absent",)))
             continue
-        if comp.two_j == 0:
+        if m.two_j == 0:
             reports.append(ComponentReport(*tag, amplitude, False, _NO_STARS, None, ()))
             continue
         g = next(gauges)

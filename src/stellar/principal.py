@@ -32,7 +32,7 @@ from .majorana import (
     majorana_polynomial,
     stereo_to_sphere,
 )
-from .spin_rep import SpinLabel, _geodesic_quaternions, _wigner_columns
+from .spin_rep import SpinLabel, SpinState, _geodesic_quaternions, _wigner_columns
 
 
 @dataclass(frozen=True)
@@ -113,15 +113,16 @@ def _wronskian_polynomial(frame: KFrame, P: np.ndarray) -> ComplexPolynomial:
 
 
 def _top_polynomial(frame: KFrame, P: np.ndarray) -> ComplexPolynomial:
-    (top,) = _decompose_minors(frame.s, frame.k, P, blocks=1)
-    if top.two_j != two_s_max(frame.s, frame.k):
+    top = _decompose_minors(frame.s, frame.k, P, blocks=1)
+    if len(top) - 1 != two_s_max(frame.s, frame.k):
         raise ArithmeticError("block layout is missing the top spin sector")
-    if top.state.norm <= 1e-12:
+    state = SpinState(SpinLabel(len(top) - 1), top)
+    if state.norm <= 1e-12:
         raise ArithmeticError(
             "top spin component vanishes; principal polynomial undefined "
             "through this route"
         )
-    return majorana_polynomial(top.state)
+    return majorana_polynomial(state)
 
 
 @cached
@@ -173,7 +174,8 @@ def _principal(frame: KFrame, routes: tuple) -> dict:
         with np.errstate(over="ignore", invalid="ignore"):
             P = plucker(frame).comps
     polys = [_ROUTES[name](frame, P) for name in routes]
-    stars = _constellations(_roots(polys))
+    coeffs = np.array([p.coeffs for p in polys])
+    stars = _constellations(_roots(coeffs, [p.degree() for p in polys], [p.d_nom for p in polys]))
     return {name: PrincipalResult(name, p, c) for name, p, c in zip(routes, polys, stars)}
 
 

@@ -15,12 +15,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
 from ._cache import cached
 from ._exact import SpinLabel
+
+#: Entries of one block of a large product or stack, so memory stays bounded.
+_PRODUCT_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,28 +125,29 @@ def _sy_eigenbasis(two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _wigner_columns(two_s, q: np.ndarray, x) -> np.ndarray:
     """D(q_i) x_i for N rotations, each of its own spin.
 
-    two_s is one 2s for all rotations or a list of N, q an (N, 4) array of
-    SU(2) quaternions (w, x, y, z), and x stacks the (2s_i + 1, k) blocks x_i
-    in rotation order; the result is stacked the same way.  An int x = k
-    stands for the first k identity columns, and the result is then the
-    first k columns of each rotation matrix, (N, 2s + 1, k).
+    two_s is one 2s for all rotations or an int array of N, q an (N, 4)
+    array of SU(2) quaternions (w, x, y, z), and x an (N, D, k) array whose
+    block x_i fills its first 2s_i + 1 rows and is zero below them; the
+    result is padded the same way.  An int x = k stands for the first k
+    identity columns of one 2s, and the result is then the first k columns
+    of each rotation matrix, (N, 2s + 1, k).
 
     Evaluated in z-y-z Euler form, D = e^{-i alpha S_z} e^{-i beta S_y}
     e^{-i gamma S_z}, from the SU(2) element [[a, -conj(b)], [b, conj(a)]]
     of each rotation, with e^{-i beta S_y} = V diag(e^{-i beta m}) V^dagger,
-    one factor at a time: a run of rotations of one spin meets that spin's
-    cached V and V^dagger in one batched matmul each, and no rotation matrix
-    is formed.  Working from the SU(2) element keeps the sign of a 2*pi
-    rotation on half-integer spins.  Each phase e^{-i angle m} is an integer
-    power of a unit complex number, taken in extended precision where the
-    platform has it: a power 2s of a double would multiply its rounding
-    error by 2s.  The identity quaternion leaves x_i exactly as it is.
+    one factor at a time, each one batched matmul for all rotations against
+    the cached V of their spins, zero-padded and gathered _PRODUCT_CHUNK
+    entries at a time (V^dagger as the transposed conj(V), the layout of one
+    spin's table); no rotation matrix is formed.  Working from the SU(2)
+    element keeps the sign of a 2*pi rotation on half-integer spins.  Each
+    phase e^{-i angle m} is an integer power of a unit complex number, taken
+    in extended precision where the platform has it: a power 2s of a double
+    would multiply its rounding error by 2s.  The identity quaternion leaves
+    x_i exactly as it is.
     """
     q = np.asarray(q, dtype=float)
     if isinstance(x, int):
-        cols = np.eye(two_s + 1, x)[None].repeat(len(q), 0)
-        return _wigner_columns(two_s, q, cols.reshape(-1, x)).reshape(cols.shape)
-    spins = [two_s] * len(q) if isinstance(two_s, int) else two_s
+        x = np.eye(two_s + 1, x)[None].repeat(len(q), 0)
     w, qx, qy, qz = q.T
     a, b = (w - 1j * qz).astype(np.clongdouble), (qy - 1j * qx).astype(np.clongdouble)
     abs_a, abs_b = np.abs(a), np.abs(b)
@@ -159,21 +162,29 @@ def _wigner_columns(two_s, q: np.ndarray, x) -> np.ndarray:
     # (u / p)^{2m}: p (u / p) = u fixes the SU(2) sign
     bases = np.empty((len(q), 3, 1), dtype=np.clongdouble)
     bases[:, 0, 0], bases[:, 1, 0], bases[:, 2, 0] = p, c / np.abs(c), u * p.conj()
+    D = x.shape[1]
+    if isinstance(two_s, int):  # one spin: its own tables, nothing padded
+        two_m, V, VH = _sy_eigenbasis(two_s)
+        index, V, VC = np.zeros(len(q), dtype=np.intp), V[None], VH.T[None]
+        phases = (bases**two_m).astype(complex)
+    else:  # each rotation's own 2m only: the padding stays 0, as V is there
+        spins = sorted(set(two_s.tolist()))
+        V, index = np.zeros((len(spins), D, D), dtype=complex), np.searchsorted(spins, two_s)
+        for i, n in enumerate(spins):
+            V[i, : n + 1, : n + 1] = _sy_eigenbasis(n)[1]
+        VC = V.conj()
+        rot, col = np.nonzero(np.arange(D) <= two_s[:, None])
+        phases = np.zeros((len(q), 3, D), dtype=complex)
+        phases[rot, :, col] = (bases[rot, :, 0] ** (two_s[rot] - 2 * col)[:, None]).astype(complex)
+    ph_alpha, ph_beta, ph_gamma = phases.transpose(1, 0, 2)[..., None]
     out = np.empty(x.shape, dtype=complex)
-    lo = start = 0
-    for n, run in groupby(spins):  # a run of one spin: one batched matmul per factor
-        hi = lo + len(list(run))
-        two_m, V, VH = _sy_eigenbasis(n)
-        phases = (bases[lo:hi] ** two_m).astype(complex)[..., None]
-        ph_alpha, ph_beta, ph_gamma = phases.transpose(1, 0, 2, 3)
-        rows = slice(start, start + (hi - lo) * (n + 1))
-        y = VH @ (ph_gamma * x[rows].reshape(hi - lo, n + 1, -1))
-        out[rows] = (ph_alpha * (V @ (ph_beta * y))).reshape(-1, x.shape[1])
-        lo, start = hi, rows.stop
+    step = max(1, _PRODUCT_CHUNK // (D * D))
+    for lo in range(0, len(q), step):
+        r = slice(lo, lo + step)
+        y = VC[index[r]].transpose(0, 2, 1) @ (ph_gamma[r] * x[r])
+        out[r] = ph_alpha[r] * (V[index[r]] @ (ph_beta[r] * y))
     identity = b_zero & (a == 1)
-    if identity.any():
-        rows = identity.repeat([n + 1 for n in spins])
-        out[rows] = x[rows]
+    out[identity] = x[identity]
     return out
 
 

@@ -25,11 +25,14 @@ from stellar import (
 )
 from stellar.majorana import (
     CLUSTER_TOL,
+    ROOT_TOL,
     Constellation,
     Star,
     _assignment,
     _constellations,
+    _degrees,
     _roots,
+    _sqrt_binomials,
     constellation_from_roots,
     stereo_to_sphere,
 )
@@ -660,9 +663,18 @@ def _mixed_polynomials(rng) -> list:
     return polys
 
 
+def roots_of(polys) -> list:
+    """`_roots` of ComplexPolynomials of any nominal degrees, their
+    coefficients zero-padded to the widest."""
+    coeffs = np.zeros((len(polys), max(p.d_nom for p in polys) + 1), dtype=complex)
+    for row, p in zip(coeffs, polys):
+        row[: p.d_nom + 1] = p.coeffs
+    return _roots(coeffs, [p.degree() for p in polys], [p.d_nom for p in polys])
+
+
 def test_batched_roots_equal_poly_roots_bit_for_bit():
     polys = _mixed_polynomials(np.random.default_rng(73))
-    batched = _roots(polys)
+    batched = roots_of(polys)
     assert len(batched) == len(polys)
     for p, roots in zip(polys, batched):
         assert same_bits(roots, poly_roots(p))
@@ -704,7 +716,105 @@ def test_batched_roots_raise_when_any_polynomial_fails_its_check():
     )
     good = _mixed_polynomials(np.random.default_rng(74))
     with pytest.raises(ArithmeticError, match="backward error"):
-        _roots(good[:3] + [ComplexPolynomial(c, 40)] + good[3:])
+        roots_of(good[:3] + [ComplexPolynomial(c, 40)] + good[3:])
+
+
+def _per_degree_roots(polys) -> list:
+    """`poly_roots` of each polynomial, one `eigvals` per actual degree over
+    that degree's unpadded companions (the root pass before companions of
+    several degrees shared a stack: oracle).  Its verdict names the largest
+    backward error of the batch, not of the first group that fails, which
+    would depend on the order in which a set lists the degrees."""
+    degrees = [p.degree() for p in polys]
+    out = [None if d else np.full(p.d_nom, math.inf, dtype=complex) for p, d in zip(polys, degrees)]
+    errors = [0.0]
+    for deg in set(degrees) - {0}:
+        idx = [i for i, d in enumerate(degrees) if d == deg]
+        c = np.array([polys[i].coeffs[: deg + 1] for i in idx])
+        companion = np.zeros((len(idx), deg, deg), dtype=complex)
+        companion.reshape(len(idx), -1)[:, deg :: deg + 1] = 1.0
+        np.divide(c[:, :-1], -c[:, -1:], out=companion[:, :, -1])
+        z = np.linalg.eigvals(companion)
+        outside = np.abs(z) > 1.0
+        powers = np.empty((*z.shape, deg + 1), dtype=complex)
+        powers[..., 0] = 1.0
+        powers[..., 1:] = np.divide(1.0, z, out=z.copy(), where=outside)[..., None]
+        np.multiply.accumulate(powers[..., 1:], axis=-1, out=powers[..., 1:])
+        at_w = np.where(outside[..., None], powers @ c[:, ::-1, None], powers @ c[..., None])
+        errors.append((np.abs(at_w[..., 0]) / np.abs(c).sum(1)[:, None]).max())
+        for i, roots in zip(idx, z):
+            lost = polys[i].d_nom - deg
+            out[i] = roots if not lost else np.concatenate((np.full(lost, math.inf), roots))
+    worst = float(np.max(errors))
+    if not worst <= ROOT_TOL:
+        raise ArithmeticError(f"root backward error {worst:.3g} exceeds ROOT_TOL = {ROOT_TOL:g}")
+    return out
+
+
+def _outcome(find, polys):
+    """The roots `find` gives, or the message of the ArithmeticError it raises."""
+    try:
+        return find(polys)
+    except ArithmeticError as e:
+        return str(e)
+
+
+def _assert_same_outcome(polys):
+    got, want = _outcome(roots_of, polys), _outcome(_per_degree_roots, polys)
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
+
+
+def _spread_polynomial(rng, degree: int, lost: int, zero_root: bool) -> ComplexPolynomial:
+    """Coefficients spread over +-8 decades, an exact zero root if asked, and
+    `lost` zero leading coefficients past the actual degree."""
+    c = (rng.standard_normal(degree + lost + 1) + 1j * rng.standard_normal(degree + lost + 1)) * (
+        10.0 ** rng.uniform(-8, 8, degree + lost + 1)
+    )
+    c[degree + 1 :] = 0.0
+    if zero_root:
+        c[0] = 0.0
+    return ComplexPolynomial(c, degree + lost)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    batch=st.lists(
+        st.tuples(st.integers(1, 40), st.integers(0, 3), st.booleans()), min_size=1, max_size=20
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(batch=[(40, 0, False), (1, 0, False), (17, 2, True), (17, 0, False), (3, 3, True)], seed=0)
+def test_padded_root_pass_equals_the_per_degree_oracle(batch, seed):
+    # companions of every degree, in any degree order, zero-padded to the
+    # largest of their chunk: the same roots, bit for bit, as unpadded
+    # one-degree stacks, and the same verdict
+    rng = np.random.default_rng(seed)
+    _assert_same_outcome([_spread_polynomial(rng, *entry) for entry in batch])
+
+
+def test_a_companion_past_the_padding_bound_keeps_its_own_stack():
+    # order 80 is past the bound; the rest share one stack padded to 75
+    rng = np.random.default_rng(76)
+    polys = [_spread_polynomial(rng, d, lost, False) for d, lost in ((80, 0), (75, 0), (74, 1), (3, 0), (40, 2))]
+    polys = [ComplexPolynomial(p.coeffs / np.abs(p.coeffs).max(), p.d_nom) for p in polys]
+    _assert_same_outcome(polys)
+    assert not isinstance(_outcome(roots_of, polys), str)
+
+
+def test_the_batched_degree_cut_equals_degree():
+    rng = np.random.default_rng(77)
+    polys = [_spread_polynomial(rng, int(d), int(d) % 3, bool(d % 2)) for d in rng.integers(1, 30, 40)]
+    polys += [majorana_polynomial(random_state(rng, n)) for n in range(1, 12)]
+    coeffs = np.zeros((len(polys), 33), dtype=complex)
+    binomials = np.ones(coeffs.shape)
+    for row, weights, p in zip(coeffs, binomials, polys):
+        row[: p.d_nom + 1], weights[: p.d_nom + 1] = p.coeffs, _sqrt_binomials(p.d_nom)[0]
+    assert _degrees(coeffs, binomials).tolist() == [p.degree() for p in polys]
 
 
 def test_batched_constellations_equal_the_one_set_path_bit_for_bit():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,14 +22,15 @@ from stellar import (
     multiconstellation,
     plucker,
     plucker_residual,
-    polarization_components,
     rotate_constellation,
     rotate_frame,
     spectator_constellation,
     standard_form,
 )
 from stellar import majorana, multicon
-from stellar.multicon import GAUGE_TOL, _gauge_fix, _polarization_diagonals
+from stellar.multicon import (
+    GAUGE_TOL, PolarizationComponents, _gauge_fix, _multicon_plan, _polarization_diagonals,
+)
 from stellar.spin_rep import geodesic_rotation, wigner_d
 
 from conftest import random_frame, random_rotation, same_bits, spin_matrices
@@ -38,6 +42,28 @@ def _twice(x, name: str) -> int:
     if abs(t - r) > 1e-9:
         raise ValueError(f"{name} must be integer or half-integer, got {x}")
     return int(r)
+
+
+def polarization_components(rho: np.ndarray, s: SpinLabel) -> PolarizationComponents:
+    """Expand a (not necessarily normalized) density matrix over T_{lm}."""
+    r = np.array(rho, dtype=complex)
+    if r.shape != (s.dim, s.dim):
+        raise ValueError(f"rho must be {s.dim} x {s.dim}")
+    return PolarizationComponents(s.two_s, r)
+
+
+def polarization_values(pol: PolarizationComponents) -> tuple:
+    """Every (ell, m, rho_{lm}) of pol, in storage order."""
+    return tuple(
+        (ell, m, pol.get(ell, m)) for ell in range(pol.two_j + 1) for m in range(ell, -ell - 1, -1)
+    )
+
+
+def gauge_fix_one(psi: SpinState):
+    """The gauge pass on one nonzero spin-j > 0 state: the one block of the
+    (2j, 1) plan."""
+    plan = _multicon_plan(psi.s, 1)
+    return _gauge_fix(plan, np.array([0]), np.append(psi.coeffs, 0.0)[plan.ket])[0]
 
 
 def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
@@ -200,7 +226,7 @@ def test_polarization_components_match_exact_oracle():
         A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         rho = A @ A.conj().T
         pol = polarization_components(rho, SpinLabel(two_j))
-        for ell, m, v in pol.values:
+        for ell, m, v in polarization_values(pol):
             want = np.vdot(exact_tensor_op(two_j, ell, m), rho)
             assert abs(v - want) < 1e-13 * max(1.0, np.abs(rho).max())
 
@@ -228,7 +254,7 @@ def test_polarization_get_matches_linear_scan():
         pol = polarization_components(A @ A.conj().T, SpinLabel(two_j))
         for ell in range(two_j + 1):
             for m in range(-ell, ell + 1):
-                want = next(v for l2, m2, v in pol.values if (l2, m2) == (ell, m))
+                want = next(v for l2, m2, v in polarization_values(pol) if (l2, m2) == (ell, m))
                 assert pol.get(ell, m) == want
         for ell, m in ((-1, 0), (two_j + 1, 0), (0, 1), (two_j, two_j + 1), (two_j, -two_j - 1)):
             with pytest.raises(KeyError):
@@ -240,7 +266,7 @@ def test_polarization_field_order():
     s = SpinLabel(2)
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     pol = polarization_components(A @ A.conj().T, s)
-    order = [(ell, m) for ell, m, _ in pol.values]
+    order = [(ell, m) for ell, m, _ in polarization_values(pol)]
     assert order == [
         (0, 0),
         (1, 1), (1, 0), (1, -1),
@@ -319,7 +345,7 @@ def _gauge_test_states():
 def test_gauge_fix_matches_the_dense_oracle():
     reasons = set()
     for psi in _gauge_test_states():
-        g, want = _gauge_fix([psi])[0], dense_gauge_fix(psi)
+        g, want = gauge_fix_one(psi), dense_gauge_fix(psi)
         assert np.abs(g.sev - want["sev"]).max() <= 1e-12
         assert (g.applicable, g.reason, g.selected_lm) == (
             want["applicable"], want["reason"], want["selected_lm"],
@@ -333,7 +359,7 @@ def test_gauge_fix_matches_the_dense_oracle():
         else:
             assert g.z is g.alpha is g.beta is None
         if "table" in want:
-            got = g.aligned_polarization.values
+            got = polarization_values(g.aligned_polarization)
             assert [lm[:2] for lm in got] == [lm[:2] for lm in want["table"]]
             assert max(abs(a[2] - b[2]) for a, b in zip(got, want["table"])) <= 1e-12
         else:
@@ -346,7 +372,7 @@ def test_polarization_values_equal_the_full_table():
     for two_j in range(0, 25):
         A = rng.standard_normal((two_j + 1,) * 2) + 1j * rng.standard_normal((two_j + 1,) * 2)
         rho = A @ A.conj().T
-        assert polarization_components(rho, SpinLabel(two_j)).values == (
+        assert polarization_values(polarization_components(rho, SpinLabel(two_j))) == (
             full_table_polarization(rho, two_j)
         )
 
@@ -356,7 +382,7 @@ def test_gauge_fix_worked_example_spin3():
     from stellar import decompose_plane
 
     comps = decompose_plane(vw_frame())
-    g3 = _gauge_fix([comps[0].state])[0]
+    g3 = gauge_fix_one(comps[0].state)
     assert g3.applicable
     want_sev = np.array([-math.sqrt(3.0 / 50.0), 0.0, 7.0 / 20.0])
     assert np.abs(g3.sev - want_sev).max() < 1e-12
@@ -377,7 +403,7 @@ def test_gauge_fix_worked_example_spin1():
     from stellar import decompose_plane
 
     comps = decompose_plane(vw_frame())
-    g1 = _gauge_fix([comps[1].state])[0]
+    g1 = gauge_fix_one(comps[1].state)
     assert g1.applicable
     assert g1.spin1_warning
     z = complex(g1.z)
@@ -462,7 +488,7 @@ def test_axial_symmetry_not_applicable():
     # a single S_z eigenstate has rotation symmetry about z: SEV along z and
     # every m != 0 polarization vanishes
     psi = SpinState(SpinLabel(4), np.array([1.0, 0, 0, 0, 0]))
-    g = _gauge_fix([psi])[0]
+    g = gauge_fix_one(psi)
     assert not g.applicable
     assert g.reason == "axial symmetry"
 
@@ -470,7 +496,7 @@ def test_axial_symmetry_not_applicable():
 def test_vanishing_sev_reason():
     # equal-weight superposition of extreme m states: SEV = 0
     psi = SpinState(SpinLabel(4), np.array([1.0, 0, 0, 0, 1.0]))
-    g = _gauge_fix([psi])[0]
+    g = gauge_fix_one(psi)
     assert not g.applicable
     assert g.reason == "vanishing spin expectation"
 
@@ -548,7 +574,7 @@ def _blocks_match_the_one_block_path(frame: KFrame) -> list:
         assert (rep.two_j, rep.copy_index) == (comp.two_j, comp.copy_index)
         if rep.gauge is None:
             continue
-        g, want = rep.gauge, _gauge_fix([comp.state])[0]
+        g, want = rep.gauge, gauge_fix_one(comp.state)
         assert want.constellation is None  # the gauge pass reads no roots
         one = constellation_of_state(comp.state)
         assert rep.constellation is g.constellation
@@ -606,7 +632,7 @@ def test_weight_vector_blocks_keep_the_exact_identity_rotation():
     assert [g.two_j for g in gauges] == [6, 2]
     for g in gauges:
         assert g.reason == "axial symmetry"
-        assert all(v == 0 for _, m, v in g.aligned_polarization.values if m)
+        assert all(v == 0 for _, m, v in polarization_values(g.aligned_polarization) if m)
 
 
 def test_multiconstellation_raises_when_a_block_root_fails_its_check(monkeypatch):
@@ -684,9 +710,9 @@ def _count_root_passes(monkeypatch) -> list:
     """Record the polynomials of every root pass multicon makes."""
     passes = []
 
-    def roots(polys):
-        passes.append(list(polys))
-        return majorana._roots(polys)
+    def roots(coeffs, degrees, d_noms):
+        passes.append(list(d_noms))
+        return majorana._roots(coeffs, degrees, d_noms)
 
     monkeypatch.setattr(multicon, "_roots", roots)
     return passes
@@ -776,3 +802,61 @@ def test_the_dense_oracle_frames_take_the_scan_past_ell_2():
                 selected.add(rep.gauge.selected_lm)
                 reasons.add(rep.gauge.reason)
     assert (3, 3) in selected and "axial symmetry" in reasons
+
+
+# ---------------------------------------------------------------------------
+# the blocks as rows of one padded array: what the gather must keep
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["gaussian", "stride"]),
+    shape=st.sampled_from(GAUGE_SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_padded_blocks_keep_the_norms_and_the_layout(kind, shape, seed):
+    frame = gauge_test_frame(kind, shape, seed)
+    mc = multiconstellation(frame)
+    comps = decompose_plane(frame)
+    norms = np.array([comp.state.norm for comp in comps])
+    assert abs((norms**2).sum() - 1.0) <= 1e-13
+    two_j = [m.two_j for m in bd_basis(frame.s, frame.k).layout]
+    assert [rep.two_j for rep in mc.components] == two_j
+    assert sum(n + 1 for n in two_j) == math.comb(frame.s.dim, frame.k)
+    for rep, nrm in zip(mc.components, norms):
+        if rep.absent:
+            assert nrm <= GAUGE_TOL
+            continue
+        assert rep.constellation.total == rep.two_j
+        if rep.amplitude is not None:  # z, or a spin-0 block's amplitude
+            assert abs(abs(rep.amplitude) - nrm) <= 1e-13
+    if mc.z_values is not None:
+        assert np.abs(np.abs(mc.z_values) - np.where(norms > GAUGE_TOL, norms, 0.0)).max() <= 1e-13
+
+
+_MULTICON_RSS_CODE = """
+import resource
+import numpy as np
+from stellar import KFrame, SpinLabel, bd_basis, multiconstellation
+rows = np.random.default_rng(147).standard_normal((7, 15, 2))
+multiconstellation(KFrame(SpinLabel(5), 3, rows[:3, :6, 0] + 0j))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+multiconstellation(KFrame(SpinLabel(14), 7, rows[..., 0] + 1j * rows[..., 1]))
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(grown * 1024 / bd_basis(SpinLabel(14), 7).coefs.nbytes)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_multiconstellation_peak_memory_is_bounded_at_14_7():
+    # a cold (14,7) plane builds the basis and decomposes (test_decomp), then
+    # pads its 289 blocks of up to 57 entries: stacked whole, the companions,
+    # the powers of the roots and the rotation matrices gathered per block
+    # would take 14, 14 and 29 MB beside 28 MB of basis rows; a bounded
+    # chunk at a time, they stay below the decomposition's own peak
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _MULTICON_RSS_CODE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 2.0

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 
 import mpmath
@@ -18,13 +19,14 @@ from stellar import (
     wigner_d,
 )
 from stellar.majorana import stereo_to_sphere
-from stellar.spin_rep import _geodesic_quaternions, _ladder, _wigner_columns
+from stellar.spin_rep import _geodesic_quaternions, _ladder, _sy_eigenbasis, _wigner_columns
 
 from conftest import (
     INF,
     compose,
     random_rotation,
     random_state,
+    same_bits,
     spin_matrices,
     stereo_from_sphere,
 )
@@ -235,25 +237,67 @@ def test_wigner_columns_match_wigner_d():
 
 
 def test_wigner_columns_of_mixed_spins_match_wigner_d():
-    # runs of one spin in any order, spin 0, and identity rotations among them
+    # unsorted spins, repeated apart, spin 0, and identity rotations among
+    # them, each block zero-padded to the largest
     rng = np.random.default_rng(21)
-    spins = [3, 3, 0, 5, 3, 1, 1, 8, 8, 8, 2]
+    spins = [3, 8, 3, 0, 5, 3, 1, 8, 1, 8, 2, 0, 5]
     rotations = [random_rotation(rng) for _ in spins]
     rotations[1] = rotations[7] = RotationSpec(np.array([0.0, 0.0, 1.0]), 0.0)
     q = np.array([r._quaternion() for r in rotations])
-    x = rng.standard_normal((sum(spins) + len(spins), 2)) + 1j * rng.standard_normal(
-        (sum(spins) + len(spins), 2)
-    )
-    got = _wigner_columns(spins, q, x)
+    x = np.zeros((len(spins), max(spins) + 1, 2), dtype=complex)
+    for block, two_s in zip(x, spins):
+        block[: two_s + 1] = rng.standard_normal((two_s + 1, 2)) + 1j * rng.standard_normal((two_s + 1, 2))
+    got = _wigner_columns(np.array(spins), q, x)
     assert got.shape == x.shape
-    start = 0
     for i, (two_s, r) in enumerate(zip(spins, rotations)):
-        rows = slice(start, start + two_s + 1)
-        want = wigner_d(SpinLabel(two_s), r) @ x[rows]
-        assert np.abs(got[rows] - want).max() <= 1e-13
+        want = wigner_d(SpinLabel(two_s), r) @ x[i, : two_s + 1]
+        assert np.abs(got[i, : two_s + 1] - want).max() <= 1e-14
+        assert not got[i, two_s + 1 :].any()
         if i in (1, 7):
-            assert np.array_equal(got[rows], x[rows])
-        start = rows.stop
+            assert np.array_equal(got[i], x[i])
+
+
+def _one_spin_wigner_columns(two_s: int, q: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of each rotation matrix at one spin, as the
+    kernel formed them before it took padded blocks of mixed spins: the
+    cached V and V^dagger broadcast over the rotations (oracle)."""
+    w, qx, qy, qz = np.asarray(q, dtype=float).T
+    a, b = (w - 1j * qz).astype(np.clongdouble), (qy - 1j * qx).astype(np.clongdouble)
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    a_zero, b_zero = abs_a == 0, abs_b == 0
+    u = (a + a_zero) / (abs_a + a_zero)
+    v = (b.conj() + b_zero) / (abs_b + b_zero)
+    p = np.sqrt(u * v)
+    c = abs_a - 1j * abs_b
+    bases = np.empty((len(q), 3, 1), dtype=np.clongdouble)
+    bases[:, 0, 0], bases[:, 1, 0], bases[:, 2, 0] = p, c / np.abs(c), u * p.conj()
+    two_m, V, VH = _sy_eigenbasis(two_s)
+    ph_alpha, ph_beta, ph_gamma = (bases**two_m).astype(complex)[..., None].transpose(1, 0, 2, 3)
+    x = np.eye(two_s + 1, k)[None].repeat(len(q), 0)
+    out = ph_alpha * (V @ (ph_beta * (VH @ (ph_gamma * x))))
+    identity = b_zero & (a == 1)
+    out[identity] = x[identity]
+    return out
+
+
+def test_one_spin_wigner_columns_keep_the_broadcast_kernel_bit_for_bit():
+    n = _geodesic_test_directions(np.random.default_rng(22))
+    q = np.concatenate([_geodesic_quaternions(n), [random_rotation(np.random.default_rng(23))._quaternion()]])
+    for two_s in range(0, 25):
+        for k in {1, (two_s + 2) // 2, two_s + 1}:
+            assert same_bits(_wigner_columns(two_s, q, k), _one_spin_wigner_columns(two_s, q, k))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (5, 3), (7, 4), (9, 4), (11, 5), (13, 6)])
+def test_sampled_plan_keeps_the_broadcast_kernel_bit_for_bit(monkeypatch, shape):
+    principal = importlib.import_module("stellar.principal")  # the package attribute is the function
+    s, k = SpinLabel(shape[0]), shape[1]
+    got = principal._sampled_plan(s, k)
+    monkeypatch.setattr(principal, "_wigner_columns", _one_spin_wigner_columns)
+    want = principal._sampled_plan.__wrapped__(s, k)
+    assert len(got) == len(want) == 2
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
 
 
 def test_generators_commutators():
