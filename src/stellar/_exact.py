@@ -1,4 +1,4 @@
-"""The package's exact integer results, in a module that loads no numpy.
+"""The package's exact integer results, in a module that imports the standard library alone.
 
 Spin labels, the multiplicity tables of the wedge powers from the closed
 form of the Gaussian binomial, and the Schubert count.  `spin_rep`, `decomp`
@@ -31,12 +31,6 @@ class SpinLabel:
     @property
     def dim(self) -> int:
         return self.two_s + 1
-
-    def m_values(self) -> np.ndarray:
-        """S_z eigenvalues, ordered s, s-1, ..., -s."""
-        import numpy as np
-
-        return (self.two_s - 2 * np.arange(self.dim)) / 2
 
 
 def two_s_max(s: SpinLabel, k: int) -> int:

@@ -27,9 +27,6 @@ from .spin_rep import (
 #: Relative singular-value / minor threshold for rank and pivot decisions.
 RANK_TOL = 1e-10
 
-#: Minor matrices per batched det in `plucker`.
-_MINOR_CHUNK = 4096
-
 
 def multi_indices(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All size-k subsets of range(n) in lexicographic order."""
@@ -117,14 +114,15 @@ class PluckerVector:
 def plucker(frame: KFrame) -> PluckerVector:
     """All k x k minors of the frame, lexicographically ordered.
 
-    The minor matrices go to the batched det _MINOR_CHUNK at a time, so memory
-    stays bounded at large shapes; det factors each matrix alone, so the
-    chunking does not change a bit of the result.
+    The k x k minor matrices go to the batched det _PRODUCT_CHUNK entries at
+    a time, so memory stays bounded at large shapes; det factors each matrix
+    alone, so the chunking does not change a bit of the result.
     """
     idx = _multi_index_array(frame.s.dim, frame.k)
     comps = np.empty(len(idx), dtype=complex)
-    for lo in range(0, len(idx), _MINOR_CHUNK):
-        chunk = idx[lo : lo + _MINOR_CHUNK]
+    step = max(1, _PRODUCT_CHUNK // frame.k**2)
+    for lo in range(0, len(idx), step):
+        chunk = idx[lo : lo + step]
         # rows[:, chunk][r, c, t] = rows[r, chunk[c, t]]: minor c is [:, c, :]
         comps[lo : lo + len(chunk)] = np.linalg.det(frame.rows[:, chunk].transpose(1, 0, 2))
     return PluckerVector(frame.s, frame.k, comps)

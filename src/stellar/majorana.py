@@ -72,8 +72,7 @@ class ComplexPolynomial:
         a rotation-invariant comparison.  Unweighted, the binomial factors
         alone span sqrt(C(80, 40)) ~ 1e11.5 at 2s = 80.
         """
-        row = vars(self).get("_binomials")  # set by `majorana_polynomial`
-        mags = np.abs(self.coeffs) / (_sqrt_binomials(self.d_nom)[0] if row is None else row)
+        mags = np.abs(self.coeffs) / _sqrt_binomials(self.d_nom)[0]
         top = mags.max()
         if top == 0.0:
             raise ValueError("zero polynomial has no degree")
@@ -204,11 +203,8 @@ def majorana_polynomial(psi: SpinState) -> ComplexPolynomial:
     if not c.any():
         raise ValueError("zero state has no Majorana polynomial")
     n = psi.s.two_s
-    row, signed = _sqrt_binomials(n)
     # coefficient index i runs over m = s - i; degree is n - i
-    p = ComplexPolynomial((signed * c)[::-1], n)
-    vars(p)["_binomials"] = row  # for `degree`: one table lookup per polynomial
-    return p
+    return ComplexPolynomial((_sqrt_binomials(n)[1] * c)[::-1], n)
 
 
 def poly_roots(p: ComplexPolynomial) -> np.ndarray:

@@ -90,14 +90,14 @@ class GaugeFixed:
     """Outcome of the alignment procedure on one spin-j component.
 
     z is None when the procedure does not apply (vanishing spin expectation
-    or exact axial symmetry); the constellation of the original state is
-    reported regardless.  For j = 1 the warning notes that a constellation
-    plus one complex number cannot distinguish every state.
+    or exact axial symmetry); the component's constellation, in its
+    `ComponentReport`, is reported regardless.  For j = 1 the warning notes
+    that a constellation plus one complex number cannot distinguish every
+    state.
     """
 
     two_j: int
     z: complex | None
-    constellation: Constellation
     applicable: bool
     reason: str | None
     spin1_warning: bool
@@ -136,8 +136,8 @@ def _multicon_plan(s: SpinLabel, k: int) -> _Plan:
 
 def _gauge_fix(plan: _Plan, rows: np.ndarray, kets: np.ndarray) -> list[GaugeFixed]:
     """Canonical complex amplitude of the nonzero spin-j > 0 blocks `rows` of
-    the plan, whose zero-padded kets are the rows of kets; the constellation
-    is left None for the caller's root pass.
+    the plan, whose zero-padded kets are the rows of kets; their
+    constellations come from the caller's root pass.
 
     Rotate the spin expectation to +z, cancel the phase of the first
     non-axial polarization component by a diagonal S_z twist, and read off
@@ -154,7 +154,7 @@ def _gauge_fix(plan: _Plan, rows: np.ndarray, kets: np.ndarray) -> list[GaugeFix
     sev_norm = np.sqrt((sev * sev).sum(1))
     on = sev_norm > GAUGE_TOL * two_j / 2 * nrm * nrm
     gauges = [  # each live block's record is made below
-        None if o else GaugeFixed(n, None, None, False, "vanishing spin expectation", n == 2, v)
+        None if o else GaugeFixed(n, None, False, "vanishing spin expectation", n == 2, v)
         for n, v, o in zip(two_j.tolist(), sev, on.tolist())
     ]
     live = np.flatnonzero(on)
@@ -174,26 +174,26 @@ def _gauge_fix(plan: _Plan, rows: np.ndarray, kets: np.ndarray) -> list[GaugeFix
     Rc, tol = R.conj(), GAUGE_TOL * nrm[live, None] * nrm[live, None]
     diagonals = np.zeros((D, B, D), dtype=complex)  # [m, i, p]: psi_p conj(psi_{p+m}) of row i
     np.multiply(R[:, :-1], Rc[:, 1:], out=diagonals[1, :, :-1])
-    spin_index = plan.spin_index[rows[live]]
+    spin_index, live_two_j = plan.spin_index[rows[live]], two_j[live]
     tables = [(u, n, _polarization_diagonals(n)) for u, n in enumerate(plan.spins) if n > 1]
-    above, values, labels, hit = [], [], [], np.zeros(B, dtype=bool)
+    scan, selected, v0 = np.arange(B), [None] * B, np.zeros(B, dtype=complex)
     for ell in range(2, D):
-        np.multiply(R[:, : D - ell], Rc[:, ell:], out=diagonals[ell, :, : D - ell])
+        scan = scan[live_two_j[scan] >= ell]  # the rows with no (ell, m) yet: ell <= 2j
+        if not len(scan):
+            break
+        diagonals[ell, scan, : D - ell] = R[scan, : D - ell] * Rc[scan, ell:]
         # [m - 1, u, p]: <p|T_{ell m}|p + m> at plan spin u; kept for every ell, they grow as j^3
         W = np.zeros((ell, len(plan.spins), D))
         for u, n, diagonal_table in tables:
             for m in range(1, ell + 1) if n >= ell else ():
                 W[m - 1, u, : n + 1 - m] = diagonal_table[m][:, ell - m]
-        values.append(np.add.reduce(W[:, spin_index] * diagonals[1 : ell + 1], axis=2).T[:, ::-1])
-        above.append(np.abs(values[-1]) > tol)
-        hit |= above[-1].any(1)
-        labels += [(ell, m) for m in range(ell, 0, -1)]
-        if (hit | (two_j[live] <= ell)).all():  # a row selects only a T_{ell m}, ell <= 2j
-            break
-    above = np.concatenate(above, 1)
-    first = above.argmax(1)
-    selected = [labels[f] if hit else None for f, hit in zip(first.tolist(), above.any(1).tolist())]
-    v0 = np.concatenate(values, 1)[np.arange(B), first]
+        values = np.add.reduce(W[:, spin_index[scan]] * diagonals[1 : ell + 1, scan], axis=2)
+        above = np.abs(values.T[:, ::-1]) > tol[scan]  # column f holds m = ell - f
+        first, hit = above.argmax(1), np.flatnonzero(above.any(1))
+        for i, f in zip(scan[hit].tolist(), first[hit].tolist()):
+            selected[i] = (ell, ell - f)
+        v0[scan[hit]] = values[ell - 1 - first[hit], hit]
+        scan = np.delete(scan, hit)
     # alpha lives on [0, 2*pi) so the branch cut sits on the positive real
     # axis, away from negative-real selected components; noise that lands
     # just below the cut is folded back to 0, because a twist by 2*pi/m is
@@ -214,7 +214,7 @@ def _gauge_fix(plan: _Plan, rows: np.ndarray, kets: np.ndarray) -> list[GaugeFix
         n = int(two_j[b])
         pol = PolarizationComponents(n, R[i, : n + 1])  # the ket of psi psi^dagger
         if lm is None:
-            axial = (n, None, None, False, "axial symmetry", n == 2, v)
+            axial = (n, None, False, "axial symmetry", n == 2, v)
             gauges[b] = GaugeFixed(*axial, aligned_polarization=pol)
             continue
         # Making the selected polarization component real positive only fixes
@@ -229,7 +229,7 @@ def _gauge_fix(plan: _Plan, rows: np.ndarray, kets: np.ndarray) -> list[GaugeFix
         cands = ((b0 - 2.0 * math.pi * t * ml / lm[1]) % (2.0 * math.pi) for t in range(twists))
         beta = min(0.0 if 2 * math.pi - cand < 1e-9 else cand for cand in cands)
         z = float(nrm[b]) * complex(math.cos(beta), math.sin(beta))
-        gauges[b] = GaugeFixed(n, z, None, True, None, n == 2, v, lm, a, beta, pol)
+        gauges[b] = GaugeFixed(n, z, True, None, n == 2, v, lm, a, beta, pol)
     return gauges
 
 
@@ -237,17 +237,20 @@ def spectator_constellation(z_values) -> Constellation:
     """Constellation of the spectator state built from the amplitudes Z.
 
     Z with L entries is read as a spin-(L-1)/2 ket (entries ordered like
-    m = s_Z, ..., -s_Z); a single entry has spin 0 and no stars.
+    m = s_Z, ..., -s_Z); a single entry has spin 0 and no stars.  Entries
+    that are not finite raise ValueError, as for any spin state.
     """
     Z = np.asarray(z_values, dtype=complex)
     if Z.ndim != 1 or len(Z) == 0:
         raise ValueError("Z must be a nonempty vector")
-    return constellation_of_state(SpinState(SpinLabel(len(Z) - 1), Z)) if len(Z) > 1 else _NO_STARS
+    psi = SpinState(SpinLabel(len(Z) - 1), Z)
+    return constellation_of_state(psi) if len(Z) > 1 else _NO_STARS
 
 
 @dataclass(frozen=True, eq=False)
 class ComponentReport:
-    """One spin-j block of a multiconstellation."""
+    """One spin-j block of a multiconstellation: its constellation, from the
+    plane's one root pass (None for an absent block), and its gauge record."""
 
     two_j: int
     copy_index: int
@@ -309,9 +312,7 @@ def multiconstellation(frame: KFrame) -> Multiconstellation:
     degrees = _degrees(coeffs, binomials).tolist()
     stars = _constellations(_roots(coeffs, degrees, d_noms)) if d_noms else []
     spectator = stars.pop() if spectate else None if z_values is None else _NO_STARS
-    for g, c in zip(gauges, stars):
-        object.__setattr__(g, "constellation", c)  # the one field the root pass fills
-    gauges, reports, all_flags = iter(gauges), [], []
+    gauges, stars, reports, all_flags = iter(gauges), iter(stars), [], []
     for m, gone, amplitude in zip(bd_basis(frame.s, frame.k).layout, absent, amplitudes.tolist()):
         tag = (m.two_j, m.copy_index)
         if gone:
@@ -326,7 +327,7 @@ def multiconstellation(frame: KFrame) -> Multiconstellation:
             flags.append(f"gauge not applicable: {g.reason}")
         if g.spin1_warning:
             flags.append("spin-1 block: z and constellation underdetermine it")
-        reports.append(ComponentReport(*tag, g.z, False, g.constellation, g, tuple(flags)))
+        reports.append(ComponentReport(*tag, g.z, False, next(stars), g, tuple(flags)))
         all_flags.extend(flags)
     return Multiconstellation(
         frame.s, frame.k, tuple(reports), z_values, spectator, tuple(all_flags)

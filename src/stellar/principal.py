@@ -137,7 +137,7 @@ def _sampled_plan(s: SpinLabel, k: int) -> tuple | None:
     d_nom = two_s_max(s, k)
     nodes = _circle_nodes(d_nom + 1, _SAMPLE_OFFSET)
     q = _geodesic_quaternions(-stereo_to_sphere(nodes))
-    rows = _wigner_columns(s.two_s, q, k).transpose(0, 2, 1)
+    rows = _wigner_columns(np.full(len(q), s.two_s), q, k).transpose(0, 2, 1)
     A = rows[:, :, :k]
     if np.abs(np.linalg.det(A)).min() < 1e-10:
         return None

@@ -97,8 +97,8 @@ def _ladder(two_s: int) -> np.ndarray:
 
 
 @cached
-def _sy_eigenbasis(two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """2m = 2s, 2s - 2, ..., -2s, and V, V^dagger with S_y = V diag(m) V^dagger.
+def _sy_eigenbasis(two_s: int) -> np.ndarray:
+    """V with S_y = V diag(m) V^dagger, m = s, s - 1, ..., -s.
 
     V = P d(pi/2): P = e^{-i pi S_z / 2} turns S_x into S_y and the
     y-rotation d(pi/2) turns S_z into S_x.  Entry (i', i) of d(pi/2) is
@@ -119,35 +119,34 @@ def _sy_eigenbasis(two_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     comb = K[:, 0]
     P = np.exp(-0.25j * math.pi * ((n - 2 * i) % 8))
     V = P[:, None] * np.sqrt(comb[None, :] / comb[:, None]) * 2.0 ** (-n / 2) * K
-    return n - 2 * i, V, V.conj().T
+    return V
 
 
-def _wigner_columns(two_s, q: np.ndarray, x) -> np.ndarray:
+def _wigner_columns(two_s: np.ndarray, q: np.ndarray, x) -> np.ndarray:
     """D(q_i) x_i for N rotations, each of its own spin.
 
-    two_s is one 2s for all rotations or an int array of N, q an (N, 4)
-    array of SU(2) quaternions (w, x, y, z), and x an (N, D, k) array whose
-    block x_i fills its first 2s_i + 1 rows and is zero below them; the
-    result is padded the same way.  An int x = k stands for the first k
-    identity columns of one 2s, and the result is then the first k columns
-    of each rotation matrix, (N, 2s + 1, k).
+    two_s is an int array of the N spins' 2s, q an (N, 4) array of SU(2)
+    quaternions (w, x, y, z), and x an (N, D, k) array whose block x_i fills
+    its first 2s_i + 1 rows and is zero below them; the result is padded the
+    same way.  An int x = k stands for the first k identity columns, at
+    max(2s) + 1 rows, and the result of equal spins is then the first k
+    columns of each rotation matrix, (N, 2s + 1, k).
 
     Evaluated in z-y-z Euler form, D = e^{-i alpha S_z} e^{-i beta S_y}
     e^{-i gamma S_z}, from the SU(2) element [[a, -conj(b)], [b, conj(a)]]
     of each rotation, with e^{-i beta S_y} = V diag(e^{-i beta m}) V^dagger,
     one factor at a time, each one batched matmul for all rotations against
     the cached V of their spins, zero-padded and gathered _PRODUCT_CHUNK
-    entries at a time (V^dagger as the transposed conj(V), the layout of one
-    spin's table); no rotation matrix is formed.  Working from the SU(2)
-    element keeps the sign of a 2*pi rotation on half-integer spins.  Each
-    phase e^{-i angle m} is an integer power of a unit complex number, taken
-    in extended precision where the platform has it: a power 2s of a double
-    would multiply its rounding error by 2s.  The identity quaternion leaves
-    x_i exactly as it is.
+    entries at a time (V^dagger as the transposed conj(V)); no rotation
+    matrix is formed.  Working from the SU(2) element keeps the sign of a
+    2*pi rotation on half-integer spins.  Each phase e^{-i angle m} is an
+    integer power of a unit complex number, taken in extended precision where
+    the platform has it: a power 2s of a double would multiply its rounding
+    error by 2s.  The identity quaternion leaves x_i exactly as it is.
     """
     q = np.asarray(q, dtype=float)
     if isinstance(x, int):
-        x = np.eye(two_s + 1, x)[None].repeat(len(q), 0)
+        x = np.eye(int(two_s.max()) + 1, x)[None].repeat(len(q), 0)
     w, qx, qy, qz = q.T
     a, b = (w - 1j * qz).astype(np.clongdouble), (qy - 1j * qx).astype(np.clongdouble)
     abs_a, abs_b = np.abs(a), np.abs(b)
@@ -160,22 +159,17 @@ def _wigner_columns(two_s, q: np.ndarray, x) -> np.ndarray:
     c = abs_a - 1j * abs_b  # e^{-i beta / 2}
     # e^{-i alpha m} = p^{2m}, e^{-i beta m} = c^{2m} and e^{-i gamma m} =
     # (u / p)^{2m}: p (u / p) = u fixes the SU(2) sign
-    bases = np.empty((len(q), 3, 1), dtype=np.clongdouble)
-    bases[:, 0, 0], bases[:, 1, 0], bases[:, 2, 0] = p, c / np.abs(c), u * p.conj()
+    bases = np.stack((p, c / np.abs(c), u * p.conj()), 1)
     D = x.shape[1]
-    if isinstance(two_s, int):  # one spin: its own tables, nothing padded
-        two_m, V, VH = _sy_eigenbasis(two_s)
-        index, V, VC = np.zeros(len(q), dtype=np.intp), V[None], VH.T[None]
-        phases = (bases**two_m).astype(complex)
-    else:  # each rotation's own 2m only: the padding stays 0, as V is there
-        spins = sorted(set(two_s.tolist()))
-        V, index = np.zeros((len(spins), D, D), dtype=complex), np.searchsorted(spins, two_s)
-        for i, n in enumerate(spins):
-            V[i, : n + 1, : n + 1] = _sy_eigenbasis(n)[1]
-        VC = V.conj()
-        rot, col = np.nonzero(np.arange(D) <= two_s[:, None])
-        phases = np.zeros((len(q), 3, D), dtype=complex)
-        phases[rot, :, col] = (bases[rot, :, 0] ** (two_s[rot] - 2 * col)[:, None]).astype(complex)
+    spins = sorted(set(two_s.tolist()))
+    V, index = np.zeros((len(spins), D, D), dtype=complex), np.searchsorted(spins, two_s)
+    for i, n in enumerate(spins):
+        V[i, : n + 1, : n + 1] = _sy_eigenbasis(n)
+    VC = V.conj()
+    # each rotation's own 2m only: the padding stays 0, as V is there
+    rot, col = np.nonzero(np.arange(D) <= two_s[:, None])
+    phases = np.zeros((len(q), 3, D), dtype=complex)
+    phases[rot, :, col] = (bases[rot] ** (two_s[rot] - 2 * col)[:, None]).astype(complex)
     ph_alpha, ph_beta, ph_gamma = phases.transpose(1, 0, 2)[..., None]
     out = np.empty(x.shape, dtype=complex)
     step = max(1, _PRODUCT_CHUNK // (D * D))
@@ -191,7 +185,7 @@ def _wigner_columns(two_s, q: np.ndarray, x) -> np.ndarray:
 def wigner_d(s: SpinLabel, r: RotationSpec) -> np.ndarray:
     """Spin-s rotation matrix expm(-i * angle * (axis . S)), from its SU(2)
     element (see `_wigner_columns`)."""
-    return _wigner_columns(s.two_s, r._quaternion()[None], s.dim)[0]
+    return _wigner_columns(np.array([s.two_s]), r._quaternion()[None], s.dim)[0]
 
 
 def coherent_state(s: SpinLabel, zeta) -> SpinState:
