@@ -328,12 +328,18 @@ def _cmd_constellation(args) -> tuple[dict, int]:
 
 
 def _route_agreement(results: dict) -> float:
-    """Largest projective distance between two routes' polynomials."""
-    from .majorana import projective_distance
+    """Largest distance between two routes' polynomials in the SU(2)-invariant norm:
+    coefficient j over sqrt(C(d, j)), unit rows, |a - e^(i phi) b| at the best phase."""
+    import numpy as np
 
+    from .majorana import _sqrt_binomials
+
+    polys = [r.polynomial for r in results.values()]
+    rows = np.array([p.coeffs / _sqrt_binomials(p.d_nom)[0] for p in polys])
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     return max(
-        projective_distance(results[a].polynomial, results[b].polynomial)
-        for a, b in combinations(sorted(results), 2)
+        float(np.linalg.norm(a - b * np.exp(1j * np.angle(np.vdot(b, a)))))
+        for a, b in combinations(rows, 2)
     )
 
 

@@ -32,8 +32,8 @@ from .grassmann import (
     _PRODUCT_CHUNK,
     KFrame,
     _multi_index_array,
+    _minors,
     _subset_rank,
-    plucker,
 )
 from .spin_rep import RotationSpec, SpinLabel, SpinState, _ladder, wigner_d
 
@@ -361,18 +361,14 @@ class ComponentState:
 
 
 def decompose_plane(frame: KFrame) -> list[ComponentState]:
-    """Spin-j components of the normalized Pluecker vector of a frame.
-
-    The frame's own overall scale and phase fix the (gauge-dependent) phases
-    of the components, so rotating the rows coherently transforms every
-    block by its spin-j rotation.  Each component entry is the product of
-    one stored basis row with the Pluecker entries of its own weight space.
-    Minors whose norm overflows or underflows raise ArithmeticError.
+    """Spin-j components of the unit Pluecker vector P/|P| of a frame, read
+    off its polar factor: the frame's scale drops out, and the phase of its
+    minors fixes the (gauge-dependent) phases of the components, so rotating
+    the rows coherently transforms every block by its spin-j rotation.  Each
+    component entry is the product of one stored basis row with the
+    Pluecker entries of its own weight space.
     """
-    # minors that overflow make _decompose_minors raise, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = plucker(frame).comps
-    c = _decompose_minors(frame.s, frame.k, P)
+    c = _decompose_minors(frame.s, frame.k, _minors(frame._polar))
     return [
         ComponentState(m.two_j, m.copy_index, SpinState(SpinLabel(m.two_j), c[slice(*m.row_range)]))
         for m in bd_basis(frame.s, frame.k).layout
@@ -381,13 +377,8 @@ def decompose_plane(frame: KFrame) -> list[ComponentState]:
 
 def _decompose_minors(s: SpinLabel, k: int, P: np.ndarray, blocks=None) -> np.ndarray:
     """The flat components, each multiplet's in its basis rows, of the (s, k)
-    plane with Pluecker minors P; with `blocks`, of the first that many only."""
+    wedge vector P; with `blocks`, of the first that many only."""
     basis = bd_basis(s, k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(P)
-    if not 0.0 < norm < math.inf:
-        raise ArithmeticError("Pluecker minors overflow or underflow")
-    P = P / norm
     end = basis.layout[:blocks][-1].row_range[1]
     levels, step = P[basis.level_cols], max(1, _PRODUCT_CHUNK // basis.coefs.shape[1])
     psi = np.empty(end, dtype=complex)

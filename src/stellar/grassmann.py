@@ -58,7 +58,8 @@ def _subset_rank(n: int, S: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KFrame:
-    """k linearly independent spin-s row states (a k x (2s+1) matrix)."""
+    """k linearly independent spin-s row states (a k x (2s+1) matrix), kept
+    with their polar factor `_polar`, whose minors are the unit Pluecker vector."""
 
     s: SpinLabel
     k: int
@@ -74,11 +75,16 @@ class KFrame:
             )
         if not np.all(np.isfinite(r)):
             raise ValueError("rows must be finite")
-        sv = np.linalg.svd(r, compute_uv=False)
+        # each row times a power of two, its largest part into [0.5, 1): exact, phase kept
+        parts = np.ascontiguousarray(r).view(float)
+        exponent = np.frexp(np.abs(parts).max(axis=1))[1]
+        scaled = np.ldexp(parts, -exponent[:, None]).view(complex)
+        u, sv, vh = np.linalg.svd(scaled, full_matrices=False)
         if sv[-1] <= RANK_TOL * sv[0]:
             raise ValueError("rows are rank deficient: not a k-frame")
-        r.setflags(write=False)
-        object.__setattr__(self, "rows", r)
+        for name, a in (("rows", r), ("_polar", u @ vh)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,21 +117,27 @@ class PluckerVector:
         object.__setattr__(self, "comps", c)
 
 
-def plucker(frame: KFrame) -> PluckerVector:
-    """All k x k minors of the frame, lexicographically ordered.
+def _minors(rows: np.ndarray) -> np.ndarray:
+    """All k x k minors of a k x n matrix, lexicographically ordered.
 
     The k x k minor matrices go to the batched det _PRODUCT_CHUNK entries at
     a time, so memory stays bounded at large shapes; det factors each matrix
     alone, so the chunking does not change a bit of the result.
     """
-    idx = _multi_index_array(frame.s.dim, frame.k)
+    k, n = rows.shape
+    idx = _multi_index_array(n, k)
     comps = np.empty(len(idx), dtype=complex)
-    step = max(1, _PRODUCT_CHUNK // frame.k**2)
+    step = max(1, _PRODUCT_CHUNK // k**2)
     for lo in range(0, len(idx), step):
         chunk = idx[lo : lo + step]
         # rows[:, chunk][r, c, t] = rows[r, chunk[c, t]]: minor c is [:, c, :]
-        comps[lo : lo + len(chunk)] = np.linalg.det(frame.rows[:, chunk].transpose(1, 0, 2))
-    return PluckerVector(frame.s, frame.k, comps)
+        comps[lo : lo + len(chunk)] = np.linalg.det(rows[:, chunk].transpose(1, 0, 2))
+    return comps
+
+
+def plucker(frame: KFrame) -> PluckerVector:
+    """All k x k minors of the frame's own rows, lexicographically ordered."""
+    return PluckerVector(frame.s, frame.k, _minors(frame.rows))
 
 
 def standard_form(frame: KFrame) -> KPlane:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._cache import cached
 from .decomp import _decompose_minors, bd_basis
-from .grassmann import KFrame, plucker
+from .grassmann import KFrame, _minors
 from .majorana import (
     Constellation, _constellations, _degrees, _roots, _sqrt_binomials, constellation_of_state,
 )
@@ -281,13 +281,10 @@ class Multiconstellation:
 def multiconstellation(frame: KFrame) -> Multiconstellation:
     """Decompose a plane and gauge-fix every spin block.
 
-    The frame's overall phase is part of the gauge, so rotating the rows
-    coherently rotates every piece of the answer without re-fixing phases.
+    The frame's scale drops out and its phase is part of the gauge, so rotating
+    the rows coherently rotates every piece of the answer, no phase re-fixed.
     """
-    # minors that overflow make _decompose_minors raise, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = plucker(frame).comps
-    flat = np.append(_decompose_minors(frame.s, frame.k, P), 0.0)
+    flat = np.append(_decompose_minors(frame.s, frame.k, _minors(frame._polar)), 0.0)
     plan = _multicon_plan(frame.s, frame.k)
     kets = flat[plan.ket]
     absent = np.sqrt((kets.real**2 + kets.imag**2).sum(1)) <= GAUGE_TOL

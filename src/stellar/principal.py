@@ -6,10 +6,12 @@ Pluecker minors.  `top`, the Majorana polynomial of the top spin block, is
 the same map of the minors read through `bd_basis`, so it checks that basis.
 `sampled` alone evaluates the polynomial without the minors: coherent-state
 overlaps at unit-circle nodes (`_circle_nodes`) go to coefficients by one
-scaled DFT (`_circle_coeffs`), of condition number 1 at every degree.  The
-roots on the sphere are the plane's principal constellation: exactly the
-directions n whose antipodal coherent plane fails to be transversal.  The
-Wronskian weights and the sampled chart are built once per (2s, k).
+scaled DFT (`_circle_coeffs`), whose equal absolute error in every
+coefficient costs accuracy at high degree.  All routes read the frame's
+polar factor, so depend on the plane alone.  The roots on the sphere are the
+plane's principal constellation: exactly the directions n whose antipodal
+coherent plane fails to be transversal.  The Wronskian weights and the
+sampled chart are built once per (2s, k).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from ._cache import cached
 from ._exact import schubert_count, two_s_max  # schubert_count stays importable from here
 from .decomp import _decompose_minors
-from .grassmann import KFrame, KPlane, _multi_index_array, plucker, standard_form
+from .grassmann import KFrame, KPlane, _minors, _multi_index_array, standard_form
 from .majorana import (
     ComplexPolynomial,
     Constellation,
@@ -55,17 +57,17 @@ def _circle_nodes(n: int, offset: float) -> np.ndarray:
 
 def _circle_coeffs(vals: np.ndarray, offset: float) -> np.ndarray:
     """Coefficients of the degree < n polynomial taking vals at
-    _circle_nodes(n, offset): a scaled DFT, condition number 1."""
+    _circle_nodes(n, offset): a scaled DFT, of the same absolute error in each."""
     n = len(vals)
     return np.fft.fft(vals) / n * np.exp(-2j * np.pi * offset * np.arange(n) / n)
 
 
 #: log2 bounds on the Wronskian weights: a shape whose largest weight stays
 #: below 2^_WEIGHT_LOG2_LIMIT (up to (26, 24), at 2^968.2) uses them as they
-#: are.  Beyond it, from (24, 25) at 2^988, a Gaussian frame's minors (about
-#: 2^55 there) would take the terms past the double range, so the weights are
-#: scaled by the power of two that brings the largest to 2^_WEIGHT_LOG2_TOP;
-#: a weight of 1 then stays a normal double up to a largest of 2^1534.
+#: are, and the unit minors, |P_J| <= 1, keep every term below its weight.
+#: Beyond it, from (24, 25) at 2^988, the weights are scaled by the power of
+#: two that brings the largest to 2^_WEIGHT_LOG2_TOP; a weight of 1 then
+#: stays a normal double up to a largest of 2^1534.
 _WEIGHT_LOG2_LIMIT, _WEIGHT_LOG2_TOP = 970, 512
 
 
@@ -100,12 +102,9 @@ def _wronskian_plan(s: SpinLabel, k: int) -> tuple:
 
 def _wronskian_polynomial(frame: KFrame, P: np.ndarray) -> ComplexPolynomial:
     d_nom, e, vandermonde, signprod = _wronskian_plan(frame.s, frame.k)
-    # minors or products that overflow make the check below raise, so numpy
-    # need not warn of them
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = P * vandermonde * signprod
-        coeffs = np.bincount(e, terms.real, d_nom + 1)
-        coeffs = coeffs + 1j * np.bincount(e, terms.imag, d_nom + 1)
+    terms = P * vandermonde * signprod
+    coeffs = np.bincount(e, terms.real, d_nom + 1)
+    coeffs = coeffs + 1j * np.bincount(e, terms.imag, d_nom + 1)
     # written so that NaN, infinite or all-zero coefficients fail it too
     if not 0 < np.abs(coeffs).max() < math.inf:
         raise ArithmeticError("Wronskian coefficients overflow or underflow")
@@ -149,15 +148,13 @@ def _sampled_polynomial(frame: KFrame, P: np.ndarray) -> ComplexPolynomial:
     if plan is None:
         raise ArithmeticError("could not find nonsingular sampling nodes")
     power, chart = plan
-    # overlaps that overflow make the check below raise, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = power * np.linalg.det(chart @ frame.rows.T)
+    vals = power * np.linalg.det(chart @ frame._polar.T)
     if not (np.all(np.isfinite(vals)) and np.any(vals)):
         raise ArithmeticError("overlaps at the sampling nodes overflow or underflow")
     return ComplexPolynomial(_circle_coeffs(vals, _SAMPLE_OFFSET), two_s_max(frame.s, frame.k))
 
 
-#: Each route's polynomial from the frame and its minors, in `principal_all` order.
+#: Each route's polynomial from the frame and its unit minors, in `principal_all` order.
 _ROUTES = {
     "wronskian": _wronskian_polynomial,
     "sampled": _sampled_polynomial,
@@ -166,13 +163,9 @@ _ROUTES = {
 
 
 def _principal(frame: KFrame, routes: tuple) -> dict:
-    """The named routes' results: the minors are taken once, and all the
+    """The named routes' results: the unit minors are taken once, and all the
     polynomials' roots and stars are found in one pass."""
-    P = None
-    if routes != ("sampled",):  # the one route that reads the rows alone
-        # minors that overflow make a route's check raise, so numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            P = plucker(frame).comps
+    P = None if routes == ("sampled",) else _minors(frame._polar)  # sampled reads no minors
     polys = [_ROUTES[name](frame, P) for name in routes]
     coeffs = np.array([p.coeffs for p in polys])
     stars = _constellations(_roots(coeffs, [p.degree() for p in polys], [p.d_nom for p in polys]))

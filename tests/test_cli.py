@@ -215,11 +215,13 @@ def test_out_flag_writes_file(tmp_path, argv):
 
 
 def test_a_failed_run_prints_its_error_document_and_writes_no_file(tmp_path):
-    rng = np.random.default_rng(46)
-    rows = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    rng = np.random.default_rng(45)
+    rows = rng.standard_normal((8, 18)) + 1j * rng.standard_normal((8, 18))
     flat = _write(tmp_path, "flat.json", _plane_doc(np.array([[1, 0, 0, 0], [2, 0, 0, 0]]) + 0j))
-    big = _write(tmp_path, "big.json", _plane_doc(1e300 * rows))  # its minors overflow
-    for argv, slug in ((("decompose", flat), "rank-deficient"), (("principal", big), "numeric")):
+    # at (2s, k) = (17, 8) the sampled route's chart is singular
+    p178 = _write(tmp_path, "p178.json", _plane_doc(rows))
+    sampled = ("principal", p178, "--route", "sampled")
+    for argv, slug in ((("decompose", flat), "rank-deficient"), (sampled, "numeric")):
         out = tmp_path / "result.json"
         proc = _run(*argv, "--out", str(out))
         assert proc.returncode == 3
@@ -287,13 +289,13 @@ def test_a_failed_plane_leaves_the_rest_of_its_batch(tmp_path):
     rng = np.random.default_rng(46)
     rows = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     good = _write(tmp_path, "good.json", _plane_doc(rows))
-    big = _write(tmp_path, "big.json", _plane_doc(1e300 * rows))  # its minors overflow
-    proc, doc = _run_json("principal", good, big, "--route", "all")
+    flat = _write(tmp_path, "flat.json", _plane_doc(np.array([[1, 0, 0, 0], [2, 0, 0, 0]]) + 0j))
+    proc, doc = _run_json("principal", good, flat, "--route", "all")
     assert proc.returncode == 3
     assert doc["kind"] == "principal_batch"
     assert doc["results"][good]["kind"] == "principal"
-    assert doc["results"][big]["kind"] == "error"
-    assert doc["results"][big]["code"] == 3
+    assert doc["results"][flat]["kind"] == "error"
+    assert doc["results"][flat]["code"] == 3
     assert proc.stderr == ""
     # --jobs has no effect: one file gives one principal document
     proc, doc = _run_json("principal", good, "--jobs", "2")
@@ -509,6 +511,18 @@ def test_sampled_route_with_a_singular_chart_exits_3(tmp_path):
     out = json.loads(proc.stdout)
     assert out["error"] == "numeric"
     assert "nonsingular sampling nodes" in out["message"]
+
+
+def test_verify_fails_route_agreement_where_sampled_stars_are_off(tmp_path):
+    # at (31, 2) the sampled route's stars are 3.5e-3 rad off; its
+    # coefficients differ from the Wronskian's by 9e-4 in the SU(2)-invariant
+    # norm, though by 1.8e-11 after scaling the largest coefficient to 1
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32))
+    proc, doc = _run_json("verify", _write(tmp_path, "p312.json", _plane_doc(rows)))
+    assert proc.returncode == 3
+    failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+    assert failed == ["route-agreement"]
 
 
 def test_rank_deficient_plane_exits_3(tmp_path):

@@ -552,15 +552,16 @@ def test_spectator_constellation_edge_cases():
 
 def test_multiconstellation_accepts_plane():
     rng = np.random.default_rng(67)
-    frame = random_frame(rng, 3, 2)
-    a = multiconstellation(frame)
-    b = multiconstellation(standard_form(frame))
-    # same plane, possibly different gauge: constellations must agree
-    for ra, rb in zip(a.components, b.components):
-        if ra.constellation is None:
-            assert rb.constellation is None
-            continue
-        assert constellation_match_angle(ra.constellation, rb.constellation) < 1e-7
+    for two_s, k in ((3, 2), (5, 3), (7, 4), (9, 4)):
+        frame = random_frame(rng, two_s, k)
+        a = multiconstellation(frame)
+        b = multiconstellation(standard_form(frame))
+        # same plane, possibly different gauge: constellations must agree
+        for ra, rb in zip(a.components, b.components):
+            if ra.constellation is None:
+                assert rb.constellation is None
+                continue
+            assert constellation_match_angle(ra.constellation, rb.constellation) < 1e-12
 
 
 # ---------------------------------------------------------------------------

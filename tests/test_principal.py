@@ -115,13 +115,47 @@ def test_principal_accepts_plane_and_frame():
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-300])
-def test_planes_whose_minors_overflow_or_underflow_raise(scale):
-    f = random_frame(np.random.default_rng(54), 3, 2)
-    g = KFrame(f.s, f.k, scale * f.rows)
-    routes = [lambda f, r=r: principal(f, r) for r in ("wronskian", "sampled", "top")]
-    for fn in routes + [decompose_plane, multiconstellation]:
-        with pytest.raises(ArithmeticError, match="overflow"):
-            fn(g)
+def test_scaled_planes_give_the_unscaled_results(scale):
+    # the raw minors of the scaled rows overflow or underflow, but every
+    # route reads the frame's polar factor; the scale rounds each entry once
+    for two_s, k in ((3, 2), (5, 3), (7, 3)):
+        f = random_frame(np.random.default_rng(54), two_s, k)
+        g = KFrame(f.s, f.k, scale * f.rows)
+        want, got = principal_all(f), principal_all(g)
+        for route in want:
+            assert constellation_match_angle(got[route].constellation, want[route].constellation) < 1e-10
+        for a, b in zip(decompose_plane(g), decompose_plane(f)):
+            assert np.abs(a.state.coeffs - b.state.coeffs).max() < 1e-13
+        za, zb = multiconstellation(g).z_values, multiconstellation(f).z_values
+        assert np.abs(np.subtract(za, zb)).max() < 1e-12
+
+
+def test_power_of_two_row_scales_give_bit_identical_results():
+    # the polar factor is taken of the rows each scaled by a power of two,
+    # which undoes any power-of-two scale of a row exactly
+    for two_s, k in ((3, 2), (5, 3), (7, 3), (9, 4)):
+        f = random_frame(np.random.default_rng(55), two_s, k)
+        want = principal_all(f), decompose_plane(f), multiconstellation(f)
+        for exponents in (np.where(np.arange(k) % 2, 500, -500), np.eye(k, dtype=int)[0] * 40):
+            g = KFrame(f.s, f.k, np.ldexp(1.0, exponents)[:, None] * f.rows)
+            res, comps, mc = principal_all(g), decompose_plane(g), multiconstellation(g)
+            for route, r in want[0].items():
+                assert same_bits(res[route].polynomial.coeffs, r.polynomial.coeffs)
+            for a, b in zip(comps, want[1]):
+                assert same_bits(a.state.coeffs, b.state.coeffs)
+            assert same_bits(np.array(mc.z_values), np.array(want[2].z_values))
+
+
+@pytest.mark.parametrize("two_s, k", [(7, 3), (9, 4)])
+def test_sampled_stars_of_an_ill_conditioned_frame_match_the_wronskian_stars(two_s, k):
+    # rows i >= 1 replaced by row 0 + eps row i of an orthonormal frame: the
+    # same plane, from a frame of condition number about 1/eps
+    q = np.linalg.qr(random_frame(np.random.default_rng(56), two_s, k).rows.T)[0].T
+    for eps in (1e-7, 1e-9):
+        mix = np.vstack([q[:1], q[0] + eps * q[1:]])
+        res = principal_all(KFrame(SpinLabel(two_s), k, mix))
+        angle = constellation_match_angle(res["sampled"].constellation, res["wronskian"].constellation)
+        assert angle < 1e-6
 
 
 def test_degree_drop_puts_stars_at_south_pole():
@@ -400,8 +434,8 @@ def test_shape_plans_are_cached_and_read_only():
 
 @pytest.mark.parametrize("two_s, k", [(24, 25), (25, 25), (26, 26), (27, 27), (30, 29)])
 def test_wronskian_matches_top_where_its_weights_outgrow_a_double(two_s, k):
-    # the weights reach 2^988 to 2^1483 here, past what a minor of a Gaussian
-    # frame leaves room for; scaled by a power of two they raise no warning
+    # the weights reach 2^988 to 2^1483 here, near or past the double range;
+    # scaled by a power of two they raise no warning
     frame = random_frame(np.random.default_rng(100 * two_s + k), two_s, k)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
