@@ -493,7 +493,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
     check("route-agreement", _route_agreement(results), 1e-7)
 
     plane = standard_form(frame)
-    check("plucker-residual", plucker_residual(plucker(plane)), 1e-10)
+    minors = plucker(plane)
+    check("plucker-residual", plucker_residual(minors), 1e-10)
 
     other = KFrame(
         frame.s,
@@ -501,8 +502,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
         rng.standard_normal((frame.k, frame.s.dim))
         + 1j * rng.standard_normal((frame.k, frame.s.dim)),
     )
-    lhs = frame_inner(frame, other)
-    rhs = complex(np.vdot(plucker(frame).comps, plucker(other).comps))
+    lhs = frame_inner(plane, other)
+    rhs = complex(np.vdot(minors.comps, plucker(other).comps))
     scale = max(1.0, abs(lhs))
     check("cauchy-binet", abs(lhs - rhs) / scale, 1e-9)
 

@@ -143,19 +143,13 @@ def plucker(frame: KFrame) -> PluckerVector:
 def standard_form(frame: KFrame) -> KPlane:
     """Reduced representative: identity on the pivot columns.
 
-    Pivots are the lexicographically first column multi-index whose minor has
-    modulus at least RANK_TOL times the largest minor.  A minor with an
-    infinite part is the largest; one of NaN modulus raises ArithmeticError.
+    Pivots are the lexicographically first column multi-index whose minor of
+    the unit Pluecker vector, `_polar`'s, has modulus at least RANK_TOL times
+    the largest; the frame's own rows are solved for on that pivot block.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        mags = np.abs(plucker(frame).comps)
-    # NaN compares false against the threshold, so it could move the pivots
-    if np.isnan(mags).any():
-        raise ArithmeticError("Pluecker minors overflow or underflow")
-    top = mags.max()
-    if top == 0.0:
-        raise ValueError("frame is degenerate: all minors vanish")
-    pos = int(np.nonzero(mags >= RANK_TOL * top)[0][0])
+    # the squared moduli sum to 1, so the largest is never 0
+    mags = np.abs(_minors(frame._polar))
+    pos = int(np.nonzero(mags >= RANK_TOL * mags.max())[0][0])
     pivots = tuple(_multi_index_array(frame.s.dim, frame.k)[pos].tolist())
     A = frame.rows[:, pivots]
     rep = np.linalg.solve(A, frame.rows)

@@ -72,17 +72,17 @@ class ComplexPolynomial:
         a rotation-invariant comparison.  Unweighted, the binomial factors
         alone span sqrt(C(80, 40)) ~ 1e11.5 at 2s = 80.
         """
-        mags = np.abs(self.coeffs) / _sqrt_binomials(self.d_nom)[0]
-        top = mags.max()
-        if top == 0.0:
+        d = int(_degrees(self.coeffs[None], _sqrt_binomials(self.d_nom)[0])[0])
+        # the coefficient at the degree found is 0 only if every one is
+        if self.coeffs[d] == 0:
             raise ValueError("zero polynomial has no degree")
-        cut = COEFF_TOL * top
-        return self.d_nom if mags[-1] > cut else int(np.flatnonzero(mags > cut)[-1])
+        return d
 
 
 def _degrees(coeffs: np.ndarray, binomials: np.ndarray) -> np.ndarray:
-    """`ComplexPolynomial.degree` of each nonzero row of coeffs, binomials
-    holding its sqrt(C(d_nom, j)), padded with any positive number."""
+    """`ComplexPolynomial.degree` of each row of coeffs, binomials holding
+    its sqrt(C(d_nom, j)), padded with any positive number; a zero row gives
+    its last index."""
     mags = np.abs(coeffs) / binomials
     above = mags > COEFF_TOL * np.maximum.reduce(mags, axis=1, keepdims=True)
     return above.shape[1] - 1 - above[:, ::-1].argmax(1)

@@ -29,6 +29,7 @@ from .majorana import (
     ComplexPolynomial,
     Constellation,
     _constellations,
+    _degrees,
     _roots,
     _sqrt_binomials,
     majorana_polynomial,
@@ -168,7 +169,8 @@ def _principal(frame: KFrame, routes: tuple) -> dict:
     P = None if routes == ("sampled",) else _minors(frame._polar)  # sampled reads no minors
     polys = [_ROUTES[name](frame, P) for name in routes]
     coeffs = np.array([p.coeffs for p in polys])
-    stars = _constellations(_roots(coeffs, [p.degree() for p in polys], [p.d_nom for p in polys]))
+    degrees = _degrees(coeffs, _sqrt_binomials(polys[0].d_nom)[0]).tolist()
+    stars = _constellations(_roots(coeffs, degrees, [p.d_nom for p in polys]))
     return {name: PrincipalResult(name, p, c) for name, p, c in zip(routes, polys, stars)}
 
 

@@ -442,6 +442,18 @@ def test_verify_passes_on_a_full_plane(tmp_path):
         assert comp[0]["value"] == 0.0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_verify_passes_on_a_scaled_plane(tmp_path, scale):
+    # at k = 4 the raw minors of these rows overflow at 1e150 and vanish at
+    # 1e-150; every check reads the plane, not the scale of its rows
+    rng = np.random.default_rng(94)
+    rows = scale * (rng.standard_normal((4, 10)) + 1j * rng.standard_normal((4, 10)))
+    proc, doc = _run_json("verify", _write(tmp_path, "p94.json", _plane_doc(rows)), "--seed", "3")
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stderr == ""
+    assert len(doc["checks"]) == 5 and doc["passed"] is True
+
+
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{this is not json")

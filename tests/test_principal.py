@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stellar import (
     ComplexPolynomial,
@@ -156,6 +157,80 @@ def test_sampled_stars_of_an_ill_conditioned_frame_match_the_wronskian_stars(two
         res = principal_all(KFrame(SpinLabel(two_s), k, mix))
         angle = constellation_match_angle(res["sampled"].constellation, res["wronskian"].constellation)
         assert angle < 1e-6
+
+
+# every (2s, k) with 1 <= k <= 2s and d_nom = k (2s + 1 - k) <= 35 (k = 2s + 1
+# is the whole space, whose every result is empty)
+_GL_SHAPES = [(t, k) for t in range(1, 36) for k in range(1, t + 1) if k * (t + 1 - k) <= 35]
+
+
+def _at_every_gl_shape(test):
+    """test, with one explicit example at each of _GL_SHAPES."""
+    for shape in _GL_SHAPES:
+        test = example(case=(shape, 0))(test)
+    return test
+
+
+def _plane_results(frame: KFrame) -> list:
+    """Every route's coefficients and stars, every block's coefficients, and
+    the multiconstellation's block stars and Z, as arrays."""
+    routes = principal_all(frame).values()
+    mc = multiconstellation(frame)
+    stars = [r.constellation for r in routes]
+    stars += [c.constellation for c in mc.components if c.constellation is not None]
+    return [
+        *(r.polynomial.coeffs for r in routes),
+        *(c.state.coeffs for c in decompose_plane(frame)),
+        *(a for c in stars for a in (c.directions, c.multiplicities)),
+        np.array(mc.z_values or (), dtype=complex),
+    ]
+
+
+def _same_results(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(map(same_bits, a, b))
+
+
+def _block_norms(frame: KFrame) -> np.ndarray:
+    """The norms of the blocks, then |z| of each block when Z is given."""
+    norms = [np.linalg.norm(c.state.coeffs) for c in decompose_plane(frame)]
+    return np.array(norms + np.abs(multiconstellation(frame).z_values or ()).tolist())
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(case=st.tuples(st.sampled_from(_GL_SHAPES), st.integers(0, 2**32 - 1)))
+@_at_every_gl_shape
+def test_results_depend_on_the_plane_alone(case):
+    # Bounds from 3930 seeded draws (seeds 0-29 at every shape), one BLAS
+    # thread: standard-form rows under row scales moved by at most 7.1e-14 of
+    # their largest entry, at (2s, k) = (16, 16), and block norms and |z|
+    # under a mix M by at most 35.5 eps cond(M), at (35, 35), cond(M) = 1.6.
+    (two_s, k), seed = case
+    rng = np.random.default_rng([seed, two_s, k])
+    g = rng.standard_normal((k, two_s + 1)) + 1j * rng.standard_normal((k, two_s + 1))
+    rows = np.linalg.qr(g.T)[0].T  # orthonormal: the mixes below have cond(M) itself
+    frame = KFrame(SpinLabel(two_s), k, rows)
+    want, plane = _plane_results(frame), standard_form(frame)
+    # a scale of all rows by 2^600 or 2^-600 changes no bit of any result
+    # (the raw minors of the scaled rows overflow or underflow from k = 2)
+    for scale in (2.0**600, 2.0**-600):
+        g = KFrame(frame.s, k, scale * rows)
+        assert _same_results(_plane_results(g), want)
+        got = standard_form(g)
+        assert got.pivot_columns == plane.pivot_columns and same_bits(got.rows, plane.rows)
+    # nor do row scales 2^e, but the solve's row pivoting may change with them
+    g = KFrame(frame.s, k, np.ldexp(1.0, rng.integers(-500, 501, size=k))[:, None] * rows)
+    assert _same_results(_plane_results(g), want)
+    got = standard_form(g)
+    assert got.pivot_columns == plane.pivot_columns
+    assert np.abs(got.rows - plane.rows).max() <= 1e-12 * np.abs(plane.rows).max()
+    # a mix M moves the plane by about eps cond(M): block norms and |z| follow
+    U, V = (
+        np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+        for _ in range(2)
+    )
+    M = (U * 10.0 ** np.linspace(0.0, rng.uniform(0.0, 6.0), k)) @ V  # cond(M) <= 1e6
+    gap = np.abs(_block_norms(KFrame(frame.s, k, M @ rows)) - _block_norms(frame)).max()
+    assert gap <= 256 * np.finfo(float).eps * np.linalg.cond(M)
 
 
 def test_degree_drop_puts_stars_at_south_pole():
