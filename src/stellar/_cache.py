@@ -8,7 +8,7 @@ import threading
 from collections import OrderedDict
 
 #: Bytes of arrays the cache may hold: every benchmark workload together keeps
-#: 0.36 MB in about 100 tables, and two of the 100 MB bases at 2s = 15 fit.
+#: 0.64 MB in 144 tables, and two of the 86 MB bases at 2s = 15 fit.
 CACHE_BYTES = 1 << 28
 
 _entries: OrderedDict = OrderedDict()  # (fn, args) -> (table, its bytes), oldest first

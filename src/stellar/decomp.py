@@ -368,20 +368,20 @@ def decompose_plane(frame: KFrame) -> list[ComponentState]:
     component entry is the product of one stored basis row with the
     Pluecker entries of its own weight space.
     """
-    c = _decompose_minors(frame.s, frame.k, _minors(frame._polar))
+    basis = bd_basis(frame.s, frame.k)
+    c = _decompose_minors(basis, _minors(frame._polar, _multi_index_array(frame.s.dim, frame.k)))
     return [
         ComponentState(m.two_j, m.copy_index, SpinState(SpinLabel(m.two_j), c[slice(*m.row_range)]))
-        for m in bd_basis(frame.s, frame.k).layout
+        for m in basis.layout
     ]
 
 
-def _decompose_minors(s: SpinLabel, k: int, P: np.ndarray, blocks=None) -> np.ndarray:
-    """The flat components, each multiplet's in its basis rows, of the (s, k)
-    wedge vector P; with `blocks`, of the first that many only."""
-    basis = bd_basis(s, k)
-    end = basis.layout[:blocks][-1].row_range[1]
+def _decompose_minors(basis: BDBasis, P: np.ndarray) -> np.ndarray:
+    """The flat components, each multiplet's in its basis rows, of the wedge
+    vector P, then one 0, which the padding of a `multicon` plan indexes."""
+    end = len(basis.row_level)
     levels, step = P[basis.level_cols], max(1, _PRODUCT_CHUNK // basis.coefs.shape[1])
-    psi = np.empty(end, dtype=complex)
+    psi = np.zeros(end + 1, dtype=complex)
     for lo in range(0, end, step):  # each row's level of P, gathered a bounded block at a time
         hi = min(lo + step, end)
         psi[lo:hi] = np.einsum("rc,rc->r", basis.coefs[lo:hi], levels[basis.row_level[lo:hi]])

@@ -117,19 +117,18 @@ class PluckerVector:
         object.__setattr__(self, "comps", c)
 
 
-def _minors(rows: np.ndarray) -> np.ndarray:
-    """All k x k minors of a k x n matrix, lexicographically ordered.
+def _minors(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """All k x k minors of a k x n matrix over index, the `_multi_index_array(n, k)`.
 
     The k x k minor matrices go to the batched det _PRODUCT_CHUNK entries at
     a time, so memory stays bounded at large shapes; det factors each matrix
     alone, so the chunking does not change a bit of the result.
     """
-    k, n = rows.shape
-    idx = _multi_index_array(n, k)
-    comps = np.empty(len(idx), dtype=complex)
+    k = len(rows)
+    comps = np.empty(len(index), dtype=complex)
     step = max(1, _PRODUCT_CHUNK // k**2)
-    for lo in range(0, len(idx), step):
-        chunk = idx[lo : lo + step]
+    for lo in range(0, len(index), step):
+        chunk = index[lo : lo + step]
         # rows[:, chunk][r, c, t] = rows[r, chunk[c, t]]: minor c is [:, c, :]
         comps[lo : lo + len(chunk)] = np.linalg.det(rows[:, chunk].transpose(1, 0, 2))
     return comps
@@ -137,7 +136,8 @@ def _minors(rows: np.ndarray) -> np.ndarray:
 
 def plucker(frame: KFrame) -> PluckerVector:
     """All k x k minors of the frame's own rows, lexicographically ordered."""
-    return PluckerVector(frame.s, frame.k, _minors(frame.rows))
+    index = _multi_index_array(frame.s.dim, frame.k)
+    return PluckerVector(frame.s, frame.k, _minors(frame.rows, index))
 
 
 def standard_form(frame: KFrame) -> KPlane:
@@ -146,15 +146,20 @@ def standard_form(frame: KFrame) -> KPlane:
     Pivots are the lexicographically first column multi-index whose minor of
     the unit Pluecker vector, `_polar`'s, has modulus at least RANK_TOL times
     the largest; the frame's own rows are solved for on that pivot block.
+    Where those rows fail KFrame's rank test, the largest minor's block is taken.
     """
     # the squared moduli sum to 1, so the largest is never 0
-    mags = np.abs(_minors(frame._polar))
-    pos = int(np.nonzero(mags >= RANK_TOL * mags.max())[0][0])
-    pivots = tuple(_multi_index_array(frame.s.dim, frame.k)[pos].tolist())
-    A = frame.rows[:, pivots]
-    rep = np.linalg.solve(A, frame.rows)
-    rep[:, pivots] = np.eye(frame.k)  # exact identity on the pivot block
-    return KPlane(frame.s, frame.k, rep, pivots)
+    index = _multi_index_array(frame.s.dim, frame.k)
+    mags = np.abs(_minors(frame._polar, index))
+    for pos in (np.nonzero(mags >= RANK_TOL * mags.max())[0][0], mags.argmax()):
+        pivots = tuple(index[pos].tolist())
+        rep = np.linalg.solve(frame.rows[:, pivots], frame.rows)
+        rep[:, pivots] = np.eye(frame.k)  # exact identity on the pivot block
+        try:
+            return KPlane(frame.s, frame.k, rep, pivots)
+        except ValueError:  # rows up to about 1/RANK_TOL; the largest minor's are within 1
+            if pos == mags.argmax():
+                raise
 
 
 def frame_inner(v: KFrame, w: KFrame) -> complex:

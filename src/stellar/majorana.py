@@ -255,12 +255,12 @@ def _roots(coeffs: np.ndarray, degrees: list, d_noms: list) -> list[np.ndarray]:
             np.divide(c[:, :-1], -c[:, -1:], out=companion[:, :, -1])
             back = c[:, ::-1]
         else:  # companion i in the top left, its last column -a_t / a_d in column d_i - 1
-            cols, deg = np.arange(D + 1), np.array([degrees[i] for i in idx])
-            companion.reshape(n, -1)[:, D :: D + 1] = cols[: D - 1] < deg[:, None] - 1
-            last = np.where(cols[:D] < deg[:, None], c[:, :D] / -c[np.arange(n), deg][:, None], 0.0)
-            companion[np.arange(n)[:, None], cols[:D], deg[:, None] - 1] = last
-            c[cols > deg[:, None]] = 0.0
-            back = np.take_along_axis(c, (deg[:, None] - cols) % (D + 1), 1)  # each row reversed
+            rows, cols, deg = np.arange(n)[:, None], np.arange(D + 1), np.array(degrees)[idx, None]
+            inside = cols[:D] < deg
+            companion.reshape(n, -1)[:, D :: D + 1] = cols[: D - 1] < deg - 1
+            companion[rows, cols[:D], deg - 1] = np.where(inside, c[:, :D] / -c[rows, deg], 0.0)
+            c[cols > deg] = 0.0
+            back = c[rows, (deg - cols) % (D + 1)]  # each row reversed
         z = np.linalg.eigvals(companion)
         outside = np.abs(z) > 1.0
         powers = np.empty((n, D, D + 1), dtype=complex)
@@ -268,8 +268,8 @@ def _roots(coeffs: np.ndarray, degrees: list, d_noms: list) -> list[np.ndarray]:
         powers[..., 1:] = np.divide(1.0, z, out=z.copy(), where=outside)[..., None]
         np.multiply.accumulate(powers[..., 1:], axis=-1, out=powers[..., 1:])
         at_w = np.where(outside[..., None], powers @ back[..., None], powers @ c[..., None])
-        ratio = np.abs(at_w[..., 0]) / np.abs(c).sum(1)[:, None]
-        worst.append((ratio if one else ratio[cols[:D] < deg[:, None]]).max())  # NaN if a root is
+        ratio = np.abs(at_w[..., 0]) / np.add.reduce(np.abs(c), 1)[:, None]
+        worst.append(np.maximum.reduce(ratio if one else ratio[inside], None))  # NaN if a root is
         for i, roots in zip(idx, z):
             lost, roots = d_noms[i] - degrees[i], roots[: degrees[i]]
             out[i] = np.concatenate((np.full(lost, math.inf), roots)) if lost else roots
@@ -295,7 +295,7 @@ def stereo_to_sphere(zeta) -> np.ndarray:
     # hypot(inf, nan) is inf, so only a NaN point off infinity gives NaN.
     a = np.hypot(x, y)
     # past 1e150 a point is numerically the south pole; NaN fails this too
-    far = None if a.max(initial=0.0) <= 1e150 else a > 1e150
+    far = None if np.maximum.reduce(a, initial=0.0) <= 1e150 else a > 1e150
     if far is not None:
         if np.isnan(a).any():
             raise ValueError("stereographic points must not be NaN")
@@ -397,7 +397,7 @@ def _constellations(root_sets) -> list[Constellation]:
     z.sort()
     gaps = z[1:] - z[:-1] <= 2 * CLUSTER_TOL
     sizes, counts = totals, None
-    if gaps.any():
+    if np.logical_or.reduce(gaps):
         crowded = {int(k) // 4 for k in key[1:][gaps].tolist()}
         bounds = list(accumulate(totals, initial=0))
         parts = [
@@ -408,7 +408,7 @@ def _constellations(root_sets) -> list[Constellation]:
         sizes = [len(m) for _, m in parts]
         key = np.arange(0.0, 4 * len(sizes), 4.0).repeat(sizes)
     rows = _unit_rows(pts)
-    if not math.isfinite(rows.sum()):  # a row that was zero or not finite is NaN now
+    if not math.isfinite(np.add.reduce(rows, None)):  # a row that was zero or not finite is NaN now
         raise ValueError("directions must be finite and nonzero")
     order = _in_star_order(rows, key)
     rows = rows.take(order, 0)

@@ -10,8 +10,8 @@ scaled DFT (`_circle_coeffs`), whose equal absolute error in every
 coefficient costs accuracy at high degree.  All routes read the frame's
 polar factor, so depend on the plane alone.  The roots on the sphere are the
 plane's principal constellation: exactly the directions n whose antipodal
-coherent plane fails to be transversal.  The Wronskian weights and the
-sampled chart are built once per (2s, k).
+coherent plane fails to be transversal.  The tables of a set of routes are
+one plan per (2s, k), holding nothing that only another route needs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from ._cache import cached
 from ._exact import schubert_count, two_s_max  # schubert_count stays importable from here
-from .decomp import _decompose_minors
+from .decomp import bd_basis
 from .grassmann import KFrame, KPlane, _minors, _multi_index_array, standard_form
 from .majorana import (
     ComplexPolynomial,
@@ -32,10 +32,9 @@ from .majorana import (
     _degrees,
     _roots,
     _sqrt_binomials,
-    majorana_polynomial,
     stereo_to_sphere,
 )
-from .spin_rep import SpinLabel, SpinState, _geodesic_quaternions, _wigner_columns
+from .spin_rep import SpinLabel, _geodesic_quaternions, _wigner_columns, _wigner_stack
 
 
 @dataclass(frozen=True)
@@ -101,28 +100,38 @@ def _wronskian_plan(s: SpinLabel, k: int) -> tuple:
     return two_s_max(s, k), e, vandermonde, signprod
 
 
-def _wronskian_polynomial(frame: KFrame, P: np.ndarray) -> ComplexPolynomial:
-    d_nom, e, vandermonde, signprod = _wronskian_plan(frame.s, frame.k)
+def _wronskian_polynomial(frame: KFrame, P: np.ndarray, plan: tuple) -> ComplexPolynomial:
+    d_nom, e, vandermonde, signprod = plan
     terms = P * vandermonde * signprod
     coeffs = np.bincount(e, terms.real, d_nom + 1)
     coeffs = coeffs + 1j * np.bincount(e, terms.imag, d_nom + 1)
     # written so that NaN, infinite or all-zero coefficients fail it too
-    if not 0 < np.abs(coeffs).max() < math.inf:
+    if not 0 < np.maximum.reduce(np.abs(coeffs)) < math.inf:
         raise ArithmeticError("Wronskian coefficients overflow or underflow")
     return ComplexPolynomial(coeffs, d_nom)
 
 
-def _top_polynomial(frame: KFrame, P: np.ndarray) -> ComplexPolynomial:
-    top = _decompose_minors(frame.s, frame.k, P, blocks=1)
-    if len(top) - 1 != two_s_max(frame.s, frame.k):
+@cached
+def _top_plan(s: SpinLabel, k: int) -> tuple:
+    """((-1)^t sqrt(C(d_nom, t)), copies of the top multiplet's `bd_basis` rows
+    (a plan keeps no basis alive), the wedge positions of their entries)."""
+    basis = bd_basis(s, k)
+    top = slice(*basis.layout[0].row_range)
+    if basis.layout[0].two_j != two_s_max(s, k):
         raise ArithmeticError("block layout is missing the top spin sector")
-    state = SpinState(SpinLabel(len(top) - 1), top)
-    if state.norm <= 1e-12:
+    sign = _sqrt_binomials(basis.layout[0].two_j)[1]
+    return sign, basis.coefs[top].copy(), basis.level_cols[basis.row_level[top]]
+
+
+def _top_polynomial(frame: KFrame, P: np.ndarray, plan: tuple) -> ComplexPolynomial:
+    sign, coefs, cols = plan
+    top = np.einsum("rc,rc->r", coefs, P[cols])  # as `_decompose_minors` forms it
+    if np.linalg.norm(top) <= 1e-12:
         raise ArithmeticError(
             "top spin component vanishes; principal polynomial undefined "
             "through this route"
         )
-    return majorana_polynomial(state)
+    return ComplexPolynomial((sign * top)[::-1], len(top) - 1)
 
 
 @cached
@@ -137,39 +146,48 @@ def _sampled_plan(s: SpinLabel, k: int) -> tuple | None:
     d_nom = two_s_max(s, k)
     nodes = _circle_nodes(d_nom + 1, _SAMPLE_OFFSET)
     q = _geodesic_quaternions(-stereo_to_sphere(nodes))
-    rows = _wigner_columns(np.full(len(q), s.two_s), q, k).transpose(0, 2, 1)
+    stack = _wigner_stack((s.two_s,), s.dim)
+    rows = _wigner_columns(stack, np.full(len(q), s.two_s), q, k).transpose(0, 2, 1)
     A = rows[:, :, :k]
     if np.abs(np.linalg.det(A)).min() < 1e-10:
         return None
     return nodes**d_nom, np.linalg.solve(A, rows).conj()
 
 
-def _sampled_polynomial(frame: KFrame, P: np.ndarray) -> ComplexPolynomial:
-    plan = _sampled_plan(frame.s, frame.k)
+def _sampled_polynomial(frame: KFrame, P: np.ndarray, plan: tuple | None) -> ComplexPolynomial:
     if plan is None:
         raise ArithmeticError("could not find nonsingular sampling nodes")
     power, chart = plan
     vals = power * np.linalg.det(chart @ frame._polar.T)
-    if not (np.all(np.isfinite(vals)) and np.any(vals)):
+    if not (np.logical_and.reduce(np.isfinite(vals)) and np.logical_or.reduce(vals)):
         raise ArithmeticError("overlaps at the sampling nodes overflow or underflow")
-    return ComplexPolynomial(_circle_coeffs(vals, _SAMPLE_OFFSET), two_s_max(frame.s, frame.k))
+    return ComplexPolynomial(_circle_coeffs(vals, _SAMPLE_OFFSET), len(vals) - 1)
 
 
-#: Each route's polynomial from the frame and its unit minors, in `principal_all` order.
+#: Each route's plan and its polynomial from frame, unit minors and plan, in `principal_all` order.
 _ROUTES = {
-    "wronskian": _wronskian_polynomial,
-    "sampled": _sampled_polynomial,
-    "top": _top_polynomial,
+    "wronskian": (_wronskian_plan, _wronskian_polynomial),
+    "sampled": (_sampled_plan, _sampled_polynomial),
+    "top": (_top_plan, _top_polynomial),
 }
 
 
+@cached
+def _principal_plan(s: SpinLabel, k: int, routes: tuple) -> tuple:
+    """(minor index, None if no route reads minors, sqrt(C(d_nom, j)), routes' plans)."""
+    index = None if routes == ("sampled",) else _multi_index_array(s.dim, k)
+    plans = tuple(_ROUTES[name][0](s, k) for name in routes)
+    return index, _sqrt_binomials(two_s_max(s, k))[0], plans
+
+
 def _principal(frame: KFrame, routes: tuple) -> dict:
-    """The named routes' results: the unit minors are taken once, and all the
-    polynomials' roots and stars are found in one pass."""
-    P = None if routes == ("sampled",) else _minors(frame._polar)  # sampled reads no minors
-    polys = [_ROUTES[name](frame, P) for name in routes]
+    """The named routes' results: one plan lookup, the unit minors taken
+    once, and all the polynomials' roots and stars found in one pass."""
+    index, binomials, plans = _principal_plan(frame.s, frame.k, routes)
+    P = None if index is None else _minors(frame._polar, index)
+    polys = [_ROUTES[name][1](frame, P, plan) for name, plan in zip(routes, plans)]
     coeffs = np.array([p.coeffs for p in polys])
-    degrees = _degrees(coeffs, _sqrt_binomials(polys[0].d_nom)[0]).tolist()
+    degrees = _degrees(coeffs, binomials).tolist()
     stars = _constellations(_roots(coeffs, degrees, [p.d_nom for p in polys]))
     return {name: PrincipalResult(name, p, c) for name, p, c in zip(routes, polys, stars)}
 

@@ -122,31 +122,41 @@ def _sy_eigenbasis(two_s: int) -> np.ndarray:
     return V
 
 
-def _wigner_columns(two_s: np.ndarray, q: np.ndarray, x) -> np.ndarray:
+@cached
+def _wigner_stack(spins: tuple, D: int) -> tuple:
+    """(spins, V): the `_sy_eigenbasis` of each 2s in spins, zero-padded to D x D."""
+    V = np.zeros((len(spins), D, D), dtype=complex)
+    for i, n in enumerate(spins):
+        V[i, : n + 1, : n + 1] = _sy_eigenbasis(n)
+    return np.array(spins), V
+
+
+def _wigner_columns(stack: tuple, two_s: np.ndarray, q: np.ndarray, x) -> np.ndarray:
     """D(q_i) x_i for N rotations, each of its own spin.
 
-    two_s is an int array of the N spins' 2s, q an (N, 4) array of SU(2)
-    quaternions (w, x, y, z), and x an (N, D, k) array whose block x_i fills
-    its first 2s_i + 1 rows and is zero below them; the result is padded the
-    same way.  An int x = k stands for the first k identity columns, at
-    max(2s) + 1 rows, and the result of equal spins is then the first k
-    columns of each rotation matrix, (N, 2s + 1, k).
+    stack is the `_wigner_stack` of spins holding each of two_s, the N spins'
+    2s; q is an (N, 4) array of SU(2) quaternions (w, x, y, z), and x an
+    (N, D, k) array whose block x_i fills its first 2s_i + 1 rows and is zero
+    below them; the result is padded the same way.  An int x = k stands for
+    the first k identity columns, at the stack's D rows, and the result of
+    equal spins is then the first k columns of each rotation matrix.
 
     Evaluated in z-y-z Euler form, D = e^{-i alpha S_z} e^{-i beta S_y}
     e^{-i gamma S_z}, from the SU(2) element [[a, -conj(b)], [b, conj(a)]]
     of each rotation, with e^{-i beta S_y} = V diag(e^{-i beta m}) V^dagger,
     one factor at a time, each one batched matmul for all rotations against
-    the cached V of their spins, zero-padded and gathered _PRODUCT_CHUNK
-    entries at a time (V^dagger as the transposed conj(V)); no rotation
-    matrix is formed.  Working from the SU(2) element keeps the sign of a
-    2*pi rotation on half-integer spins.  Each phase e^{-i angle m} is an
-    integer power of a unit complex number, taken in extended precision where
-    the platform has it: a power 2s of a double would multiply its rounding
-    error by 2s.  The identity quaternion leaves x_i exactly as it is.
+    the stack's V of their spins, gathered _PRODUCT_CHUNK entries at a time
+    (V^dagger as a conjugated gather, transposed); no rotation matrix is formed.
+    Working from the SU(2) element keeps the sign of a 2*pi rotation on
+    half-integer spins.  Each phase e^{-i angle m} is an integer power of a
+    unit complex number, taken in extended precision where the platform has
+    it: a power 2s of a double would multiply its rounding error by 2s.  The
+    identity quaternion leaves x_i exactly as it is.
     """
-    q = np.asarray(q, dtype=float)
+    spins, V = stack
+    D = V.shape[1]
     if isinstance(x, int):
-        x = np.eye(int(two_s.max()) + 1, x)[None].repeat(len(q), 0)
+        x = np.eye(D, x)[None].repeat(len(q), 0)
     w, qx, qy, qz = q.T
     a, b = (w - 1j * qz).astype(np.clongdouble), (qy - 1j * qx).astype(np.clongdouble)
     abs_a, abs_b = np.abs(a), np.abs(b)
@@ -159,23 +169,17 @@ def _wigner_columns(two_s: np.ndarray, q: np.ndarray, x) -> np.ndarray:
     c = abs_a - 1j * abs_b  # e^{-i beta / 2}
     # e^{-i alpha m} = p^{2m}, e^{-i beta m} = c^{2m} and e^{-i gamma m} =
     # (u / p)^{2m}: p (u / p) = u fixes the SU(2) sign
-    bases = np.stack((p, c / np.abs(c), u * p.conj()), 1)
-    D = x.shape[1]
-    spins = sorted(set(two_s.tolist()))
-    V, index = np.zeros((len(spins), D, D), dtype=complex), np.searchsorted(spins, two_s)
-    for i, n in enumerate(spins):
-        V[i, : n + 1, : n + 1] = _sy_eigenbasis(n)
-    VC = V.conj()
-    # each rotation's own 2m only: the padding stays 0, as V is there
-    rot, col = np.nonzero(np.arange(D) <= two_s[:, None])
-    phases = np.zeros((len(q), 3, D), dtype=complex)
-    phases[rot, :, col] = (bases[rot] ** (two_s[rot] - 2 * col)[:, None]).astype(complex)
-    ph_alpha, ph_beta, ph_gamma = phases.transpose(1, 0, 2)[..., None]
+    bases = np.array((p, c / np.abs(c), u * p.conj()))
+    index = spins.searchsorted(two_s)
+    # rows p > 2s repeat row 2s's power, so |2m| <= 2s (numpy's quick range); x, V are 0 there
+    two_m = two_s[:, None] - 2 * np.minimum(np.arange(D), two_s[:, None])
+    ph_alpha, ph_beta, ph_gamma = (bases[:, :, None] ** two_m).astype(complex)[..., None]
     out = np.empty(x.shape, dtype=complex)
     step = max(1, _PRODUCT_CHUNK // (D * D))
     for lo in range(0, len(q), step):
         r = slice(lo, lo + step)
-        y = VC[index[r]].transpose(0, 2, 1) @ (ph_gamma[r] * x[r])
+        VH = V[index[r]]  # a gathered copy, conjugated in place: V^dagger is its transpose
+        y = np.conjugate(VH, out=VH).transpose(0, 2, 1) @ (ph_gamma[r] * x[r])
         out[r] = ph_alpha[r] * (V[index[r]] @ (ph_beta[r] * y))
     identity = b_zero & (a == 1)
     out[identity] = x[identity]
@@ -185,7 +189,8 @@ def _wigner_columns(two_s: np.ndarray, q: np.ndarray, x) -> np.ndarray:
 def wigner_d(s: SpinLabel, r: RotationSpec) -> np.ndarray:
     """Spin-s rotation matrix expm(-i * angle * (axis . S)), from its SU(2)
     element (see `_wigner_columns`)."""
-    return _wigner_columns(np.array([s.two_s]), r._quaternion()[None], s.dim)[0]
+    stack = _wigner_stack((s.two_s,), s.dim)
+    return _wigner_columns(stack, np.array([s.two_s]), r._quaternion()[None], s.dim)[0]
 
 
 def coherent_state(s: SpinLabel, zeta) -> SpinState:

@@ -34,7 +34,7 @@ from stellar.decomp import (
     _wedge_two_m,
 )
 from stellar.grassmann import RANK_TOL, _multi_index_array, _subset_rank, multi_indices
-from stellar.principal import _wronskian_plan
+from stellar.principal import _top_plan, _wronskian_plan
 from stellar.spin_rep import _ladder
 
 from conftest import compose, random_frame, random_rotation
@@ -762,17 +762,23 @@ def test_decompose_plane_peak_memory_is_bounded_at_14_7():
 @pytest.mark.parametrize("chunk", [1, 7, 100])
 def test_decompose_minors_in_blocks_of_rows_is_bit_identical(monkeypatch, chunk):
     # the gather runs a bounded block of rows at a time; each row's product
-    # is the same einsum over the same entries, whatever the block
+    # is the same einsum over the same entries, whatever the block, and the
+    # top route's plan, which holds copies of the top block's rows, gives
+    # that block's components bit for bit
     rng = np.random.default_rng(73)
     shapes = [(3, 2), (5, 3), (7, 3), (8, 4)]
     minors = {
         shape: rng.standard_normal(math.comb(shape[0] + 1, shape[1])) + 0.5j for shape in shapes
     }
     want = {
-        (shape, blocks): _decompose_minors(SpinLabel(shape[0]), shape[1], P, blocks)
-        for shape, P in minors.items() for blocks in (None, 1)
+        shape: _decompose_minors(bd_basis(SpinLabel(shape[0]), shape[1]), P)
+        for shape, P in minors.items()
     }
     monkeypatch.setattr(decomp, "_PRODUCT_CHUNK", chunk)
-    for (shape, blocks), psi in want.items():
-        got = _decompose_minors(SpinLabel(shape[0]), shape[1], minors[shape], blocks)
-        assert got.tobytes() == psi.tobytes(), (shape, blocks)
+    for shape, psi in want.items():
+        got = _decompose_minors(bd_basis(SpinLabel(shape[0]), shape[1]), minors[shape])
+        assert got.tobytes() == psi.tobytes(), shape
+        assert psi[-1] == 0.0  # the one entry after the components
+        _, coefs, cols = _top_plan(SpinLabel(shape[0]), shape[1])
+        top = np.einsum("rc,rc->r", coefs, minors[shape][cols])
+        assert top.tobytes() == psi[: len(top)].tobytes(), shape

@@ -25,7 +25,10 @@ from stellar import (
     rotate_frame,
     standard_form,
 )
-from stellar.grassmann import _deletion_positions, _subset_rank, multi_indices
+from stellar.grassmann import (
+    _deletion_positions, _minors, _multi_index_array, _subset_rank, multi_indices,
+)
+from stellar.spin_rep import geodesic_rotation, wigner_d
 
 from conftest import random_frame, random_rotation, stereo_from_sphere
 
@@ -187,6 +190,35 @@ def test_coherent_plane_standard_form_oracle():
             ]
         )
         assert np.abs(pl.rows - want).max() < 1e-12
+
+
+def _sweep_direction(i: int) -> np.ndarray:
+    """Direction i of the 60 unit vectors drawn from default_rng(0)."""
+    n = np.random.default_rng(0).standard_normal((60, 3))[i]
+    return n / np.linalg.norm(n)
+
+
+@pytest.mark.parametrize(
+    "two_s, n",
+    [
+        (13, np.array([-0.206, 0.041, -0.978]) / np.linalg.norm([-0.206, 0.041, -0.978])),
+        (11, _sweep_direction(48)),
+        (13, _sweep_direction(50)),
+        (13, _sweep_direction(52)),
+    ],
+)
+def test_coherent_plane_near_the_south_pole_keeps_the_plane(two_s, n):
+    # k = 2s near the south pole: the first pivot block above RANK_TOL, a
+    # minor ratio near 1.7e-10, reduces the rows to about 6e9, which the
+    # plane's own rank test rejects; the largest minor's block is taken instead
+    s, k = SpinLabel(two_s), two_s
+    rows = wigner_d(s, geodesic_rotation(n))[:, :k].T
+    plane = coherent_plane(s, k, n)
+    assert isinstance(plane, KPlane)
+    index = _multi_index_array(s.dim, k)
+    P, Q = (_minors(f._polar, index) for f in (KFrame(s, k, rows), plane))
+    assert 1.0 - abs(np.vdot(P, Q)) <= 1e-12
+    assert np.array_equal(plane.rows[:, plane.pivot_columns], np.eye(k))
 
 
 def test_plucker_residual_zero_on_factorizable():

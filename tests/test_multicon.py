@@ -63,7 +63,9 @@ def gauge_fix_one(psi: SpinState):
     """The gauge pass on one nonzero spin-j > 0 state: the one block of the
     (2j, 1) plan."""
     plan = _multicon_plan(psi.s, 1)
-    return _gauge_fix(plan, np.array([0]), np.append(psi.coeffs, 0.0)[plan.ket])[0]
+    kets = np.append(psi.coeffs, 0.0)[plan.ket]
+    weight = kets.real**2 + kets.imag**2
+    return _gauge_fix(plan, np.array([0]), kets, weight)[0]
 
 
 def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
@@ -133,7 +135,7 @@ def exact_tensor_op(two_j: int, ell: int, m: int) -> np.ndarray:
 
 def tensor_op(two_j: int, ell: int, m: int) -> np.ndarray:
     """T_{lm} as a dense matrix, from the library's diagonals."""
-    W = _polarization_diagonals(two_j)[abs(m)]
+    W = _polarization_diagonals(two_j, abs(m))
     T = np.diag(W[:, ell - abs(m)], abs(m))
     return T if m >= 0 else (-1) ** m * T.T
 
@@ -277,7 +279,7 @@ def test_polarization_field_order():
 def full_table_polarization(rho: np.ndarray, two_j: int) -> tuple:
     """Every (ell, m, rho_lm) in storage order, all diagonals of rho expanded
     at once."""
-    diags = _polarization_diagonals(two_j)
+    diags = [_polarization_diagonals(two_j, m) for m in range(two_j + 1)]
     up = [W.T @ np.diagonal(rho, m) for m, W in enumerate(diags)]
     down = [(-1) ** m * W.T @ np.diagonal(rho, -m) for m, W in enumerate(diags)]
     return tuple(

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 import stellar
 from stellar import _cache
 
-from conftest import same_bits
+from conftest import random_frame, same_bits
 
 
 def _fresh(code: str) -> str:
@@ -83,11 +84,14 @@ TABLES = {
     "majorana._sqrt_binomials": (6,),
     "spin_rep._ladder": (5,),
     "spin_rep._sy_eigenbasis": (5,),
-    "multicon._polarization_diagonals": (4,),
+    "spin_rep._wigner_stack": ((1, 4), 5),
+    "multicon._polarization_diagonals": (4, 1),
     "multicon._multicon_plan": (stellar.SpinLabel(5), 3),
     "decomp.bd_basis": (stellar.SpinLabel(5), 3),
     "principal._wronskian_plan": (stellar.SpinLabel(7), 4),
     "principal._sampled_plan": (stellar.SpinLabel(7), 4),
+    "principal._top_plan": (stellar.SpinLabel(7), 4),
+    "principal._principal_plan": (stellar.SpinLabel(7), 4, ("wronskian", "sampled", "top")),
 }
 
 
@@ -169,6 +173,25 @@ def test_the_cache_is_bounded_in_bytes(empty_cache, monkeypatch):
         assert again is not built[key]
         _assert_same_basis(again, built[key])
         _assert_held_bytes_exact()
+
+
+def test_a_plan_keeps_no_evicted_table_alive(empty_cache, monkeypatch):
+    # a warm multiconstellation looks up its plan and its basis; the (11, 5)
+    # basis and plan hold 0.64 and 0.44 MB, so with 1.25 MiB they evict the
+    # earlier shapes' tables, and no plan may keep an evicted basis alive
+    monkeypatch.setattr(_cache, "CACHE_BYTES", 5 << 18)
+    bases = {}
+    for two_s, k in ((7, 4), (9, 4), (11, 5)):
+        frame = random_frame(np.random.default_rng(two_s), two_s, k)
+        bases[frame.s, k] = weakref.ref(stellar.bd_basis(frame.s, k))
+        for _ in range(2):  # the plan's build, then a warm call
+            stellar.multiconstellation(frame)
+            _assert_held_bytes_exact()
+    # every basis still alive is the cache's own: an evicted one was freed
+    alive = {key: basis() for key, basis in bases.items() if basis() is not None}
+    assert len(alive) < len(bases)
+    for key, basis in alive.items():
+        assert _cache._entries.get((stellar.bd_basis.__wrapped__, key), (None,))[0] is basis
 
 
 def test_a_hit_makes_a_table_the_newest(empty_cache, monkeypatch):

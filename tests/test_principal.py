@@ -31,6 +31,7 @@ from stellar.majorana import stereo_to_sphere
 from stellar.spin_rep import (
     _geodesic_quaternions,
     _wigner_columns,
+    _wigner_stack,
     geodesic_rotation,
     wigner_d,
 )
@@ -441,7 +442,8 @@ def test_chart_determinant_depends_only_on_the_shape():
             for offset in (0.5, 0.87, 1.24):
                 nodes = _circle_nodes(two_s_max(SpinLabel(two_s), k) + 1, offset)
                 q = _geodesic_quaternions(-stereo_to_sphere(nodes))
-                A = _wigner_columns(np.full(len(q), two_s), q, k)[:, :k, :]
+                stack = _wigner_stack((two_s,), two_s + 1)
+                A = _wigner_columns(stack, np.full(len(q), two_s), q, k)[:, :k, :]
                 dets.append(np.abs(np.linalg.det(A)))
             dets = np.concatenate(dets)
             assert dets.max() - dets.min() <= 1e-9 * dets.max(), (two_s, k)

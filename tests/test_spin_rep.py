@@ -19,7 +19,9 @@ from stellar import (
     wigner_d,
 )
 from stellar.majorana import stereo_to_sphere
-from stellar.spin_rep import _geodesic_quaternions, _ladder, _sy_eigenbasis, _wigner_columns
+from stellar.spin_rep import (
+    _geodesic_quaternions, _ladder, _sy_eigenbasis, _wigner_columns, _wigner_stack,
+)
 
 from conftest import (
     INF,
@@ -220,19 +222,26 @@ def test_geodesic_quaternions_match_geodesic_rotation():
     assert np.abs(_geodesic_quaternions(n) - want).max() <= 1e-15
 
 
+def columns(two_s: np.ndarray, q: np.ndarray, x) -> np.ndarray:
+    """`_wigner_columns` against the stack of exactly the spins in two_s, at
+    the rows of x, or at max(2s) + 1 rows for an int x."""
+    D = int(two_s.max()) + 1 if isinstance(x, int) else x.shape[1]
+    return _wigner_columns(_wigner_stack(tuple(sorted(set(two_s.tolist()))), D), two_s, q, x)
+
+
 def test_wigner_columns_match_wigner_d():
     n = _geodesic_test_directions(np.random.default_rng(20))
     q = _geodesic_quaternions(n)
     for two_s in range(0, 21):
         s = SpinLabel(two_s)
         for k in {1, (two_s + 2) // 2, s.dim}:
-            got = _wigner_columns(np.full(len(q), two_s), q, k)
+            got = columns(np.full(len(q), two_s), q, k)
             assert got.shape == (len(n), s.dim, k)
             for D, v in zip(got, n):
                 want = wigner_d(s, geodesic_rotation(v))[:, :k]
                 assert np.abs(D - want).max() <= 1e-13
     # the north pole is the identity, exactly
-    assert np.array_equal(_wigner_columns(np.array([5]), q[-2:-1], 6)[0], np.eye(6))
+    assert np.array_equal(columns(np.array([5]), q[-2:-1], 6)[0], np.eye(6))
 
 
 def test_wigner_columns_of_mixed_spins_match_wigner_d():
@@ -246,7 +255,7 @@ def test_wigner_columns_of_mixed_spins_match_wigner_d():
     x = np.zeros((len(spins), max(spins) + 1, 2), dtype=complex)
     for block, two_s in zip(x, spins):
         block[: two_s + 1] = rng.standard_normal((two_s + 1, 2)) + 1j * rng.standard_normal((two_s + 1, 2))
-    got = _wigner_columns(np.array(spins), q, x)
+    got = columns(np.array(spins), q, x)
     assert got.shape == x.shape
     for i, (two_s, r) in enumerate(zip(spins, rotations)):
         want = wigner_d(SpinLabel(two_s), r) @ x[i, : two_s + 1]
@@ -287,7 +296,7 @@ def test_one_spin_wigner_columns_keep_the_broadcast_kernel_bit_for_bit():
     for two_s in range(0, 41):
         spins = np.full(len(q), two_s)
         for k in {1, (two_s + 2) // 2, two_s + 1}:
-            assert same_bits(_wigner_columns(spins, q, k), _one_spin_wigner_columns(two_s, q, k))
+            assert same_bits(columns(spins, q, k), _one_spin_wigner_columns(two_s, q, k))
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (5, 3), (7, 4), (9, 4), (11, 5), (13, 6)])
@@ -297,7 +306,9 @@ def test_sampled_plan_keeps_the_broadcast_kernel_bit_for_bit(monkeypatch, shape)
     got = principal._sampled_plan(s, k)
     # the plan passes one 2s per node, all equal
     monkeypatch.setattr(
-        principal, "_wigner_columns", lambda two_s, q, k: _one_spin_wigner_columns(int(two_s[0]), q, k)
+        principal,
+        "_wigner_columns",
+        lambda stack, two_s, q, k: _one_spin_wigner_columns(int(two_s[0]), q, k),
     )
     want = principal._sampled_plan.__wrapped__(s, k)
     assert len(got) == len(want) == 2
