@@ -8,7 +8,9 @@ Exit codes: 0 success, 2 parse error or an unwritable output path, 3
 numeric failure, 4 a result was produced but a not-applicable flag is
 present.  Each command returns its document and exit code; `main` alone
 writes the document, to --out when given, else to stdout, and an error
-document always to stdout.
+document always to stdout.  `python -m stellar.cli` and the `stellar`
+console script both run `_program`, which runs `main` with the cyclic
+garbage collector off; `main` called in-process leaves the collector alone.
 
 Importing this module loads neither numpy nor another `stellar` module:
 each command imports what it calls, so `schubert` and `multiplicities
@@ -18,6 +20,7 @@ each command imports what it calls, so `schubert` and `multiplicities
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -618,5 +621,19 @@ def main(argv=None) -> int:
     return code
 
 
+def _program() -> int:
+    """`main` on sys.argv as a `stellar` process runs it: the library makes
+    no reference cycles, so the collector would only walk numpy's import-time
+    objects.  It is off from before the command loads anything, and
+    `gc.freeze` leaves the collection made at interpreter exit nothing to
+    walk; shutdown, with its flushes and atexit handlers, is otherwise the
+    usual one."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_program())

@@ -225,12 +225,17 @@ def _canonical_level_basis(diags: np.ndarray, V: np.ndarray) -> tuple[np.ndarray
     are within DEGENERACY_TOL times the largest |Q^(n)| on the level, is
     ordered in turn by the compressed Q^(3), ..., Q^(k); a tie left after
     Q^(k) falls back to a coordinate rule and sets the returned flag.
+    The runs wait on an explicit stack: a recursive closure would be a
+    reference cycle, which leaves every array it saw to the cyclic collector.
     """
     out = []
     flagged = False
-
-    def refine(C: np.ndarray, n_pow: int) -> None:
-        nonlocal flagged
+    # make sure the working columns are orthonormal
+    q, _ = np.linalg.qr(V)
+    # (columns, next power) runs still to refine, the next one to visit on top
+    stack = [(q[:, : V.shape[1]], 2)]
+    while stack:
+        C, n_pow = stack.pop()
         if C.shape[1] == 1:
             out.append(C[:, 0])
         elif n_pow == len(diags):
@@ -241,12 +246,8 @@ def _canonical_level_basis(diags: np.ndarray, V: np.ndarray) -> tuple[np.ndarray
             evals, evecs = np.linalg.eigh((A + A.conj().T) / 2)
             tol = DEGENERACY_TOL * np.abs(diags[n_pow]).max()
             cuts = np.nonzero(-np.diff(evals[::-1]) > tol)[0] + 1
-            for run in np.split(C @ evecs[:, ::-1], cuts, axis=1):
-                refine(run, n_pow + 1)
-
-    # make sure the working columns are orthonormal
-    q, _ = np.linalg.qr(V)
-    refine(q[:, : V.shape[1]], 2)
+            runs = np.split(C @ evecs[:, ::-1], cuts, axis=1)
+            stack.extend((run, n_pow + 1) for run in reversed(runs))
     return np.column_stack([_phase_fixed(v / np.linalg.norm(v)) for v in out]), flagged
 
 

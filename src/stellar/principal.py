@@ -23,7 +23,6 @@ import numpy as np
 
 from ._cache import cached
 from ._exact import schubert_count, two_s_max  # schubert_count stays importable from here
-from .decomp import bd_basis
 from .grassmann import KFrame, KPlane, _minors, _multi_index_array, standard_form
 from .majorana import (
     ComplexPolynomial,
@@ -115,6 +114,8 @@ def _wronskian_polynomial(frame: KFrame, P: np.ndarray, plan: tuple) -> ComplexP
 def _top_plan(s: SpinLabel, k: int) -> tuple:
     """((-1)^t sqrt(C(d_nom, t)), copies of the top multiplet's `bd_basis` rows
     (a plan keeps no basis alive), the wedge positions of their entries)."""
+    from .decomp import bd_basis  # the one route plan that reads the basis
+
     basis = bd_basis(s, k)
     top = slice(*basis.layout[0].row_range)
     if basis.layout[0].two_j != two_s_max(s, k):

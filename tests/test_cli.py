@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import json
 import math
 import os
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 
 import stellar
+import stellar.cli
 
 FIXTURES = Path(stellar.__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -151,20 +155,86 @@ _LIBRARY = {"grassmann", "decomp", "majorana", "principal", "multicon"}
         ("constellation-tetra_s2", "majorana"),
         ("decompose-vw_22", "grassmann decomp"),
         ("principal-vw_22", "grassmann decomp majorana principal"),
+        # the default route, `wronskian`, builds no basis
+        ("principal-vw_22:default-route", "grassmann majorana principal"),
         ("multicon-vw_22", "grassmann decomp majorana multicon"),
         ("verify-vw_22", "grassmann decomp majorana principal multicon"),
     ],
 )
 def test_each_command_loads_only_the_modules_it_calls(case, library):
     # genfun loads no numpy; every other command loads it with spin_rep
-    golden = json.loads((GOLDEN / f"{case}.json").read_text())
+    name, _, default_route = case.partition(":")
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
     argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in golden["argv"]]
+    if default_route:
+        argv = argv[: argv.index("--route")]
     code, stdout, loaded = _main_in_fresh_interpreter(argv)
     assert code == golden["exit_code"]
     if golden["argv"][0] == "multiplicities":  # integers only: equal, not close
         assert json.loads(stdout) == golden["stdout"]
     assert {m for m in _LIBRARY if f"stellar.{m}" in loaded} == set(library.split())
     assert ("numpy" in loaded) == ("stellar.spin_rep" in loaded) == bool(library)
+
+
+#: Imported first by a child interpreter: counts the collections the cyclic
+#: collector starts while `stellar.cli`'s `main` is on the stack, and writes
+#: them, with the count of frozen objects, from an atexit handler.
+_GC_PROBE = """
+import atexit, gc, json, os, sys
+
+during = []
+cli = os.path.join("stellar", "cli.py")
+
+
+def probe(phase, info):
+    frame = sys._getframe()
+    while phase == "start" and frame is not None:
+        if frame.f_code.co_name == "main" and frame.f_code.co_filename.endswith(cli):
+            during.append(info["generation"])
+            break
+        frame = frame.f_back
+
+
+@atexit.register
+def report():
+    with open({report!r}, "w") as fh:
+        json.dump({{"during": during, "frozen": gc.get_freeze_count()}}, fh)
+
+
+gc.callbacks.append(probe)
+"""
+
+
+@pytest.mark.parametrize("case", sorted(p.stem for p in GOLDEN.glob("*.json")))
+def test_the_program_runs_main_without_the_collector(tmp_path, monkeypatch, case):
+    argv = json.loads((GOLDEN / f"{case}.json").read_text())["argv"]
+    report = tmp_path / "report.json"
+    (tmp_path / "sitecustomize.py").write_text(_GC_PROBE.format(report=str(report)))
+    # the child runs in the fixtures directory: the package's path is absolute
+    path = [str(tmp_path), str(Path(stellar.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "stellar.cli", *argv],
+        capture_output=True, text=True, cwd=FIXTURES,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert proc.stderr == ""
+    # the command ran with the collector off, and exit found every object frozen
+    probe = json.loads(report.read_text())
+    assert probe["during"] == [] and probe["frozen"] > 0
+    # main called in-process prints the same bytes and leaves the collector be
+    monkeypatch.chdir(FIXTURES)
+    state = gc.isenabled(), gc.get_freeze_count()
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = stellar.cli.main(argv)
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
+    assert (proc.stdout, proc.returncode) == (buf.getvalue(), code)
+
+
+def test_the_console_script_runs_the_program():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"stellar": "stellar.cli:_program"}
 
 
 def test_principal_routes_report_identical_angles():

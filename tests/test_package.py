@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import gc
 import importlib
 import pkgutil
 import re
@@ -17,7 +18,7 @@ import pytest
 import stellar
 from stellar import _cache
 
-from conftest import random_frame, same_bits
+from conftest import random_frame, random_rotation, random_state, same_bits
 
 
 def _fresh(code: str) -> str:
@@ -238,6 +239,87 @@ def test_threads_building_the_same_tables_keep_the_bytes_exact(empty_cache, monk
     for key, basis in got:
         _assert_same_basis(basis, want[key])
     _assert_held_bytes_exact()
+
+
+def _plane(two_s: int, k: int) -> stellar.KFrame:
+    return random_frame(np.random.default_rng(1000 * two_s + k), two_s, k)
+
+
+def _verify_calls() -> None:
+    """The library calls of `stellar verify`, in its order, on a (7, 4) plane."""
+    frame, rng = _plane(7, 4), np.random.default_rng(3)
+    wronskian = stellar.principal_all(frame)["wronskian"].constellation
+    plane = stellar.standard_form(frame)
+    stellar.plucker_residual(stellar.plucker(plane))
+    other = random_frame(rng, 7, 4)
+    stellar.frame_inner(plane, other)
+    stellar.plucker(other)
+    rot = random_rotation(rng)
+    rotated = stellar.principal(stellar.rotate_frame(frame, rot)).constellation
+    stellar.constellation_match_angle(rotated, stellar.rotate_constellation(wronskian, rot))
+    comp = stellar.principal(stellar.orthogonal_complement(plane)).constellation
+    stellar.constellation_match_angle(comp, stellar.antipodal_constellation(wronskian))
+    stellar.multiconstellation(frame)
+
+
+def _fails(call, error):
+    """call, which must raise error; the error is dropped as a caller drops it."""
+
+    def failing():
+        try:
+            call()
+        except error:
+            return
+        raise AssertionError(f"no {error.__name__}")
+
+    return failing
+
+
+#: One library call each on seeded inputs, the failures of each kind the CLI
+#: reports among them.  (9, 4) and (11, 5) have degenerate j-sectors, which
+#: the basis refines by eigenvalue runs.
+LIBRARY_CALLS = {
+    "bd_basis-9-4": lambda: stellar.bd_basis(stellar.SpinLabel(9), 4),
+    "bd_basis-11-5": lambda: stellar.bd_basis(stellar.SpinLabel(11), 5),
+    **{
+        f"principal-{route}": lambda route=route: stellar.principal(_plane(9, 4), route)
+        for route in ("wronskian", "sampled", "top")
+    },
+    "principal_all": lambda: stellar.principal_all(_plane(9, 4)),
+    "multiconstellation": lambda: stellar.multiconstellation(_plane(9, 4)),
+    "decompose_plane": lambda: stellar.decompose_plane(_plane(9, 4)),
+    "constellation_of_state": lambda: stellar.constellation_of_state(
+        random_state(np.random.default_rng(12), 12)
+    ),
+    "multiplicities_genfun": lambda: stellar.multiplicities_genfun(stellar.SpinLabel(13), 6),
+    "multiplicities_char": lambda: stellar.multiplicities_char(stellar.SpinLabel(13), 6),
+    "multiplicities_from_basis": lambda: stellar.multiplicities_from_basis(stellar.SpinLabel(11), 5),
+    "schubert_count": lambda: stellar.schubert_count(stellar.SpinLabel(8), 4),
+    "verify": _verify_calls,
+    "char-int64-overflow": _fails(
+        lambda: stellar.multiplicities_char(stellar.SpinLabel(74), 37), ArithmeticError
+    ),
+    "sampled-chart-17-8": _fails(lambda: stellar.principal(_plane(17, 8), "sampled"), ArithmeticError),
+    "rank-deficient-frame": _fails(
+        lambda: stellar.KFrame(stellar.SpinLabel(3), 2, np.ones((2, 4))), ValueError
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_CALLS))
+def test_a_library_call_makes_no_reference_cycle(empty_cache, name):
+    # with the collector off, gc.collect() finds exactly the cycles the call
+    # left; reference counting frees everything else when its last name goes
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in ("cold", "warm"):
+            LIBRARY_CALLS[name]()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # Two independently built instances of every dataclass the package exports.
