@@ -32,7 +32,6 @@ from .grassmann import (
     _PRODUCT_CHUNK,
     KFrame,
     _multi_index_array,
-    _minors,
     _subset_rank,
 )
 from .spin_rep import RotationSpec, SpinLabel, SpinState, _ladder, wigner_d
@@ -362,15 +361,15 @@ class ComponentState:
 
 
 def decompose_plane(frame: KFrame) -> list[ComponentState]:
-    """Spin-j components of the unit Pluecker vector P/|P| of a frame, read
-    off its polar factor: the frame's scale drops out, and the phase of its
-    minors fixes the (gauge-dependent) phases of the components, so rotating
-    the rows coherently transforms every block by its spin-j rotation.  Each
-    component entry is the product of one stored basis row with the
-    Pluecker entries of its own weight space.
+    """Spin-j components of the unit Pluecker ray P/|P| that the frame
+    keeps, the minors of its polar factor: the frame's scale drops out, and
+    the phase of its minors fixes the (gauge-dependent) phases of the
+    components, so rotating the rows coherently transforms every block by
+    its spin-j rotation.  Each component entry is the product of one stored
+    basis row with the Pluecker entries of its own weight space.
     """
     basis = bd_basis(frame.s, frame.k)
-    c = _decompose_minors(basis, _minors(frame._polar, _multi_index_array(frame.s.dim, frame.k)))
+    c = _decompose_minors(basis, frame._ray)
     return [
         ComponentState(m.two_j, m.copy_index, SpinState(SpinLabel(m.two_j), c[slice(*m.row_range)]))
         for m in basis.layout

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
@@ -58,8 +59,9 @@ def _subset_rank(n: int, S: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KFrame:
-    """k linearly independent spin-s row states (a k x (2s+1) matrix), kept
-    with their polar factor `_polar`, whose minors are the unit Pluecker vector."""
+    """k linearly independent spin-s row states (a k x (2s+1) matrix), kept with
+    their polar factor `_polar`, whose minors are the unit Pluecker ray `_ray`:
+    a plane's consumers read `s`, `k` and `_ray`, the `sampled` route `_polar`."""
 
     s: SpinLabel
     k: int
@@ -85,6 +87,13 @@ class KFrame:
         for name, a in (("rows", r), ("_polar", u @ vh)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    @cached_property
+    def _ray(self) -> np.ndarray:
+        """The unit Pluecker ray, read-only: `_polar`'s minors, taken on first use."""
+        ray = _minors(self._polar, _multi_index_array(self.s.dim, self.k))
+        ray.setflags(write=False)
+        return ray
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +122,8 @@ class PluckerVector:
         want = math.comb(self.s.dim, self.k)
         if c.shape != (want,):
             raise ValueError(f"expected {want} components, got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("components must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "comps", c)
 
@@ -143,14 +154,14 @@ def plucker(frame: KFrame) -> PluckerVector:
 def standard_form(frame: KFrame) -> KPlane:
     """Reduced representative: identity on the pivot columns.
 
-    Pivots are the lexicographically first column multi-index whose minor of
-    the unit Pluecker vector, `_polar`'s, has modulus at least RANK_TOL times
-    the largest; the frame's own rows are solved for on that pivot block.
+    Pivots are the lexicographically first column multi-index whose entry of
+    the frame's unit Pluecker ray has modulus at least RANK_TOL times the
+    largest; the frame's own rows are solved for on that pivot block.
     Where those rows fail KFrame's rank test, the largest minor's block is taken.
     """
     # the squared moduli sum to 1, so the largest is never 0
     index = _multi_index_array(frame.s.dim, frame.k)
-    mags = np.abs(_minors(frame._polar, index))
+    mags = np.abs(frame._ray)
     for pos in (np.nonzero(mags >= RANK_TOL * mags.max())[0][0], mags.argmax()):
         pivots = tuple(index[pos].tolist())
         rep = np.linalg.solve(frame.rows[:, pivots], frame.rows)

@@ -1,14 +1,14 @@
 """Multiconstellation of a plane: per-block Majorana constellations plus the
 gauge-fixed complex amplitudes tying the blocks together.
 
-Each spin-j component of the decomposed Pluecker vector carries a
-constellation (2j stars) and, after a canonical alignment procedure, a single
-complex number z; the vector Z of all z's behaves as one extra "spectator"
-spin state.  The picture is rotation-covariant but not faithful in general:
-at (5,3), negating the spin-5/2 block gives another plane with the same
-multiconstellation.  A plane's blocks are the rows of one padded array: a
-plane costs two lookups (plan and basis), a few array steps (per ell of the
-gauge scan), one `_wigner_columns` and one `_roots` call.
+Each spin-j component of the plane's unit Pluecker ray, which the frame
+keeps, carries a constellation (2j stars) and, after a canonical alignment
+procedure, a single complex number z; the vector Z of all z's behaves as one
+extra "spectator" spin state.  The picture is rotation-covariant but not
+faithful in general: at (5,3), negating the spin-5/2 block gives another
+plane with the same multiconstellation.  A plane's blocks are the rows of one
+padded array: a plane costs two lookups (plan and basis), a few array steps
+(per ell of the gauge scan), one `_wigner_columns` and one `_roots` call.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from ._cache import cached
 from .decomp import _decompose_minors, bd_basis
-from .grassmann import KFrame, _minors, _multi_index_array
+from .grassmann import KFrame
 from .majorana import (
     Constellation, _constellations, _degrees, _roots, _sqrt_binomials, constellation_of_state,
 )
@@ -106,8 +106,8 @@ class GaugeFixed:
 
 
 #: The tables of a shape, found by one lookup (see `_multicon_plan`).
-_Plan = namedtuple("_Plan", "minors two_j two_m ket poly ladder signed binomial spins spin_index "
-                   "wigner scan2 spectator")
+_Plan = namedtuple("_Plan", "two_j two_m ket poly ladder signed binomial spins spin_index wigner "
+                   "scan2 spectator")
 
 
 def _scan_weights(spins: list, ell: int, D: int, tables: dict) -> np.ndarray:
@@ -128,9 +128,9 @@ def _multicon_plan(s: SpinLabel, k: int) -> _Plan:
     is flat component ket[b, p], of weight two_m[u, p] at its spin u =
     spin_index[b], and entry t of its Majorana polynomial is signed[u, t]
     times component poly[b, t], cut by binomial[u, t] = sqrt(C(2j, t)).
-    Padding indexes the 0 after the components.  With them: the shape's minor
-    index, spectator binomials, and its spins' ell = 2 scan weights and Wigner
-    stack; not its basis, which the cache counts and may evict on its own."""
+    Padding indexes the 0 after the components.  With them: spectator
+    binomials, and its spins' ell = 2 scan weights and Wigner stack; not the
+    ray, which the frame keeps, nor the basis, which the cache may evict."""
     basis = bd_basis(s, k)
     two_j, lo = np.array([(m.two_j, m.row_range[0]) for m in basis.layout]).T
     B, D, end = len(two_j), max(3, int(two_j.max()) + 1), len(basis.row_level)
@@ -144,9 +144,9 @@ def _multicon_plan(s: SpinLabel, k: int) -> _Plan:
     ket = np.where(inside, lo[:, None] + p, end)
     poly = np.where(inside, (lo + two_j)[:, None] - p, end)
     return _Plan(
-        _multi_index_array(s.dim, k), two_j, np.array(spins)[:, None] - 2 * p, ket, poly,
-        ladder, signed, binomial, spins, spin_index, _wigner_stack(tuple(spins), D),
-        _scan_weights(spins, 2, D, {}), _sqrt_binomials(B - 1),
+        two_j, np.array(spins)[:, None] - 2 * p, ket, poly, ladder, signed, binomial, spins,
+        spin_index, _wigner_stack(tuple(spins), D), _scan_weights(spins, 2, D, {}),
+        _sqrt_binomials(B - 1),
     )
 
 
@@ -289,13 +289,13 @@ class Multiconstellation:
 
 
 def multiconstellation(frame: KFrame) -> Multiconstellation:
-    """Decompose a plane and gauge-fix every spin block.
+    """Decompose a plane's unit Pluecker ray and gauge-fix every spin block.
 
     The frame's scale drops out and its phase is part of the gauge, so rotating
     the rows coherently rotates every piece of the answer, no phase re-fixed.
     """
     plan, basis = _multicon_plan(frame.s, frame.k), bd_basis(frame.s, frame.k)
-    flat = _decompose_minors(basis, _minors(frame._polar, plan.minors))
+    flat = _decompose_minors(basis, frame._ray)
     kets = flat[plan.ket]
     weight = kets.real**2 + kets.imag**2
     absent = np.sqrt(np.add.reduce(weight, 1)) <= GAUGE_TOL

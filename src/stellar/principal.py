@@ -7,11 +7,11 @@ the same map of the minors read through `bd_basis`, so it checks that basis.
 `sampled` alone evaluates the polynomial without the minors: coherent-state
 overlaps at unit-circle nodes (`_circle_nodes`) go to coefficients by one
 scaled DFT (`_circle_coeffs`), whose equal absolute error in every
-coefficient costs accuracy at high degree.  All routes read the frame's
-polar factor, so depend on the plane alone.  The roots on the sphere are the
-plane's principal constellation: exactly the directions n whose antipodal
-coherent plane fails to be transversal.  The tables of a set of routes are
-one plan per (2s, k), holding nothing that only another route needs.
+coefficient costs accuracy at high degree.  It reads the frame's polar
+factor, the others its unit ray, so all depend on the plane alone.  The roots
+on the sphere are the plane's principal constellation: exactly the directions
+n whose antipodal coherent plane fails to be transversal.  The tables of a
+set of routes are one plan per (2s, k), holding nothing another route needs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from ._cache import cached
 from ._exact import schubert_count, two_s_max  # schubert_count stays importable from here
-from .grassmann import KFrame, KPlane, _minors, _multi_index_array, standard_form
+from .grassmann import KFrame, KPlane, _multi_index_array, standard_form
 from .majorana import (
     ComplexPolynomial,
     Constellation,
@@ -99,9 +99,9 @@ def _wronskian_plan(s: SpinLabel, k: int) -> tuple:
     return two_s_max(s, k), e, vandermonde, signprod
 
 
-def _wronskian_polynomial(frame: KFrame, P: np.ndarray, plan: tuple) -> ComplexPolynomial:
+def _wronskian_polynomial(frame: KFrame, plan: tuple) -> ComplexPolynomial:
     d_nom, e, vandermonde, signprod = plan
-    terms = P * vandermonde * signprod
+    terms = frame._ray * vandermonde * signprod
     coeffs = np.bincount(e, terms.real, d_nom + 1)
     coeffs = coeffs + 1j * np.bincount(e, terms.imag, d_nom + 1)
     # written so that NaN, infinite or all-zero coefficients fail it too
@@ -124,9 +124,9 @@ def _top_plan(s: SpinLabel, k: int) -> tuple:
     return sign, basis.coefs[top].copy(), basis.level_cols[basis.row_level[top]]
 
 
-def _top_polynomial(frame: KFrame, P: np.ndarray, plan: tuple) -> ComplexPolynomial:
+def _top_polynomial(frame: KFrame, plan: tuple) -> ComplexPolynomial:
     sign, coefs, cols = plan
-    top = np.einsum("rc,rc->r", coefs, P[cols])  # as `_decompose_minors` forms it
+    top = np.einsum("rc,rc->r", coefs, frame._ray[cols])  # as `_decompose_minors` forms it
     if np.linalg.norm(top) <= 1e-12:
         raise ArithmeticError(
             "top spin component vanishes; principal polynomial undefined "
@@ -155,7 +155,7 @@ def _sampled_plan(s: SpinLabel, k: int) -> tuple | None:
     return nodes**d_nom, np.linalg.solve(A, rows).conj()
 
 
-def _sampled_polynomial(frame: KFrame, P: np.ndarray, plan: tuple | None) -> ComplexPolynomial:
+def _sampled_polynomial(frame: KFrame, plan: tuple | None) -> ComplexPolynomial:
     if plan is None:
         raise ArithmeticError("could not find nonsingular sampling nodes")
     power, chart = plan
@@ -165,7 +165,7 @@ def _sampled_polynomial(frame: KFrame, P: np.ndarray, plan: tuple | None) -> Com
     return ComplexPolynomial(_circle_coeffs(vals, _SAMPLE_OFFSET), len(vals) - 1)
 
 
-#: Each route's plan and its polynomial from frame, unit minors and plan, in `principal_all` order.
+#: Each route's plan and its polynomial from frame and plan, in `principal_all` order.
 _ROUTES = {
     "wronskian": (_wronskian_plan, _wronskian_polynomial),
     "sampled": (_sampled_plan, _sampled_polynomial),
@@ -175,18 +175,16 @@ _ROUTES = {
 
 @cached
 def _principal_plan(s: SpinLabel, k: int, routes: tuple) -> tuple:
-    """(minor index, None if no route reads minors, sqrt(C(d_nom, j)), routes' plans)."""
-    index = None if routes == ("sampled",) else _multi_index_array(s.dim, k)
+    """(sqrt(C(d_nom, j)), routes' plans)."""
     plans = tuple(_ROUTES[name][0](s, k) for name in routes)
-    return index, _sqrt_binomials(two_s_max(s, k))[0], plans
+    return _sqrt_binomials(two_s_max(s, k))[0], plans
 
 
 def _principal(frame: KFrame, routes: tuple) -> dict:
-    """The named routes' results: one plan lookup, the unit minors taken
-    once, and all the polynomials' roots and stars found in one pass."""
-    index, binomials, plans = _principal_plan(frame.s, frame.k, routes)
-    P = None if index is None else _minors(frame._polar, index)
-    polys = [_ROUTES[name][1](frame, P, plan) for name, plan in zip(routes, plans)]
+    """The named routes' results: one plan lookup, the ray the frame keeps,
+    and all the polynomials' roots and stars found in one pass."""
+    binomials, plans = _principal_plan(frame.s, frame.k, routes)
+    polys = [_ROUTES[name][1](frame, plan) for name, plan in zip(routes, plans)]
     coeffs = np.array([p.coeffs for p in polys])
     degrees = _degrees(coeffs, binomials).tolist()
     stars = _constellations(_roots(coeffs, degrees, [p.d_nom for p in polys]))
@@ -202,7 +200,7 @@ def principal(frame: KFrame, route: str = "wronskian") -> PrincipalResult:
 
 def principal_all(frame: KFrame) -> dict:
     """All three routes at once, keyed by route name: one pass over the
-    minors, and one over the three polynomials' roots and stars."""
+    three polynomials' roots and stars."""
     return _principal(frame, tuple(_ROUTES))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -30,7 +31,7 @@ from stellar.grassmann import (
 )
 from stellar.spin_rep import geodesic_rotation, wigner_d
 
-from conftest import random_frame, random_rotation, stereo_from_sphere
+from conftest import random_frame, random_rotation, same_bits, stereo_from_sphere
 
 
 def plane_inner(p1: KPlane, p2: KPlane) -> float:
@@ -82,6 +83,19 @@ def test_kframe_validation():
         KFrame(s, 2, np.ones((2, 4)))  # rank 1
     with pytest.raises(ValueError):
         KFrame(s, 2, np.array([[1, 0, 0, np.inf], [0, 1, 0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("two_s, k", [(2, 1), (5, 3), (9, 4)])
+def test_a_frames_ray_is_its_polar_factors_minors_and_read_only(two_s, k):
+    frame = random_frame(np.random.default_rng(10 * two_s + k), two_s, k)
+    for f in (frame, standard_form(frame)):
+        want = _minors(f._polar, _multi_index_array(f.s.dim, f.k))
+        assert same_bits(f._ray, want)
+        assert f._ray is f._ray and not f._ray.flags.writeable
+        with pytest.raises(ValueError):
+            f._ray[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f._ray = want
 
 
 def test_kframe_accepts_noncontiguous_rows():
@@ -215,8 +229,7 @@ def test_coherent_plane_near_the_south_pole_keeps_the_plane(two_s, n):
     rows = wigner_d(s, geodesic_rotation(n))[:, :k].T
     plane = coherent_plane(s, k, n)
     assert isinstance(plane, KPlane)
-    index = _multi_index_array(s.dim, k)
-    P, Q = (_minors(f._polar, index) for f in (KFrame(s, k, rows), plane))
+    P, Q = (f._ray for f in (KFrame(s, k, rows), plane))
     assert 1.0 - abs(np.vdot(P, Q)) <= 1e-12
     assert np.array_equal(plane.rows[:, plane.pivot_columns], np.eye(k))
 
@@ -258,6 +271,15 @@ def test_plucker_and_standard_form_properties_across_shapes(shape):
     mixed = plucker(KFrame(f.s, k, M @ f.rows)).comps
     scale = np.vdot(P.comps, mixed) / np.vdot(P.comps, P.comps)
     assert np.linalg.norm(mixed - scale * P.comps) <= 1e-12 * np.linalg.norm(mixed)
+
+
+@pytest.mark.parametrize("two_s, k", [(3, 2), (15, 7)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_plucker_vector_rejects_non_finite_components(two_s, k, bad):
+    comps = np.full(math.comb(two_s + 1, k), 0.5, dtype=complex)
+    comps[-1] = bad
+    with pytest.raises(ValueError, match="components must be finite"):
+        PluckerVector(SpinLabel(two_s), k, comps)
 
 
 def test_plucker_residual_positive_on_nonfactorizable():

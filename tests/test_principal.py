@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from stellar import (
     rotate_frame,
     schubert_count,
     standard_form,
+    wedge_rep,
 )
 from stellar.decomp import two_s_max
 from stellar.grassmann import _multi_index_array
@@ -165,11 +167,15 @@ def test_sampled_stars_of_an_ill_conditioned_frame_match_the_wronskian_stars(two
 _GL_SHAPES = [(t, k) for t in range(1, 36) for k in range(1, t + 1) if k * (t + 1 - k) <= 35]
 
 
-def _at_every_gl_shape(test):
-    """test, with one explicit example at each of _GL_SHAPES."""
-    for shape in _GL_SHAPES:
-        test = example(case=(shape, 0))(test)
-    return test
+def _at_every_shape(shapes):
+    """A decorator that gives a test one explicit example at each of shapes."""
+
+    def add(test):
+        for shape in shapes:
+            test = example(case=(shape, 0))(test)
+        return test
+
+    return add
 
 
 def _plane_results(frame: KFrame) -> list:
@@ -199,7 +205,7 @@ def _block_norms(frame: KFrame) -> np.ndarray:
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(case=st.tuples(st.sampled_from(_GL_SHAPES), st.integers(0, 2**32 - 1)))
-@_at_every_gl_shape
+@_at_every_shape(_GL_SHAPES)
 def test_results_depend_on_the_plane_alone(case):
     # Bounds from 3930 seeded draws (seeds 0-29 at every shape), one BLAS
     # thread: standard-form rows under row scales moved by at most 7.1e-14 of
@@ -232,6 +238,46 @@ def test_results_depend_on_the_plane_alone(case):
     M = (U * 10.0 ** np.linspace(0.0, rng.uniform(0.0, 6.0), k)) @ V  # cond(M) <= 1e6
     gap = np.abs(_block_norms(KFrame(frame.s, k, M @ rows)) - _block_norms(frame)).max()
     assert gap <= 256 * np.finfo(float).eps * np.linalg.cond(M)
+
+
+# the shapes of _GL_SHAPES whose wedge space has at most 400 dimensions
+_RAY_SHAPES = [(t, k) for t, k in _GL_SHAPES if math.comb(t + 1, k) <= 400]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=st.tuples(st.sampled_from(_RAY_SHAPES), st.integers(0, 2**32 - 1)))
+@_at_every_shape(_RAY_SHAPES)
+def test_the_stellar_objects_of_any_unit_ray(case):
+    # The construction holds for every totally antisymmetric state, not only
+    # for planes: each consumer reads s, k and the unit ray alone, so a
+    # random unit vector of the wedge space, which from 2 <= k <= 2s - 1 is
+    # almost never a plane, goes in as it is.  Worst values over these 225
+    # cases, one BLAS thread: 1.6e-14 rad between the wronskian and top
+    # stars, 9.1e-15 and 1.3e-14 rad for the rotated wronskian and block
+    # stars, 5.8e-14 in Z (given in 221 cases) and 4.4e-16 in the block norms.
+    (two_s, k), seed = case
+    s, rng = SpinLabel(two_s), np.random.default_rng([seed, two_s, k])
+    n = math.comb(two_s + 1, k)
+    P = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ray = SimpleNamespace(s=s, k=k, _ray=P / np.linalg.norm(P))
+    stars = principal(ray).constellation
+    assert constellation_match_angle(stars, principal(ray, "top").constellation) <= 1e-12
+    norms = [np.linalg.norm(c.state.coeffs) for c in decompose_plane(ray)]
+    assert abs(math.fsum(x * x for x in norms) - 1.0) <= 1e-14
+    # rotating the ray by the wedge power of D(r) rotates every constellation
+    r = random_rotation(rng)
+    turned = SimpleNamespace(s=s, k=k, _ray=wedge_rep(s, k, r) @ ray._ray)
+    want = rotate_constellation(stars, r)
+    assert constellation_match_angle(principal(turned).constellation, want) <= 1e-12
+    mc, got = multiconstellation(ray), multiconstellation(turned)
+    for a, b in zip(mc.components, got.components, strict=True):
+        assert (a.two_j, a.copy_index, a.absent) == (b.two_j, b.copy_index, b.absent)
+        if a.constellation is not None:
+            want = rotate_constellation(a.constellation, r)
+            assert constellation_match_angle(b.constellation, want) <= 1e-12
+    # and leaves Z where both give it
+    if mc.z_values is not None and got.z_values is not None:
+        assert np.abs(np.subtract(mc.z_values, got.z_values)).max() <= 1e-12
 
 
 def test_degree_drop_puts_stars_at_south_pole():
